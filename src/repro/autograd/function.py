@@ -22,17 +22,6 @@ from repro import backend as _backend
 # for the backward phase.
 _op_hook: Optional[Callable[[str, str, float, int], None]] = None
 
-# Graph-capture hooks (repro.graph.trace).  ``_trace_hook(fn, tensors,
-# out, requires)`` fires after every ``Function.apply`` -- including
-# no-grad applies, so a trace sees the full dataflow, not just the
-# differentiable spine.  ``_backward_trace(root, grad, retain_graph)``
-# fires at the top of ``Tensor.backward`` so a capture session knows
-# which tensors a training step backpropagated from.  Both default to
-# ``None`` and cost one global read per op when idle.
-_trace_hook: Optional[Callable[..., None]] = None
-_backward_trace: Optional[Callable[..., None]] = None
-
-
 def set_op_hook(
     hook: Optional[Callable[[str, str, float, int], None]]
 ) -> Optional[Callable[[str, str, float, int], None]]:
@@ -45,30 +34,6 @@ def set_op_hook(
 
 def get_op_hook() -> Optional[Callable[[str, str, float, int], None]]:
     return _op_hook
-
-
-def set_trace_hook(hook: Optional[Callable[..., None]]) -> Optional[Callable[..., None]]:
-    """Install (or with ``None``, clear) the apply-trace hook; returns the old one."""
-    global _trace_hook
-    previous = _trace_hook
-    _trace_hook = hook
-    return previous
-
-
-def get_trace_hook() -> Optional[Callable[..., None]]:
-    return _trace_hook
-
-
-def set_backward_trace(hook: Optional[Callable[..., None]]) -> Optional[Callable[..., None]]:
-    """Install (or with ``None``, clear) the backward-trace hook; returns the old one."""
-    global _backward_trace
-    previous = _backward_trace
-    _backward_trace = hook
-    return previous
-
-
-def get_backward_trace() -> Optional[Callable[..., None]]:
-    return _backward_trace
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -104,17 +69,6 @@ class Function:
     #: backward-only arrays, so the tape planner can account for and
     #: release them too (e.g. ``MaxPool2dFn._argmax``).
     extra_saved: Tuple[str, ...] = ()
-
-    #: Name of a per-step constructor argument the graph compiler must
-    #: rebind before every replay (e.g. ``SoftmaxCrossEntropy.targets``).
-    #: ``None`` means the node has no per-step non-tensor state.
-    step_binding: Optional[str] = None
-
-    #: Optional callable attached by a layer after ``apply``; a compiled
-    #: replay invokes it with the node after the forward section so
-    #: non-graph side effects (batch-norm running statistics) happen on
-    #: replay exactly as they do eagerly.
-    on_replay: Optional[Callable[["Function"], None]] = None
 
     def __init__(self) -> None:
         self.inputs: Tuple[Any, ...] = ()
@@ -175,7 +129,4 @@ class Function:
             fn.inputs = tuple(tensors)
             fn.needs_grad = tuple(t.requires_grad for t in tensors)
             out._creator = fn
-        trace = _trace_hook
-        if trace is not None:
-            trace(fn, tensors, out, requires)
         return out

@@ -81,32 +81,21 @@ def _validate_conv(x_shape, weight_shape) -> None:
 
 
 class Conv2dFn(Function):
-    #: Set by the graph compiler on captured instances: a compiled replay
-    #: trades the tape planner's memory saving back for compute by keeping
-    #: the forward's patch matrix alive in a program-owned slot instead of
-    #: re-gathering it in backward (the gather is bit-identical either
-    #: way, so replay numerics do not move).
-    keep_cols = False
-
     def __init__(self, stride: int = 1, padding: int = 0) -> None:
         super().__init__()
         self.stride, self.padding = int(stride), int(padding)
-        self._cols = None
 
     def forward(self, x, weight):
         _validate_conv(x.shape, weight.shape)
         out, cols = _backend.active().conv2d_forward(
             x, weight, self.stride, self.padding
         )
-        if self.keep_cols:
-            self._cols = cols
-        else:
-            # Checkpoint the input rather than the patch matrix: cols is
-            # ~kh*kw times larger than x and would dominate the tape's
-            # saved bytes, while x is the parent tensor's own data (alive
-            # through the walk regardless).  Backward re-gathers the
-            # columns, which is cheap next to the two gradient matmuls.
-            del cols
+        # Checkpoint the input rather than the patch matrix: cols is
+        # ~kh*kw times larger than x and would dominate the tape's saved
+        # bytes, while x is the parent tensor's own data (alive through
+        # the walk regardless).  Backward re-gathers the columns, which
+        # is cheap next to the two gradient matmuls.
+        del cols
         self.save_for_backward(x, weight)
         self._x_shape = x.shape
         return out
@@ -117,9 +106,7 @@ class Conv2dFn(Function):
         K = _backend.active()
         # identical gather to the forward's (same indices, same layout),
         # so gradients are bit-for-bit what saving cols would produce
-        cols = self._cols
-        if cols is None:
-            cols = K.im2col(x, kh, kw, self.stride, self.padding)
+        cols = K.im2col(x, kh, kw, self.stride, self.padding)
         # the backend may skip the input-gradient matmul + scatter when
         # x is a graph leaf that does not require grad (needs_grad is
         # only populated when the graph edge was recorded)
@@ -295,17 +282,8 @@ class SoftmaxCrossEntropy(Function):
     stable and makes the backward pass the textbook ``softmax - onehot``.
     """
 
-    #: The labels change every step but arrive as a constructor argument,
-    #: not a graph input.  The graph compiler reads this marker and calls
-    #: :meth:`rebind` with the per-replay value before each replay.
-    step_binding = "targets"
-
     def __init__(self, targets: np.ndarray) -> None:
         super().__init__()
-        self.targets = np.asarray(targets, dtype=np.int64)
-
-    def rebind(self, targets: np.ndarray) -> None:
-        """Swap in a new step's targets (compiled-replay seam)."""
         self.targets = np.asarray(targets, dtype=np.int64)
 
     def forward(self, logits):

@@ -30,7 +30,7 @@ picks up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -162,137 +162,3 @@ class TapePlan:
         registry.gauge("autograd.unplanned_peak_bytes").set(
             float(self.stats.unplanned_peak_bytes))
         return self.stats
-
-
-# ---------------------------------------------------------------------------
-# Static allocation planning (graph compiler)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _BufferRequest:
-    """One planned buffer: a (shape, dtype) slot live over [start, end]."""
-
-    index: int
-    shape: Tuple[int, ...]
-    dtype: np.dtype
-    start: int
-    end: int           # inclusive; a very large end means pinned all step
-    exclusive: bool    # never share backing storage, even if liveness allows
-    physical: int = -1  # assigned physical buffer id
-
-
-class StaticAllocationPlan:
-    """Ahead-of-time buffer plan for a compiled step.
-
-    The tape planner (:class:`TapePlan`) discovers liveness *during* a
-    backward walk; a compiled schedule knows the full instruction order
-    up front, so the same interval reasoning can run once at compile
-    time.  Callers request buffers with an explicit live interval
-    (instruction indices); requests whose intervals do not overlap share
-    one physical allocation (greedy first-fit over same shape+dtype).
-
-    Requests that the schedule *saves* across the forward/backward
-    boundary (fused-op saved operands, gradient accumulators an op's
-    backward may return views of) are marked ``exclusive`` -- they get a
-    dedicated allocation, because aliasing them is exactly the class of
-    bug the eager tape's ``may_share_memory`` guards exist to prevent.
-
-    Physical buffers are materialized lazily on first
-    :meth:`materialize` and reused by every subsequent replay -- the
-    compiled step never re-allocates its scratch.
-    """
-
-    PINNED = 1 << 30
-
-    def __init__(self) -> None:
-        self._requests: List[_BufferRequest] = []
-        self._buffers: Dict[int, np.ndarray] = {}
-        self._planned = False
-
-    def request(self, shape: Tuple[int, ...], dtype,
-                start: int, end: Optional[int] = None,
-                exclusive: bool = False) -> int:
-        """Reserve a buffer live over ``[start, end]``; returns its handle."""
-        if self._planned:
-            raise RuntimeError("allocation plan is frozen; request before solve()")
-        req = _BufferRequest(
-            index=len(self._requests),
-            shape=tuple(int(s) for s in shape),
-            dtype=np.dtype(dtype),
-            start=int(start),
-            end=self.PINNED if end is None else int(end),
-            exclusive=bool(exclusive),
-        )
-        self._requests.append(req)
-        return req.index
-
-    def solve(self) -> None:
-        """Assign physical buffers: first-fit interval packing per shape+dtype."""
-        if self._planned:
-            return
-        self._planned = True
-        # physical id -> (shape, dtype, [(start, end), ...])
-        physical: List[Tuple[Tuple[int, ...], np.dtype, List[Tuple[int, int]]]] = []
-        for req in sorted(self._requests, key=lambda r: (r.start, r.index)):
-            if not req.exclusive:
-                for pid, (shape, dtype, intervals) in enumerate(physical):
-                    if shape != req.shape or dtype != req.dtype:
-                        continue
-                    # inclusive-interval intersection test: sharing is
-                    # allowed only when the lifetimes are fully disjoint
-                    # (a def at the other's last-use index still clashes
-                    # -- both values are live inside that instruction)
-                    if any(req.start <= e and s <= req.end for s, e in intervals):
-                        continue
-                    intervals.append((req.start, req.end))
-                    req.physical = pid
-                    break
-            if req.physical < 0:
-                physical.append((req.shape, req.dtype, [(req.start, req.end)]))
-                req.physical = len(physical) - 1
-        self._physical_count = len(physical)
-
-    def materialize(self, handle: int) -> np.ndarray:
-        """The physical ndarray behind a request handle (lazily allocated)."""
-        if not self._planned:
-            self.solve()
-        req = self._requests[handle]
-        buf = self._buffers.get(req.physical)
-        if buf is None:
-            buf = np.empty(req.shape, dtype=req.dtype)
-            self._buffers[req.physical] = buf
-        return buf
-
-    # ------------------------------------------------------------- stats
-    @property
-    def requested_bytes(self) -> int:
-        return sum(int(np.prod(r.shape)) * r.dtype.itemsize
-                   for r in self._requests)
-
-    @property
-    def planned_bytes(self) -> int:
-        if not self._planned:
-            self.solve()
-        seen: Dict[int, int] = {}
-        for r in self._requests:
-            seen[r.physical] = int(np.prod(r.shape)) * r.dtype.itemsize
-        return sum(seen.values())
-
-    @property
-    def buffers(self) -> int:
-        if not self._planned:
-            self.solve()
-        return self._physical_count
-
-    @property
-    def requests(self) -> int:
-        return len(self._requests)
-
-    def summary(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "buffers": self.buffers,
-            "requested_bytes": self.requested_bytes,
-            "planned_bytes": self.planned_bytes,
-        }

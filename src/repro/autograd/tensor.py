@@ -142,10 +142,6 @@ class Tensor:
                     f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
                 )
 
-        bw_trace = _function._backward_trace
-        if bw_trace is not None:
-            bw_trace(self, grad, retain_graph)
-
         from repro import backend as _backend
         from repro.autograd.planner import TapePlan
         K = _backend.active()

@@ -8,9 +8,6 @@ Importing this package registers the two built-in backends and makes
 * :mod:`repro.backend.fast` -- cached im2col indices, bincount
   scatter, fused inference kernels; falls back to reference for
   anything it does not override.
-* :mod:`repro.backend.compiled` -- the graph compiler's companion:
-  sliding-window patch gathers (bitwise identical to fast) plus
-  thread-tiled matmul for very large products; falls back to fast.
 
 Typical use::
 
@@ -39,11 +36,9 @@ from repro.backend.registry import (
 )
 from repro.backend import reference as _reference
 from repro.backend import fast as _fast
-from repro.backend import compiled as _compiled
 
 register_backend(_reference.BACKEND, default=True)
 register_backend(_fast.BACKEND)
-register_backend(_compiled.BACKEND)
 
 __all__ = [
     "Backend",

@@ -94,92 +94,3 @@ def bench_kernels(
                 )
         records.append(record)
     return records
-
-
-#: Representative elementwise chains the graph compiler fuses; each is
-#: benchmarked as one-kernel-at-a-time dispatch vs the fused in-place
-#: emitters writing into preallocated scratch.
-FUSED_CHAINS = (
-    ("Add", "ReLU"),
-    ("Mul", "Add", "Tanh"),
-    ("Sub", "Neg", "Exp"),
-)
-
-#: Ops in FUSED_CHAINS that take a second (fresh) operand.
-_BINARY = {"Add", "Sub", "Mul", "Div"}
-
-
-class _BenchFn:
-    """Stand-in Function: the emitters only touch ``.saved``."""
-
-    __slots__ = ("saved",)
-
-    def __init__(self) -> None:
-        self.saved = None
-
-
-def bench_fused(
-    repeats: int = 5,
-    seed: int = 0,
-    baseline: str = "reference",
-    candidate: str = "fast",
-    shape=(64, 1024),
-) -> List[Dict[str, object]]:
-    """Timing records for the graph compiler's fused elementwise chains.
-
-    The baseline column times the chain as eager execution runs it --
-    one backend kernel call per op, each allocating its output; the
-    candidate column times the fused emitters from
-    :mod:`repro.graph.compiler` writing into planner-style preallocated
-    buffers.  Record keys match :func:`bench_kernels` so the CLI can
-    render both in one table.
-    """
-    from repro.graph.compiler import FUSIBLE
-
-    baseline_b = get_backend(baseline)
-    records: List[Dict[str, object]] = []
-    rng = np.random.default_rng(seed)
-    for chain in FUSED_CHAINS:
-        first = rng.uniform(0.25, 1.0, size=shape)
-        extras = [rng.uniform(0.25, 1.0, size=shape)
-                  for op in chain if op in _BINARY]
-        kernel_of = {"Add": "add", "Sub": "sub", "Mul": "mul", "Div": "div",
-                     "Neg": "neg", "ReLU": "relu"}
-
-        def run_eager():
-            value = first
-            it = iter(extras)
-            for op in chain:
-                kname = kernel_of.get(op)
-                if kname is not None and op in _BINARY:
-                    out = baseline_b.kernel(kname)(value, next(it))
-                elif kname is not None:
-                    out = baseline_b.kernel(kname)(value)
-                else:
-                    out = {"Exp": np.exp, "Sqrt": np.sqrt,
-                           "Tanh": np.tanh}[op](value)
-                value = out[0] if isinstance(out, tuple) else out
-            return value
-
-        dests = [np.empty(shape) for _ in chain]
-        fns = [_BenchFn() for _ in chain]
-
-        def run_fused():
-            value = first
-            it = iter(extras)
-            for op, dest, fn in zip(chain, dests, fns):
-                ins = [value, next(it)] if op in _BINARY else [value]
-                value = FUSIBLE[op](fn, ins, dest)
-            return value
-
-        run_eager(), run_fused()
-        eager_s = _time_call(run_eager, (), {}, repeats)
-        fused_s = _time_call(run_fused, (), {}, repeats)
-        records.append({
-            "kernel": "fused[" + "+".join(op.lower() for op in chain) + "]",
-            f"{baseline}_us": round(eager_s * 1e6, 2),
-            f"{candidate}_us": round(fused_s * 1e6, 2),
-            "speedup": round(eager_s / fused_s, 3) if fused_s > 0 else float("inf"),
-            "overridden": True,
-        })
-    return records

@@ -47,14 +47,6 @@ _active: Optional["Backend"] = None
 _kernel_hook: Optional[KernelHook] = None
 _hook_depth: int = 0
 
-# Kernel-level capture hook (repro.graph.infer): ``trace(kernel_name,
-# args, kwargs, out)`` fires for every *top-level* kernel call -- nested
-# calls (conv2d_forward invoking im2col) are suppressed with a separate
-# depth guard so a replayed outer kernel re-runs its inner calls itself.
-KernelTrace = Callable[[str, tuple, dict, Any], None]
-_kernel_trace: Optional[KernelTrace] = None
-_trace_depth: int = 0
-
 
 def set_kernel_hook(hook: Optional[KernelHook]) -> Optional[KernelHook]:
     """Install (or with ``None``, clear) the kernel hook; returns the old one."""
@@ -66,18 +58,6 @@ def set_kernel_hook(hook: Optional[KernelHook]) -> Optional[KernelHook]:
 
 def get_kernel_hook() -> Optional[KernelHook]:
     return _kernel_hook
-
-
-def set_kernel_trace(trace: Optional[KernelTrace]) -> Optional[KernelTrace]:
-    """Install (or with ``None``, clear) the kernel trace; returns the old one."""
-    global _kernel_trace
-    previous = _kernel_trace
-    _kernel_trace = trace
-    return previous
-
-
-def get_kernel_trace() -> Optional[KernelTrace]:
-    return _kernel_trace
 
 
 def _nbytes(args: tuple, out: Any) -> int:
@@ -120,35 +100,20 @@ class Backend:
         backend_name = self.name
 
         def call(*args: Any, **kwargs: Any) -> Any:
+            global _hook_depth
             hook = _kernel_hook
-            trace = _kernel_trace
-            if hook is None and trace is None:
+            if hook is None or _hook_depth:
+                # no profiler, or a nested kernel (kernels composing
+                # kernels) whose time is inside the outer measurement
                 return fn(*args, **kwargs)
-            global _hook_depth, _trace_depth
-            # nested kernel (kernels composing kernels): its time is
-            # already inside the outer call's measurement, and a capture
-            # replaying the outer call re-runs the inner ones itself
-            timed = hook is not None and not _hook_depth
-            tracing = trace is not None and not _trace_depth
-            if not timed and not tracing:
-                return fn(*args, **kwargs)
-            if timed:
-                _hook_depth = 1
-            if tracing:
-                _trace_depth = 1
-            start = time.perf_counter() if timed else 0.0
+            _hook_depth = 1
+            start = time.perf_counter()
             try:
                 out = fn(*args, **kwargs)
             finally:
-                if timed:
-                    _hook_depth = 0
-                if tracing:
-                    _trace_depth = 0
-            if timed:
-                hook(backend_name, kernel_name,
-                     time.perf_counter() - start, _nbytes(args, out))
-            if tracing:
-                trace(kernel_name, args, kwargs, out)
+                _hook_depth = 0
+            hook(backend_name, kernel_name,
+                 time.perf_counter() - start, _nbytes(args, out))
             return out
 
         call.__name__ = f"{backend_name}.{kernel_name}"

@@ -26,12 +26,11 @@ Subcommands:
 * ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
-Global flags (before the subcommand): ``--backend
-{reference,fast,compiled}`` selects the kernel backend every op
-dispatches through (``repro.backend``; ``fast`` caches im2col indices
-and fuses inference kernels, ``compiled`` adds sliding-window gathers
-and thread-tiled large matmul), ``--compile`` captures training steps
-into static replay schedules (``repro.graph``, bit-identical losses),
+Global flags (before the subcommand): ``--backend {reference,fast}``
+selects the kernel backend every op dispatches through
+(``repro.backend``; ``fast`` caches im2col indices and fuses inference
+and batch-norm kernels, ``reference`` is the bit-exact oracle); every
+training step and forward runs eagerly on it,
 ``--dtype {float32,float64}`` sets the compute-precision
 policy (``repro.precision``; float32 is the training default, float64
 restores the bit-exact wide path), ``--workers N`` fans sweep points
@@ -422,26 +421,6 @@ def _ddp_info_row() -> str:
     return f"{mode}; {fork}; {config['cpus']} cpu(s)"
 
 
-def _graph_info_row() -> str:
-    """Graph-compiler capability summary for the active backend."""
-    from repro import graph as _graph
-
-    backend = _backend.active()
-    caps = [flag for flag in ("graph_compiler", "fusion", "tiling")
-            if getattr(backend, flag, False)]
-    stats = _graph.stats()
-    parts = [
-        "compile default " + ("on" if _graph.compile_default() else "off"),
-        "fusion " + ("supported" if _graph.fusion_supported(backend)
-                     else "unsupported"),
-        "backend flags: " + (", ".join(caps) if caps else "none"),
-    ]
-    activity = {k.split(".", 1)[1]: int(v) for k, v in stats.items() if v}
-    if activity:
-        parts.append(", ".join(f"{k}={v}" for k, v in sorted(activity.items())))
-    return "; ".join(parts)
-
-
 def _cmd_info(args) -> int:
     """One consolidated environment/observability table."""
     import platform
@@ -461,7 +440,6 @@ def _cmd_info(args) -> int:
         ("platform", platform.platform()),
         ("backend", f"{_backend.active().name} "
                     f"(available: {', '.join(_backend.available_backends())})"),
-        ("graph", _graph_info_row()),
         ("dtype", f"{_precision.default_dtype().name} "
                   f"(metrics pinned to {_precision.METRICS_DTYPE.name})"),
         ("workers", f"{cpu_workers()} cpu(s) auto-detected"),
@@ -741,7 +719,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_bench_kernels(args) -> int:
     """Per-kernel reference-vs-fast timing table."""
-    from repro.backend.bench import bench_fused, bench_kernels
+    from repro.backend.bench import bench_kernels
     from repro.telemetry import format_records
 
     from repro.errors import ConfigError
@@ -751,16 +729,12 @@ def _cmd_bench_kernels(args) -> int:
                                 dtype=args.dtype)
     except ConfigError as exc:
         raise SystemExit(f"repro bench-kernels: {exc}")
-    if not args.kernels:
-        # the graph compiler's fused elementwise chains, eager vs fused
-        records += bench_fused(repeats=args.repeats, seed=args.seed)
     dtype_suffix = f", {args.dtype}" if args.dtype else ""
     print(format_records(
         records,
         title=f"kernel micro-benchmark (best of {args.repeats}{dtype_suffix})",
     ))
-    overridden = [r for r in records
-                  if r["overridden"] and not str(r["kernel"]).startswith("fused[")]
+    overridden = [r for r in records if r["overridden"]]
     mean_speedup = None
     if overridden:
         mean_speedup = float(np.mean([r["speedup"] for r in overridden]))
@@ -796,15 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="DAC'20 compressed-model data-stealing reproduction"
     )
     parser.add_argument("--backend", default="reference",
-                        choices=["reference", "fast", "compiled"],
+                        choices=_backend.available_backends(),
                         help="kernel backend for all op dispatch "
                              "(fast: cached indices + fused inference; "
-                             "compiled: sliding-window gathers + tiled "
-                             "matmul for the graph compiler)")
-    parser.add_argument("--compile", action="store_true", default=False,
-                        help="capture each training-step signature into a "
-                             "static replay schedule (repro.graph); "
-                             "bit-identical losses, less per-step dispatch")
+                             "reference: the bit-exact oracle)")
     parser.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"],
                         help="compute-precision policy for tensors, "
@@ -1099,11 +1068,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logger.info("cli.start", command=args.command, argv=list(argv or sys.argv[1:]))
     trace_error = None
     # restored afterwards so in-process callers (tests) are unaffected
-    from repro import graph as _graph
     from repro.parallel import ddp as _ddp
     previous_backend = _backend.set_backend(args.backend)
     previous_dtype = _precision.set_default_dtype(args.dtype)
-    previous_compile = _graph.set_compile_default(args.compile)
     previous_ddp = _ddp.set_default_ddp_workers(args.ddp_workers)
     try:
         code = args.func(args)
@@ -1113,7 +1080,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     finally:
         _backend.set_backend(previous_backend)
         _precision.set_default_dtype(previous_dtype)
-        _graph.set_compile_default(previous_compile)
         _ddp.set_default_ddp_workers(previous_ddp)
         if exporter is not None:
             from repro.telemetry.export import stop_exporter

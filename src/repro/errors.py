@@ -38,9 +38,5 @@ class ServeError(ReproError):
     """The serving layer refused or failed a request/artifact operation."""
 
 
-class GraphError(ReproError):
-    """Graph capture or compilation was requested in an unsupported state."""
-
-
 class DDPError(ReproError):
     """The data-parallel training runtime failed or was misconfigured."""

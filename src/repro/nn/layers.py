@@ -135,11 +135,6 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        # a fresh mask per step is inherently untraceable: a captured
-        # replay would freeze one mask forever
-        from repro.graph.trace import mark_dynamic
-
-        mark_dynamic("dropout samples a new mask every step")
         keep = 1.0 - self.p
         # match the input dtype so the mask never upcasts a float32 graph
         mask = ((self._generator.random(x.shape) < keep) / keep).astype(

@@ -45,14 +45,6 @@ class _BatchNorm(Module):
         self.update_buffer("running_mean", (1 - m) * self.running_mean + m * batch_mean)
         self.update_buffer("running_var", (1 - m) * self.running_var + m * batch_var)
 
-    def _absorb_batch_stats(self, fn) -> None:
-        """Fold a BatchNormTrainFn node's batch statistics into the running
-        buffers -- called right after ``apply`` eagerly, and again by the
-        graph executor after every replayed forward."""
-        self._update_running(
-            fn.mean.reshape(self.num_features), fn.var.reshape(self.num_features)
-        )
-
     def forward(self, x: Tensor) -> Tensor:
         axes = self._axes()
         shape = self._param_shape()
@@ -73,9 +65,8 @@ class _BatchNorm(Module):
             if getattr(K, "fused_batchnorm", False):
                 # fused path: statistics, normalize-scale-shift and the
                 # analytic backward inside one graph node (see
-                # ops_nn.BatchNormTrainFn); the node computes mean/var in
-                # its own forward so a compiled replay refreshes them from
-                # live activations every step.
+                # ops_nn.BatchNormTrainFn), which computes mean/var in
+                # its own forward.
                 x_t = x if isinstance(x, Tensor) else Tensor(x)
                 out = BatchNormTrainFn.apply(
                     x_t,
@@ -85,11 +76,10 @@ class _BatchNorm(Module):
                 )
                 fn = out._creator
                 if fn is not None:
-                    # running statistics are a non-graph side effect; the
-                    # graph compiler re-applies them after each replayed
-                    # forward via this hook
-                    fn.on_replay = self._absorb_batch_stats
-                    self._absorb_batch_stats(fn)
+                    self._update_running(
+                        fn.mean.reshape(self.num_features),
+                        fn.var.reshape(self.num_features),
+                    )
                 else:
                     # no-grad training forward: no node was recorded, so
                     # compute the statistics the layer still has to absorb
@@ -99,15 +89,6 @@ class _BatchNorm(Module):
                         var.reshape(self.num_features),
                     )
                 return out
-            # the composed graph updates running statistics as a plain
-            # python side effect below -- invisible to a captured replay,
-            # which would silently freeze them at their warm-up values
-            from repro.graph.trace import mark_dynamic
-
-            mark_dynamic(
-                "composed batch-norm updates running statistics outside "
-                "the graph"
-            )
             mean = F.mean(x, axis=axes, keepdims=True)
             centered = F.sub(x, mean)
             variance = F.mean(F.mul(centered, centered), axis=axes, keepdims=True)

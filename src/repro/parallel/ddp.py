@@ -26,8 +26,8 @@ command down and one "done" summary up per epoch, and
 -- no weights, no batches -- is ever pickled on the steady-state path.
 
 Workers are forked lazily on the first epoch (so they inherit the
-arena mapping, the model, the loader, and the step runner -- including
-a private per-worker compiled-program cache) and persist across epochs.
+arena mapping, the model, the loader, and the step runner) and persist
+across epochs.
 Batch-norm running statistics stay rank-local during an epoch and are
 averaged across ranks through the arena at every epoch end, which keeps
 eval-time behaviour close to the serial run (the EMA update is linear,
@@ -248,7 +248,7 @@ def _barrier_wait(state: _RankState) -> None:
         state.stats["barrier_s"] += time.perf_counter() - start
 
 
-def _compute_and_write(state: _RankState, item, compiled: bool) -> Tuple[float, float]:
+def _compute_and_write(state: _RankState, item) -> Tuple[float, float]:
     """Forward/backward on this rank's slice; write the scaled slab.
 
     Returns this rank's (task_loss, penalty) floats.  The augmentation
@@ -265,7 +265,7 @@ def _compute_and_write(state: _RankState, item, compiled: bool) -> Tuple[float, 
             inputs = apply_flip_mask(inputs, mask[item.offset:item.offset + n])
     slabs = state.grad_views[state.rank]
     if n:
-        task_loss, penalty = state.runner.step(inputs, labels, compiled=compiled)
+        task_loss, penalty = state.runner.step(inputs, labels)
         scale = n / item.global_size
         for param, slab in zip(state.params, slabs):
             if param.grad is None:
@@ -329,14 +329,14 @@ def _sync_buffers(state: _RankState) -> None:
             )
 
 
-def _run_rank_epoch(state: _RankState, epoch: int, compiled: bool) -> None:
+def _run_rank_epoch(state: _RankState, epoch: int) -> None:
     """One full epoch of the worker side of the step protocol."""
     state.model.train()
     shard = state.loader.shard(state.rank, state.world)
     with span("ddp.rank_epoch", rank=state.rank, epoch=epoch):
         for item in shard.iter_meta():
             with span("ddp.rank_step", rank=state.rank):
-                _compute_and_write(state, item, compiled)
+                _compute_and_write(state, item)
                 _allreduce(state)
                 # rank 0 is running clip + optimizer + publish
                 _barrier_wait(state)
@@ -357,7 +357,7 @@ def _worker_main(state: _RankState, conn) -> None:
             break
         if command is None:
             break
-        _, epoch, compiled, trace_ctx = command
+        _, epoch, trace_ctx = command
         recorder = worker_recorder(trace_ctx) if trace_ctx is not None else None
         set_recorder(recorder)
         state.reset_stats()
@@ -365,7 +365,7 @@ def _worker_main(state: _RankState, conn) -> None:
         try:
             with _backend.use_backend(state.backend), \
                     _precision.use_dtype(state.dtype):
-                _run_rank_epoch(state, epoch, compiled)
+                _run_rank_epoch(state, epoch)
         except DDPError:
             set_recorder(None)
             os._exit(1)
@@ -376,7 +376,6 @@ def _worker_main(state: _RankState, conn) -> None:
             os._exit(1)
         set_recorder(None)
         payload.update(state.stats)
-        payload["compile"] = dict(state.runner.stats)
         from repro.autograd.planner import last_tape_stats
         tape = last_tape_stats()
         payload["tape"] = dataclasses.asdict(tape) if tape is not None else None
@@ -447,7 +446,6 @@ class DDPContext:
         self._watch_stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
         self._epoch_open = False
-        self._epoch_compiled = False
         self.last_epoch: Dict[str, Any] = {}
 
     # ------------------------------------------------------------ lifecycle
@@ -553,7 +551,7 @@ class DDPContext:
                     return
 
     # ------------------------------------------------------------ one epoch
-    def begin_epoch(self, epoch: int, compiled: bool):
+    def begin_epoch(self, epoch: int):
         """Fork (first call), command every worker into the epoch, and
         return the parent's shard iterator."""
         if not self._started:
@@ -562,14 +560,13 @@ class DDPContext:
         trace_ctx = current_trace_context()
         for rank, conn in self._conns.items():
             try:
-                _send_msg(conn, ("epoch", epoch, compiled, trace_ctx))
+                _send_msg(conn, ("epoch", epoch, trace_ctx))
             except (BrokenPipeError, OSError):
                 self._broken = True
                 self._dead_rank = rank
                 raise DDPError(f"ddp worker rank {rank} is gone")
         self._state.reset_stats()
         self._epoch_open = True
-        self._epoch_compiled = bool(compiled)
         return self.loader.shard(0, self.world).iter_meta()
 
     def rank0_step(self, item) -> Tuple[float, float, int]:
@@ -579,7 +576,7 @@ class DDPContext:
         slabs ready for clipping and the optimizer."""
         state = self._state
         try:
-            _compute_and_write(state, item, self._epoch_compiled)
+            _compute_and_write(state, item)
             _allreduce(state)
         except DDPError:
             self._broken = True
@@ -655,16 +652,11 @@ class DDPContext:
         own_tape = last_tape_stats()
         if own_tape is not None:
             tapes.append(dataclasses.asdict(own_tape))
-        compile_totals: Dict[str, int] = {}
-        for key, value in self.runner.stats.items():
-            compile_totals[key] = compile_totals.get(key, 0) + int(value)
         worker_steps = 0
         allreduce_s = float(state.stats["allreduce_s"])
         barrier_s = float(state.stats["barrier_s"])
         for rank, payload in sorted(summaries.items()):
             worker_steps += int(payload.get("steps", 0))
-            for key, value in payload.get("compile", {}).items():
-                compile_totals[key] = compile_totals.get(key, 0) + int(value)
             if payload.get("tape"):
                 tapes.append(payload["tape"])
             if recorder is not None and payload.get("spans"):
@@ -678,9 +670,6 @@ class DDPContext:
             registry.timer("ddp.barrier_wait_s").update(barrier_s / steps)
         registry.gauge("ddp.workers").set(float(self.world))
         registry.gauge("ddp.shm_segments").set(float(len(live_segments())))
-        registry.gauge("ddp.programs").set(
-            float(compile_totals.get("programs", 0))
-        )
         if tapes:
             registry.gauge("ddp.tape_saved_bytes").set(
                 float(sum(t["total_saved_bytes"] for t in tapes))
@@ -694,7 +683,6 @@ class DDPContext:
             "allreduce_s": allreduce_s,
             "barrier_s": barrier_s,
             "bytes_moved": steps * step_bytes,
-            "compile": compile_totals,
             "tapes": tapes,
         }
         return self.last_epoch

@@ -7,9 +7,8 @@ the encoding attacks hide inside it.
 The actual forward/backward/step machinery lives in :class:`StepRunner`
 so the same engine drives both the serial :class:`Trainer` loop and
 every rank of the data-parallel runtime (:mod:`repro.parallel.ddp`):
-forked DDP workers inherit a private copy of the trainer's runner --
-including its compiled-program cache -- and execute the identical step
-on their shard of each batch.
+forked DDP workers inherit a private copy of the trainer's runner and
+execute the identical step on their shard of each batch.
 """
 
 from __future__ import annotations
@@ -52,14 +51,13 @@ class TrainHistory:
 
 
 class StepRunner:
-    """One training step (eager or capture/replay) over a fixed model.
+    """One eager training step over a fixed model.
 
-    Owns everything a single step needs -- model, loss, penalty, the
-    parameter list, and the compiled-program cache -- and nothing an
-    epoch needs (loader, optimizer, schedule, monitor all stay on the
-    :class:`Trainer`).  That split is what lets a forked DDP rank run
-    steps without dragging the epoch machinery across the fork: each
-    worker's copy of the runner keeps its own per-shape program cache.
+    Owns everything a single step needs -- model, loss, penalty and the
+    parameter list -- and nothing an epoch needs (loader, optimizer,
+    schedule, monitor all stay on the :class:`Trainer`).  That split is
+    what lets a forked DDP rank run steps without dragging the epoch
+    machinery across the fork.
     """
 
     def __init__(
@@ -68,22 +66,14 @@ class StepRunner:
         loss_fn,
         params: List,
         penalty: Optional[Callable[[], Tensor]] = None,
-        max_programs: int = 4,
     ) -> None:
         self.model = model
         self.loss_fn = loss_fn
         self.params = params
         self.penalty = penalty
-        self.max_programs = max_programs
-        self.programs: dict = {}
-        self.capture_failed = False
-        self.stats = {
-            "programs": 0, "captures": 0, "capture_failures": 0,
-            "replays": 0, "fallbacks": 0,
-        }
 
     def forward_backward(self, x: Tensor, labels: np.ndarray) -> dict:
-        """Forward + loss (+ penalty) + backward; the capturable window."""
+        """Forward + loss (+ penalty) + backward."""
         logits = self.model(x)
         task_loss = self.loss_fn(logits, labels)
         result = {"task_loss": task_loss}
@@ -107,63 +97,7 @@ class StepRunner:
         penalty = result["penalty"].item() if "penalty" in result else 0.0
         return result["task_loss"].item(), penalty
 
-    def compiled_step(self, inputs: np.ndarray, labels: np.ndarray):
-        """Replay (or capture) one step; ``None`` means "run it eagerly".
-
-        Replay failures discard the stale program, re-zero the (possibly
-        partially written) gradients, count a ``graph.fallbacks`` tick
-        and hand the step back to the eager path.  Capture failures mark
-        the runner so no further captures are attempted -- dynamic
-        models stay eager with a single warm-up's overhead.
-        """
-        from repro import graph
-        from repro.errors import GraphError
-
-        key = (inputs.shape, str(inputs.dtype), labels.shape)
-        program = self.programs.get(key)
-        if program is not None:
-            self.zero_grads()
-            try:
-                outs = program.replay(inputs=inputs, targets=labels)
-            except GraphError:
-                del self.programs[key]
-                self.stats["programs"] = len(self.programs)
-                self.stats["fallbacks"] += 1
-                registry = default_registry()
-                registry.counter("graph.fallbacks").inc()
-                registry.gauge("graph.programs").set(float(len(self.programs)))
-                return None
-            self.stats["replays"] += 1
-            penalty = float(outs["penalty"]) if "penalty" in outs else 0.0
-            return float(outs["task_loss"]), penalty
-        if self.capture_failed or len(self.programs) >= self.max_programs:
-            return None
-        x = Tensor(inputs)
-        self.zero_grads()
-        result, program = graph.capture_step(
-            lambda: self.forward_backward(x, labels), feeds={"inputs": x}
-        )
-        if program is None:
-            # the eager warm-up fully ran; its gradients stand
-            self.capture_failed = True
-            self.stats["capture_failures"] += 1
-        else:
-            self.programs[key] = program
-            self.stats["captures"] += 1
-            self.stats["programs"] = len(self.programs)
-            default_registry().gauge("graph.programs").set(
-                float(len(self.programs))
-            )
-        penalty = result["penalty"].item() if "penalty" in result else 0.0
-        return result["task_loss"].item(), penalty
-
-    def step(self, inputs: np.ndarray, labels: np.ndarray,
-             compiled: bool = False):
-        """One full step; returns (task_loss, penalty) floats."""
-        out = self.compiled_step(inputs, labels) if compiled else None
-        if out is None:
-            out = self.eager_step(inputs, labels)
-        return out
+    step = eager_step
 
 
 def _shutdown_ddp(ctx) -> None:
@@ -192,7 +126,6 @@ class Trainer:
         backend: Optional[str] = None,
         probes: Optional[object] = None,
         dtype: Optional[str] = None,
-        compile: Optional[bool] = None,
         ddp_workers: Optional[int] = None,
     ) -> None:
         """Args:
@@ -222,13 +155,6 @@ class Trainer:
                 batch interval).  Probe exceptions never interrupt
                 training; they are recorded as ``monitor.probe_error``
                 events.
-            compile: capture the first step per batch signature into a
-                static replay schedule (:mod:`repro.graph`) and replay
-                it for subsequent steps -- bit-identical losses and
-                gradients, far less Python dispatch.  ``None`` follows
-                the process default (:func:`repro.graph.compile_default`,
-                the CLI's ``--compile`` flag).  Any capture or replay
-                failure falls back to eager execution for that step.
             ddp_workers: train data-parallel across this many ranks
                 (:mod:`repro.parallel.ddp`): the batch is sharded, each
                 rank runs forward/backward on its slice, and a
@@ -279,10 +205,9 @@ class Trainer:
         # Parameter objects are stable for the model's lifetime (the
         # optimizer swaps .data, never the Parameters), so walking the
         # module tree once here replaces a per-step model.zero_grad()
-        # traversal on both the eager and the compiled path.
+        # traversal.
         self._params = model.parameters()
         self.history = TrainHistory()
-        self.compile = compile
         self._runner = StepRunner(
             model, self.loss_fn, self._params, penalty=penalty,
         )
@@ -292,39 +217,6 @@ class Trainer:
         self.ddp_workers = max(1, int(ddp_workers)) if ddp_workers else 1
         self._ddp = None
         self._ddp_finalizer = None
-
-    # ------------------------------------------------------------------
-    # Compiled-step surface (delegated to the StepRunner)
-    # ------------------------------------------------------------------
-
-    @property
-    def MAX_PROGRAMS(self) -> int:
-        """Program-cache cap per (input shape/dtype, label shape)
-        signature; beyond it the odd shapes (e.g. a ragged final batch)
-        run eagerly.  Assigning to it retunes the underlying runner."""
-        return self._runner.max_programs
-
-    @MAX_PROGRAMS.setter
-    def MAX_PROGRAMS(self, value: int) -> None:
-        self._runner.max_programs = int(value)
-
-    @property
-    def compile_stats(self) -> dict:
-        return self._runner.stats
-
-    @property
-    def _programs(self) -> dict:
-        return self._runner.programs
-
-    @property
-    def _capture_failed(self) -> bool:
-        return self._runner.capture_failed
-
-    def _compile_enabled(self) -> bool:
-        if self.compile is not None:
-            return bool(self.compile)
-        from repro import graph
-        return graph.compile_default()
 
     # ------------------------------------------------------------------
     # Data-parallel lifecycle
@@ -403,7 +295,6 @@ class Trainer:
         self.model.train()
         registry = default_registry()
         batch_times = registry.histogram("trainer.batch_s")
-        compiled = self._compile_enabled()
         ddp = self._ensure_ddp()
         total_task, total_penalty, count, batches = 0.0, 0.0, 0, 0
         epoch_start = time.perf_counter()
@@ -412,7 +303,7 @@ class Trainer:
                 span("trainer.epoch", epoch=self.history.epochs,
                      ddp_workers=self.ddp_workers):
             if ddp is not None:
-                iterator = ddp.begin_epoch(self.history.epochs, compiled)
+                iterator = ddp.begin_epoch(self.history.epochs)
             else:
                 iterator = self.loader
             for item in iterator:
@@ -435,7 +326,7 @@ class Trainer:
                                 inputs, self._augment_rng
                             )
                         task_loss_value, penalty_value = self._runner.step(
-                            inputs, labels, compiled=compiled
+                            inputs, labels
                         )
                         if self.grad_clip is not None:
                             self._clip_gradients()

@@ -68,9 +68,6 @@ class ServeConfig:
     cache_capacity: int = 2
     request_timeout_s: float = 30.0
     start_method: Optional[str] = None  # ShardPool default (fork or serial)
-    compile: bool = True  # replay per-(artifact, shape) compiled forward
-    #   graphs in the shards (repro.graph.infer); capture verifies
-    #   bitwise against eager, any failure stays eager per shape
     trace_requests: bool = True  # per-request observability: stage spans
     #   (when a recorder is active), serve.slo.* histograms, and the
     #   flight-recorder ring (repro.serve.tracing)
@@ -125,12 +122,6 @@ class InferenceResponse:
         return record
 
 
-#: Per-shard cap on cached compiled forward programs; one entry per
-#: (artifact, input shape/dtype, backend) signature, so coalesced
-#: batches of varying size each get their own schedule.
-_INFER_PROGRAM_CAPACITY = 16
-
-
 def _make_shard_handler(cache_capacity: int,
                         backend: str) -> Callable[[Any], Any]:
     """Build the per-shard request handler (runs inside the shard).
@@ -138,66 +129,18 @@ def _make_shard_handler(cache_capacity: int,
     Module-level so :class:`ShardPool` can ship it under any start
     method; each shard owns its own :class:`ArtifactCache`, so model
     state is loaded at most ``cache_capacity`` times per shard, not per
-    request.
-
-    When the payload allows it, the first request per (artifact, input
-    signature, backend) is traced at the kernel level into an
-    :class:`~repro.graph.infer.InferProgram` -- capture verifies the
-    replay bitwise against eager on two inputs, so compiled responses
-    are exactly the eager responses.  Anything uncapturable is cached
-    as "stay eager" for that signature and served the plain way.
+    request.  Every batch runs the eager no-grad forward.
     """
-    import collections
-
     from repro import backend as _backend
     from repro.autograd import Tensor, no_grad
-    from repro.errors import GraphError
 
     cache = ArtifactCache(cache_capacity)
-    programs: "collections.OrderedDict" = collections.OrderedDict()
 
     def handle(payload: Mapping[str, Any]) -> np.ndarray:
         model, _ = cache.get(payload["artifact"])
         inputs = np.ascontiguousarray(payload["inputs"])
-        backend_name = payload.get("backend", backend)
-
-        def eager() -> np.ndarray:
-            with _backend.use_backend(backend_name), no_grad():
-                return np.asarray(model(Tensor(inputs)).data)
-
-        if not payload.get("compile", False):
-            return eager()
-        key = (payload["artifact"], inputs.shape, str(inputs.dtype),
-               backend_name)
-        registry = default_registry()
-        program = programs.get(key, False)
-        if program is False:
-            def fn(x: np.ndarray) -> np.ndarray:
-                with _backend.use_backend(backend_name), no_grad():
-                    return np.asarray(model(Tensor(x)).data)
-
-            from repro.graph.infer import capture_infer
-            try:
-                program = capture_infer(fn, inputs)
-                registry.counter("serve.infer_captures").inc()
-            except GraphError:
-                program = None  # remembered: this signature stays eager
-                registry.counter("serve.infer_capture_failures").inc()
-            programs[key] = program
-            if len(programs) > _INFER_PROGRAM_CAPACITY:
-                programs.popitem(last=False)
-            registry.gauge("serve.infer_programs").set(
-                float(sum(1 for p in programs.values() if p is not None)))
-        else:
-            programs.move_to_end(key)
-        if program is None:
-            return eager()
-        try:
-            outputs = program.run(inputs)
-        except GraphError:
-            return eager()
-        registry.counter("serve.infer_replays").inc()
-        return outputs
+        with _backend.use_backend(payload.get("backend", backend)), no_grad():
+            return np.asarray(model(Tensor(inputs)).data)
 
     return handle
 
@@ -528,8 +471,7 @@ class ModelServer:
         stacked = np.concatenate([r.payload for r in batch], axis=0) \
             if len(batch) > 1 else batch[0].payload
         payload = {"artifact": self._artifacts[key], "inputs": stacked,
-                   "backend": self.config.backend,
-                   "compile": self.config.compile}
+                   "backend": self.config.backend}
         loop = asyncio.get_event_loop()
         with span("serve.batch", model=key, requests=len(batch),
                   rows=int(sum(sizes))):

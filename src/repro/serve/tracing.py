@@ -5,7 +5,7 @@ counters, latency histograms).  This module makes individual requests
 observable: every admitted request carries a :class:`RequestContext`
 from admission through :class:`~repro.serve.batcher.DeadlineBatcher`
 coalescing, :class:`~repro.parallel.shards.ShardPool` dispatch, and the
-compiled-graph replay, and on completion the :class:`RequestTracer`
+shard's eager forward, and on completion the :class:`RequestTracer`
 
 * emits one **span tree** per request into the active PR-6
   :class:`~repro.telemetry.trace.TraceRecorder` -- a ``serve.request``

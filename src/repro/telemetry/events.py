@@ -223,25 +223,6 @@ class RunManifest:
                     extra["metrics_endpoint"] = exporter.url
             except Exception:
                 pass
-        if "graph" not in extra:
-            # graph-compiler activity: captures/replays/fallbacks plus
-            # the backend's compile-related capability flags, so a
-            # manifest records whether its numbers came from compiled
-            # replays and under which kernel capabilities
-            try:
-                from repro import backend as _backend_mod
-                from repro import graph as _graph
-                active_b = _backend_mod.active()
-                extra["graph"] = {
-                    "compile_default": _graph.compile_default(),
-                    "stats": _graph.stats(),
-                    "capabilities": {
-                        flag: bool(getattr(active_b, flag, False))
-                        for flag in ("graph_compiler", "fusion", "tiling")
-                    },
-                }
-            except Exception:
-                pass
         return cls(
             run_id=run_id if run_id is not None else get_logger().run_id,
             seed=None if seed is None else int(seed),

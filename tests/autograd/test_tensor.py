@@ -91,6 +91,23 @@ class TestBackward:
         F.mul(x, x).backward()
         assert np.isclose(x.grad, 2 * first)
 
+    def test_retain_graph_double_backward_accumulates_exactly(self):
+        rng = np.random.default_rng(11)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)))
+        loss = F.sum(F.relu(F.mul(x, w)))
+        loss.backward(retain_graph=True)
+        loss.backward()
+        mask = (x.data * w.data) > 0
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data * mask)
+
+    def test_explicit_gradient_seed_scales_leaf_grads(self):
+        rng = np.random.default_rng(13)
+        w = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        x = Tensor(rng.standard_normal((3, 4)))
+        F.sum(F.mul(x, w)).backward(np.asarray(2.0))
+        np.testing.assert_array_equal(w.grad, 2.0 * x.data)
+
     def test_zero_grad(self):
         x = Tensor(3.0, requires_grad=True)
         F.mul(x, x).backward()

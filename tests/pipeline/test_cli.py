@@ -47,6 +47,18 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["attack", "--method", "magic"])
 
+    def test_backend_choices_come_from_the_registry(self, capsys):
+        from repro.backend import available_backends
+        for name in available_backends():
+            args = build_parser().parse_args(["--backend", name, "attack"])
+            assert args.backend == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["--backend", "compiled", "attack"])
+        err = capsys.readouterr().err
+        assert "invalid choice: 'compiled'" in err
+        for name in available_backends():
+            assert repr(name) in err
+
 
 class TestEndToEnd:
     def test_benign_smoke(self, capsys):

@@ -71,12 +71,12 @@ class TestRunManifest:
         assert loaded == manifest
         assert loaded.telemetry["trainer.images"] == 192.0
         assert loaded.extra["dataset"] == "cifar"
-        # manifests record graph-compiler activity and capability flags
-        graph_extra = loaded.extra["graph"]
-        assert set(graph_extra) == {"compile_default", "stats", "capabilities"}
-        assert set(graph_extra["capabilities"]) == {
-            "graph_compiler", "fusion", "tiling"}
-        assert "graph.captures" in graph_extra["stats"]
+        # the provenance fields survive the round trip
+        from repro import backend
+        assert loaded.seed == 7
+        assert len(loaded.config_hash) == 16
+        assert loaded.backend == backend.active().name
+        assert loaded.created_at > 0
 
     def test_save_result_writes_sidecar(self, tmp_path):
         from repro.pipeline import load_manifest, load_result, manifest_path

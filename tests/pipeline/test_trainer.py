@@ -1,6 +1,7 @@
 """Trainer: loss decreases, penalty hooks fire, history recorded."""
 
 import numpy as np
+import pytest
 
 from repro.autograd.tensor import Tensor
 from repro.models.mlp import MLP
@@ -79,3 +80,73 @@ class TestTrainer:
             Trainer(model, inputs, labels, TrainingConfig(epochs=3, seed=9)).train()
             results.append(model.fc0.weight.data.copy())
         assert np.allclose(results[0], results[1])
+
+
+def assert_twins_identical(a, b):
+    """Loss traces, parameters, gradients and buffers all bit-equal."""
+    assert a.history.task_loss == b.history.task_loss
+    assert a.history.penalty == b.history.penalty
+    for (name, pa), pb in zip(a.model.named_parameters(), b.model.parameters()):
+        assert pa.data.dtype == pb.data.dtype, name
+        np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
+        np.testing.assert_array_equal(pa.grad, pb.grad, err_msg=name)
+    buffers_b = dict(b.model.named_buffers())
+    for name, buf in a.model.named_buffers():
+        np.testing.assert_array_equal(buf, buffers_b[name], err_msg=name)
+
+
+class TestEagerTwins:
+    """Two identically seeded trainers must agree bit for bit."""
+
+    @staticmethod
+    def cnn_trainer(backend, n=20, batch=8):
+        from repro.attacks import CorrelationPenalty
+        from repro.models.simple_cnn import SimpleCNN
+
+        rng = np.random.default_rng(7)
+        inputs = rng.standard_normal((n, 3, 8, 8))
+        labels = rng.integers(0, 5, size=n)
+        model = SimpleCNN(num_classes=5, image_size=8, width=4,
+                          rng=np.random.default_rng(8))
+        penalty = CorrelationPenalty([model.parameters()[0]],
+                                     rng.standard_normal(16), rate=0.1)
+        return Trainer(model, inputs, labels,
+                       TrainingConfig(epochs=2, batch_size=batch, lr=0.05, seed=7),
+                       penalty=penalty, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
+    def test_batchnorm_cnn_with_ragged_final_batch(self, backend):
+        # 20 images / batch 8 -> 8, 8, 4; fast runs the fused batch-norm
+        # node, reference the composed one, and both update running stats
+        twins = [self.cnn_trainer(backend) for _ in range(2)]
+        for trainer in twins:
+            trainer.train()
+        assert_twins_identical(*twins)
+        bn_means = [buf for name, buf in twins[0].model.named_buffers()
+                    if name.endswith("running_mean")]
+        assert bn_means and all(np.any(m != 0.0) for m in bn_means)
+
+    def test_dropout_masks_come_from_module_rngs(self):
+        from repro.nn import Dropout, Flatten, Linear
+        from repro.nn.module import Module
+
+        class DropNet(Module):
+            def __init__(self):
+                super().__init__()
+                rng = np.random.default_rng(21)
+                self.flatten = Flatten()
+                self.fc1 = Linear(48, 16, rng=rng)
+                self.drop = Dropout(0.5, rng=np.random.default_rng(22))
+                self.fc2 = Linear(16, 3, rng=rng)
+
+            def forward(self, x):
+                return self.fc2(self.drop(self.fc1(self.flatten(x)).relu()))
+
+        rng = np.random.default_rng(3)
+        inputs = rng.standard_normal((12, 3, 4, 4))
+        labels = rng.integers(0, 3, size=12)
+        config = TrainingConfig(epochs=2, batch_size=4, lr=0.05, seed=3)
+        twins = [Trainer(DropNet(), inputs, labels, config) for _ in range(2)]
+        for trainer in twins:
+            trainer.train()
+        assert_twins_identical(*twins)

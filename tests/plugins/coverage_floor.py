@@ -62,14 +62,6 @@ TARGET_FILES = (
     "src/repro/telemetry/export.py",
     "src/repro/precision.py",
     "src/repro/autograd/planner.py",
-    "src/repro/backend/compiled.py",
-    "src/repro/graph/__init__.py",
-    "src/repro/graph/ir.py",
-    "src/repro/graph/trace.py",
-    "src/repro/graph/compiler.py",
-    "src/repro/graph/executor.py",
-    "src/repro/graph/infer.py",
-    "src/repro/graph/equivalence.py",
     "src/repro/autograd/function.py",
 )
 

@@ -60,8 +60,7 @@ class TestInference:
 
         response = run(_go())
         assert response.ok, response.error
-        np.testing.assert_allclose(response.outputs, direct,
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(response.outputs, direct)
         assert response.fingerprint
         assert response.latency_ms > 0
         assert response.argmax == list(direct.argmax(axis=1))
