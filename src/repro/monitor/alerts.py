@@ -276,7 +276,7 @@ class MetricRule(AlertRule):
     """Fire on a registry metric, evaluated once per epoch tick.
 
     ``metric`` is a flat-snapshot key (``trainer.images_per_s``,
-    ``pool.worker_crashes``, ``trainer.epoch_s.ewma``).  One of:
+    ``pool.worker_crashes``, ``trainer.epoch_s.p90``).  One of:
 
     * ``above`` / ``below`` -- absolute bound;
     * ``below_frac_of_peak`` -- relative collapse: fire when the value
@@ -603,7 +603,8 @@ def serving_rules(p99_budget_ms: float = 250.0,
     dispatched batch, so these fire *during* a load run:
 
     * ``serve_p99_breach`` -- the ``serve.latency_ms`` p99 crossed the
-      latency budget (critical: the serving SLO is gone);
+      latency budget (critical: the serving SLO is gone); the p99 is
+      the bucketed quantile over the whole run, not a recent window;
     * ``shard_death`` -- a shard process died mid-request (critical;
       the pool respawns it, but an operator should know);
     * ``serve_errors`` -- operational failures (crashes surviving the

@@ -169,12 +169,15 @@ class Monitor:
         if probe.name in self._disabled:
             return
         from repro.telemetry.metrics import default_registry
+        start = time.perf_counter()
         try:
-            with default_registry().timer(f"monitor.{probe.name}_s").time():
-                values = probe.observe(ctx)
+            values = probe.observe(ctx)
         except Exception as exc:
             self._record_error(probe, ctx, scope, exc)
             return
+        finally:
+            default_registry().histogram(f"monitor.{probe.name}_s").observe(
+                time.perf_counter() - start)
         self._error_streak[probe.name] = 0
         if not values:
             return

@@ -141,8 +141,8 @@ class ThroughputProbe(Probe):
             rate = registry.gauge("trainer.images_per_s").snapshot()
             if np.isfinite(rate):
                 values["images_per_s"] = float(rate)
-        if "trainer.epoch_s" in registry:
-            last = registry.timer("trainer.epoch_s").last
+        if "trainer.last_epoch_s" in registry:
+            last = registry.gauge("trainer.last_epoch_s").snapshot()
             if np.isfinite(last):
                 values["epoch_s"] = float(last)
         return values

@@ -666,8 +666,8 @@ class DDPContext:
         registry.counter("ddp.worker_steps").inc(worker_steps)
         registry.counter("ddp.bytes_moved").inc(steps * step_bytes)
         if steps:
-            registry.timer("ddp.allreduce_s").update(allreduce_s / steps)
-            registry.timer("ddp.barrier_wait_s").update(barrier_s / steps)
+            registry.histogram("ddp.allreduce_s").observe(allreduce_s / steps)
+            registry.histogram("ddp.barrier_wait_s").observe(barrier_s / steps)
         registry.gauge("ddp.workers").set(float(self.world))
         registry.gauge("ddp.shm_segments").set(float(len(live_segments())))
         if tapes:

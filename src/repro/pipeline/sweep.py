@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.pipeline.reporting import format_records
-from repro.telemetry.metrics import default_registry
+from repro.telemetry.metrics import default_registry, flatten
 from repro.telemetry.trace import span
 
 #: Key marking a sweep record as a failed point.
@@ -227,12 +227,8 @@ class Sweep:
             if self.telemetry:
                 record["duration_s"] = outcome.duration_s
                 for kind_values in outcome.telemetry.values():
-                    for name, value in kind_values.items():
-                        if isinstance(value, dict):
-                            for fld, scalar in value.items():
-                                record[f"tm.{name}.{fld}"] = scalar
-                        else:
-                            record[f"tm.{name}"] = value
+                    for name, value in flatten(kind_values).items():
+                        record[f"tm.{name}"] = value
             result.records.append(record)
         return result
 

@@ -344,10 +344,11 @@ class Trainer:
             if ddp is not None:
                 ddp.end_epoch()
         elapsed = time.perf_counter() - epoch_start
-        registry.timer("trainer.epoch_s").update(elapsed)
+        registry.histogram("trainer.epoch_s").observe(elapsed)
         registry.counter("trainer.batches").inc(batches)
         registry.counter("trainer.images").inc(count)
         registry.gauge("trainer.epoch").set(float(self.history.epochs))
+        registry.gauge("trainer.last_epoch_s").set(elapsed)
         if elapsed > 0:
             registry.gauge("trainer.images_per_s").set(count / elapsed)
         from repro.telemetry.export import update_health

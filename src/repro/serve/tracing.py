@@ -217,10 +217,10 @@ class RequestTracer:
         # still shows the serving SLO surface (and its target); the
         # references are cached because finish() is on every request's
         # path and the registry accessor takes a lock per lookup
-        self._slo_latency = self.registry.slo("serve.slo.latency_ms",
-                                              slo=self.slo_ms)
+        self._slo_latency = self.registry.histogram("serve.slo.latency_ms",
+                                                    slo=self.slo_ms)
         self._slo_stages = {
-            f"{stage}_ms": self.registry.slo(f"serve.slo.{stage}_ms")
+            f"{stage}_ms": self.registry.histogram(f"serve.slo.{stage}_ms")
             for stage in ("admission", "queue", "infer")
         }
 

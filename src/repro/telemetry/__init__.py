@@ -3,8 +3,9 @@
 Four pieces, designed to stay permanently wired into the library's hot
 paths at near-zero disabled cost:
 
-* :mod:`repro.telemetry.metrics` -- counters / gauges / histograms /
-  EWMA timers in a process-global :func:`default_registry`.
+* :mod:`repro.telemetry.metrics` -- counters / gauges / fixed-bucket
+  histograms (:mod:`repro.telemetry.slo`, exactly mergeable across
+  processes) in a process-global :func:`default_registry`.
 * :mod:`repro.telemetry.trace` -- nested wall-time spans via
   ``with span(name):``, exported as JSONL or Chrome trace format.
 * :mod:`repro.telemetry.events` -- leveled JSONL event log plus the
@@ -20,13 +21,11 @@ Quick look at everything after a run::
 
 from repro.telemetry.metrics import (
     Counter,
-    EwmaTimer,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
 )
-from repro.telemetry.slo import SloHistogram, bucket_edges
+from repro.telemetry.slo import EDGES, SloHistogram
 from repro.telemetry.trace import (
     SpanRecord,
     TraceContext,
@@ -67,8 +66,8 @@ from repro.telemetry.profiler import (
 from repro.telemetry.tables import format_records, format_table, percent
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "EwmaTimer", "MetricsRegistry",
-    "default_registry", "SloHistogram", "bucket_edges",
+    "Counter", "Gauge", "MetricsRegistry",
+    "default_registry", "SloHistogram", "EDGES",
     "SpanRecord", "TraceContext", "TraceRecorder", "span", "recording",
     "get_recorder", "set_recorder", "timed_stage", "current_trace_context",
     "worker_recorder",

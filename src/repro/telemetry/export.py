@@ -7,8 +7,8 @@ use.  A background ``http.server`` thread serves two routes:
 
 ``GET /metrics``
     The default :class:`~repro.telemetry.metrics.MetricsRegistry` in
-    Prometheus text exposition format (counters, gauges, and summaries
-    derived from histograms/timers), every name prefixed ``repro_``.
+    Prometheus text exposition format (counters, gauges, and native
+    ``_bucket`` histograms), every name prefixed ``repro_``.
 
 ``GET /health``
     A JSON heartbeat: run id, uptime, and whatever the process has
@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.telemetry.metrics import MetricsRegistry, default_registry
+from repro.telemetry.slo import EDGES
 
 # --------------------------------------------------------------------------
 # Health heartbeat: a process-wide mutable scoreboard.  Pipeline stages
@@ -94,15 +95,12 @@ def _prom_value(value: Any) -> str:
 def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
     """Render a registry in the Prometheus text exposition format.
 
-    Counters and gauges map directly; histograms and EWMA timers become
-    summaries (quantile series plus ``_sum``/``_count``), with the
-    timer's EWMA additionally exposed as a ``_ewma`` gauge since it is
-    the value the alert rules watch.  SLO histograms
+    Counters and gauges map directly.  Histograms
     (:class:`~repro.telemetry.slo.SloHistogram`) render as *native*
     Prometheus histograms -- cumulative ``_bucket{le="..."}`` series
-    plus ``_sum``/``_count`` -- so ``histogram_quantile()`` works on
-    them server-side, and their breach tally as a ``_breaches``
-    counter.
+    over the fixed layout plus ``_sum``/``_count`` -- so
+    ``histogram_quantile()`` works on them server-side; one with an SLO
+    target also exposes its breach tally as a ``_breaches`` counter.
     """
     registry = registry if registry is not None else default_registry()
     typed = registry.typed_snapshot()
@@ -117,43 +115,17 @@ def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
         lines.append(f"{prom} {_prom_value(value)}")
     for name, snap in typed["histograms"].items():
         prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} summary")
-        for q in ("p50", "p90", "p99"):
-            if q in snap:
-                quantile = f"0.{q[1:]}"
-                lines.append(f'{prom}{{quantile="{quantile}"}} '
-                             f"{_prom_value(snap[q])}")
-        lines.append(f"{prom}_sum {_prom_value(snap.get('sum', 0.0))}")
-        lines.append(f"{prom}_count {_prom_value(snap.get('count', 0))}")
-    for name, snap in typed["timers"].items():
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_sum {_prom_value(snap.get('sum', 0.0))}")
-        lines.append(f"{prom}_count {_prom_value(snap.get('count', 0))}")
-        lines.append(f"# TYPE {prom}_ewma gauge")
-        lines.append(f"{prom}_ewma {_prom_value(snap.get('ewma', float('nan')))}")
-        if "last" in snap:
-            lines.append(f"# TYPE {prom}_last gauge")
-            lines.append(f"{prom}_last {_prom_value(snap['last'])}")
-    for name, snap in typed.get("slo", {}).items():
-        from repro.telemetry.slo import bucket_edges
-        prom = _prom_name(name)
         lines.append(f"# TYPE {prom} histogram")
-        edges = bucket_edges(
-            lo=float(snap.get("lo", 0.01)), hi=float(snap.get("hi", 1e5)),
-            buckets_per_decade=int(snap.get("buckets_per_decade", 10)))
-        counts = snap.get("counts") or []
         cumulative = 0
-        for edge, count in zip(edges, counts):
+        for edge, count in zip(EDGES, snap["counts"]):
             cumulative += int(count)
             lines.append(f'{prom}_bucket{{le="{edge:g}"}} {cumulative}')
-        lines.append(f'{prom}_bucket{{le="+Inf"}} '
-                     f"{int(snap.get('count', 0))}")
-        lines.append(f"{prom}_sum {_prom_value(snap.get('sum', 0.0))}")
-        lines.append(f"{prom}_count {_prom_value(snap.get('count', 0))}")
-        lines.append(f"# TYPE {prom}_breaches counter")
-        lines.append(f"{prom}_breaches "
-                     f"{_prom_value(snap.get('breaches', 0.0))}")
+        lines.append(f'{prom}_bucket{{le="+Inf"}} {int(snap["count"])}')
+        lines.append(f"{prom}_sum {_prom_value(snap['sum'])}")
+        lines.append(f"{prom}_count {_prom_value(snap['count'])}")
+        if "slo" in snap:
+            lines.append(f"# TYPE {prom}_breaches counter")
+            lines.append(f"{prom}_breaches {_prom_value(snap['breaches'])}")
     return "\n".join(lines) + "\n"
 
 

@@ -1,11 +1,14 @@
-"""Process-local metrics registry: counters, gauges, histograms, timers.
+"""Process-local metrics registry: counters, gauges and histograms.
 
 The registry is the numeric half of the observability layer (spans and
 events are the other half, see :mod:`repro.telemetry.trace` and
 :mod:`repro.telemetry.events`).  Everything here is zero-dependency and
 cheap enough to leave permanently wired into hot paths: a counter
-increment is one attribute add, a histogram observation one deque
-append.
+increment is one attribute add, a histogram observation one bisect
+over a fixed bucket layout.  The one distribution type is
+:class:`~repro.telemetry.slo.SloHistogram`, whose bucket vectors add
+exactly, so worker snapshots merge into the parent without losing
+quantiles.
 
 A process-global default registry (:func:`default_registry`) collects
 the library's built-in instrumentation (``trainer.*``, ``attack.*``,
@@ -19,9 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-import time
-from collections import deque
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.telemetry.slo import SloHistogram
@@ -67,174 +68,6 @@ class Gauge:
         self.value = float("nan")
 
 
-class Histogram:
-    """Streaming distribution with count/sum/min/max and quantiles.
-
-    Keeps the most recent ``window`` observations for quantile queries;
-    count/sum/min/max cover the full stream.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "_window")
-
-    def __init__(self, name: str, window: int = 4096) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._window: deque = deque(maxlen=window)
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self._window.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def quantile(self, q: float) -> float:
-        """Empirical quantile over the retained window (nearest rank).
-
-        When every sample arrived via :meth:`merge_snapshot` (worker
-        ship-back) the window is empty; the stream mean is the only
-        available point estimate, so quantiles degrade to it rather
-        than to NaN, keeping snapshots JSON-roundtrip safe.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ConfigError(f"quantile must be in [0, 1], got {q}")
-        if not self._window:
-            return self.mean if self.count else float("nan")
-        ordered = sorted(self._window)
-        rank = min(len(ordered) - 1, max(0, int(round(q * (len(ordered) - 1)))))
-        return ordered[rank]
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else float("nan"),
-            "max": self.max if self.count else float("nan"),
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p99": self.quantile(0.99),
-        }
-
-    def merge_snapshot(self, other: Mapping[str, float]) -> None:
-        """Fold another histogram's snapshot into this one.
-
-        count/sum/min/max merge exactly; the quantile window stays
-        process-local (quantiles describe only locally observed values).
-        """
-        count = int(other.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(other.get("sum", 0.0))
-        for key, fold in (("min", min), ("max", max)):
-            value = float(other.get(key, float("nan")))
-            if not math.isnan(value):
-                setattr(self, key, fold(getattr(self, key), value))
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._window.clear()
-
-
-class EwmaTimer:
-    """Duration tracker with an exponentially weighted moving average.
-
-    ``update(seconds)`` records one duration; :meth:`time` is a context
-    manager measuring a ``with`` block.  The EWMA smooths per-call noise
-    while still following drift (alpha 0.2 by default: ~5-call memory).
-    """
-
-    __slots__ = ("name", "alpha", "count", "total", "last", "ewma")
-
-    def __init__(self, name: str, alpha: float = 0.2) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigError(f"timer alpha must be in (0, 1], got {alpha}")
-        self.name = name
-        self.alpha = alpha
-        self.count = 0
-        self.total = 0.0
-        self.last = float("nan")
-        self.ewma = float("nan")
-
-    def update(self, seconds: float) -> None:
-        seconds = float(seconds)
-        self.count += 1
-        self.total += seconds
-        self.last = seconds
-        if self.count == 1:
-            self.ewma = seconds
-        else:
-            self.ewma = self.alpha * seconds + (1.0 - self.alpha) * self.ewma
-
-    class _Timing:
-        __slots__ = ("timer", "start")
-
-        def __init__(self, timer: "EwmaTimer") -> None:
-            self.timer = timer
-            self.start = 0.0
-
-        def __enter__(self) -> "EwmaTimer._Timing":
-            self.start = time.perf_counter()
-            return self
-
-        def __exit__(self, *exc: Any) -> None:
-            self.timer.update(time.perf_counter() - self.start)
-
-    def time(self) -> "EwmaTimer._Timing":
-        return EwmaTimer._Timing(self)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else float("nan")
-
-    def snapshot(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "mean": self.mean,
-            "last": self.last,
-            "ewma": self.ewma,
-        }
-
-    def merge_snapshot(self, other: Mapping[str, float]) -> None:
-        """Fold another timer's snapshot into this one.
-
-        count/sum merge exactly; ``last`` takes the other's value when
-        present and the EWMA stays process-local (it is an
-        order-dependent smoothing, not a mergeable statistic).
-        """
-        count = int(other.get("count", 0))
-        if count <= 0:
-            return
-        self.count += count
-        self.total += float(other.get("sum", 0.0))
-        last = float(other.get("last", float("nan")))
-        if not math.isnan(last):
-            self.last = last
-        if math.isnan(self.ewma):
-            self.ewma = float(other.get("ewma", float("nan")))
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.last = float("nan")
-        self.ewma = float("nan")
-
-
 class MetricsRegistry:
     """Named metrics with get-or-create accessors and a plain snapshot."""
 
@@ -261,23 +94,18 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)
 
-    def histogram(self, name: str, window: int = 4096) -> Histogram:
-        return self._get_or_create(name, Histogram, window)
-
-    def timer(self, name: str, alpha: float = 0.2) -> EwmaTimer:
-        return self._get_or_create(name, EwmaTimer, alpha)
-
-    def slo(self, name: str, lo: float = 0.01, hi: float = 1e5,
-            buckets_per_decade: int = 10,
-            slo: Optional[float] = None) -> SloHistogram:
+    def histogram(self, name: str,
+                  slo: Optional[float] = None) -> SloHistogram:
         """Fixed-bucket :class:`~repro.telemetry.slo.SloHistogram`.
 
-        Unlike :meth:`histogram`, its quantiles merge exactly across
-        processes (bucket vectors add); the constructor arguments only
-        apply on first creation, as with every accessor here.
+        ``slo`` (a breach target in the observations' unit) applies only
+        on first creation, as with every accessor here.
         """
-        return self._get_or_create(name, SloHistogram, lo, hi,
-                                   buckets_per_decade, slo)
+        return self._get_or_create(name, SloHistogram, slo)
+
+    def timer(self, name: str) -> SloHistogram:
+        """Alias of :meth:`histogram`, kept for ``perfbench/workloads.py``."""
+        return self.histogram(name)
 
     def names(self) -> List[str]:
         with self._lock:
@@ -290,7 +118,7 @@ class MetricsRegistry:
         return len(self._metrics)
 
     def snapshot(self) -> Dict[str, Any]:
-        """All metrics as JSON-ready data (scalars or flat dicts)."""
+        """All metrics as JSON-ready data (scalars, or dicts for histograms)."""
         with self._lock:
             return {name: metric.snapshot()
                     for name, metric in sorted(self._metrics.items())}
@@ -300,17 +128,15 @@ class MetricsRegistry:
 
         The plain :meth:`snapshot` loses the counter/gauge distinction
         (both are bare scalars); this variant groups values as
-        ``{"counters": {...}, "gauges": {...}, "histograms": {...},
-        "timers": {...}}`` so :meth:`merge_typed` can apply the right
-        fold per kind.  Used by ``repro.parallel`` workers to ship their
-        process-local metrics back to the parent.
+        ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` so
+        :meth:`merge_typed` can apply the right fold per kind.  Used by
+        ``repro.parallel`` workers to ship their process-local metrics
+        back to the parent.
         """
         kinds = {Counter: "counters", Gauge: "gauges",
-                 Histogram: "histograms", EwmaTimer: "timers",
-                 SloHistogram: "slo"}
+                 SloHistogram: "histograms"}
         typed: Dict[str, Dict[str, Any]] = {
-            "counters": {}, "gauges": {}, "histograms": {}, "timers": {},
-            "slo": {}}
+            "counters": {}, "gauges": {}, "histograms": {}}
         with self._lock:
             for name, metric in sorted(self._metrics.items()):
                 typed[kinds[type(metric)]][name] = metric.snapshot()
@@ -320,9 +146,8 @@ class MetricsRegistry:
         """Merge a :meth:`typed_snapshot` from another process.
 
         Counters add, gauges take the incoming value (NaN skipped,
-        meaning the gauge was never set over there), histograms and
-        timers fold count/sum/min/max via their ``merge_snapshot``;
-        order-dependent pieces (quantile windows, EWMA) stay local.
+        meaning the gauge was never set over there), histograms add
+        their bucket vectors, so merged quantiles are exact.
         """
         for name, value in typed.get("counters", {}).items():
             if float(value) != 0.0:
@@ -335,36 +160,11 @@ class MetricsRegistry:
         # an empty metric here whose NaN fields pollute later snapshots
         for name, value in typed.get("histograms", {}).items():
             if int(value.get("count", 0)) > 0:
-                self.histogram(name).merge_snapshot(value)
-        for name, value in typed.get("timers", {}).items():
-            if int(value.get("count", 0)) > 0:
-                self.timer(name).merge_snapshot(value)
-        for name, value in typed.get("slo", {}).items():
-            if int(value.get("count", 0)) > 0:
-                self.slo(
-                    name,
-                    lo=float(value.get("lo", 0.01)),
-                    hi=float(value.get("hi", 1e5)),
-                    buckets_per_decade=int(value.get("buckets_per_decade", 10)),
-                    slo=value.get("slo"),
-                ).merge_snapshot(value)
+                self.histogram(name, slo=value.get("slo")).merge_snapshot(value)
 
     def flat_snapshot(self) -> Dict[str, float]:
-        """Snapshot with compound metrics flattened to dotted scalar keys.
-
-        Non-scalar fields (an SLO histogram's bucket vector) are
-        skipped: flat snapshots feed alert rules and the health
-        endpoint, which expect every value to be a number.
-        """
-        flat: Dict[str, float] = {}
-        for name, value in self.snapshot().items():
-            if isinstance(value, dict):
-                for field, scalar in value.items():
-                    if isinstance(scalar, (int, float)):
-                        flat[f"{name}.{field}"] = scalar
-            else:
-                flat[name] = value
-        return flat
+        """:meth:`snapshot` through :func:`flatten`: dotted scalar keys."""
+        return flatten(self.snapshot())
 
     def reset(self) -> None:
         """Zero every metric (names stay registered)."""
@@ -386,13 +186,31 @@ class MetricsRegistry:
             if isinstance(value, dict):
                 detail = "  ".join(
                     f"{k}={_compact(v)}" for k, v in value.items()
-                    if k in ("count", "mean", "p50", "p90", "ewma", "sum")
+                    if k in ("count", "mean", "p50", "p90", "sum")
                     and not (isinstance(v, float) and math.isnan(v))
                 )
                 rows.append([name, detail])
             else:
                 rows.append([name, _compact(value)])
         return format_table(["metric", "value"], rows, title=title)
+
+
+def flatten(snapshot: Mapping[str, Any]) -> Dict[str, float]:
+    """Flatten ``{name: scalar or dict}`` to dotted scalar keys.
+
+    Non-scalar fields (a histogram's bucket vector) are skipped: flat
+    snapshots feed alert rules, sweep records and the health endpoint,
+    which expect every value to be a number.
+    """
+    flat: Dict[str, float] = {}
+    for name, value in snapshot.items():
+        if isinstance(value, dict):
+            for field, scalar in value.items():
+                if isinstance(scalar, (int, float)):
+                    flat[f"{name}.{field}"] = scalar
+        else:
+            flat[name] = value
+    return flat
 
 
 def _compact(value: Any) -> str:

@@ -1,96 +1,70 @@
-"""Fixed-bucket SLO histograms: mergeable latency distributions.
+"""Fixed-bucket histograms: the registry's one distribution type.
 
-The PR-6 :class:`~repro.telemetry.metrics.Histogram` answers "what did
-latency look like *here*" with a sliding sample window -- good for a
-single process, but its quantiles are not mergeable: two windows from
-two shard workers cannot be combined without resampling bias.  SLO
-accounting needs the opposite trade: **fixed log-spaced buckets** whose
-counts add exactly across processes, so a fleet-wide p99 is computed
-the same way Prometheus computes ``histogram_quantile`` -- from one
-summed bucket vector.
+Every distribution the library records -- trainer batch and epoch
+times, DDP all-reduce waits, monitor probe timings, serve latencies --
+is a :class:`SloHistogram` over the same **fixed log-spaced bucket
+layout** (:data:`EDGES`).  Because every process buckets identically,
+bucket vectors add exactly: a quantile merged from pool workers, shard
+workers or DDP ranks is the one a single process observing every value
+would report, computed the way Prometheus computes
+``histogram_quantile`` -- from one summed bucket vector.
 
 :class:`SloHistogram` keeps
 
-* a bucket-count vector over log-spaced upper bounds (default
-  ``lo=0.01`` to ``hi=1e5`` at 10 buckets/decade: microseconds to
-  ~100 s when the unit is milliseconds, 71 buckets),
+* a bucket-count vector over :data:`EDGES`, ``1e-6`` to ``1e5`` at
+  :data:`BUCKETS_PER_DECADE` buckets/decade (111 bounds plus an
+  overflow bucket): sub-millisecond durations in seconds and serve
+  latencies in milliseconds share one layout,
 * exact ``count`` / ``sum`` / ``min`` / ``max`` over the full stream,
 * an optional SLO target: observations above it bump ``breaches``,
   which is what the ``latency_slo`` burn-rate alert rule watches.
 
-Quantiles interpolate at the geometric midpoint of the answering
-bucket and are clamped to the observed ``[min, max]``, so the error is
-bounded by the bucket ratio (~12% at 10 buckets/decade) and exact at
-the extremes.  ``merge_snapshot`` adds bucket vectors elementwise when
-the bucket layouts match -- cross-process quantiles stay *exact* under
-merge, unlike the windowed histogram -- and degrades to
-count/sum/min/max folding otherwise.
+Quantiles are nearest-rank: the first and last ranks answer with the
+exact ``min`` and ``max``, the others with the geometric midpoint of
+the answering bucket clamped to ``[min, max]``, so the error is bounded
+by the bucket ratio (~12% typical at 10 buckets/decade).
+``merge_snapshot`` adds bucket vectors elementwise and raises
+:class:`~repro.errors.ConfigError` on a snapshot whose vector has
+another length.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["SloHistogram", "bucket_edges"]
+__all__ = ["SloHistogram", "EDGES", "BUCKETS_PER_DECADE"]
 
-
-def bucket_edges(lo: float = 0.01, hi: float = 1e5,
-                 buckets_per_decade: int = 10) -> Tuple[float, ...]:
-    """Log-spaced bucket upper bounds from ``lo`` to at least ``hi``.
-
-    ``edges[i] = lo * 10**(i / buckets_per_decade)``; the last edge is
-    the first one >= ``hi``.  Rounded to 9 significant digits so two
-    processes computing the layout independently agree bit-for-bit
-    (layout equality is what gates the exact merge path).
-    """
-    if lo <= 0 or hi <= lo:
-        raise ConfigError(f"need 0 < lo < hi, got lo={lo}, hi={hi}")
-    if buckets_per_decade < 1:
-        raise ConfigError(
-            f"buckets_per_decade must be >= 1, got {buckets_per_decade}")
-    edges: List[float] = []
-    i = 0
-    while True:
-        edge = float(f"{lo * 10.0 ** (i / buckets_per_decade):.9g}")
-        edges.append(edge)
-        if edge >= hi:
-            break
-        i += 1
-    return tuple(edges)
+BUCKETS_PER_DECADE = 10
+# bucket upper bounds 10**(k/10) for 1e-6..1e5, rounded to 9 significant
+# digits so every process computes the same layout bit for bit
+EDGES: Tuple[float, ...] = tuple(
+    float(f"{10.0 ** (k / BUCKETS_PER_DECADE):.9g}")
+    for k in range(-6 * BUCKETS_PER_DECADE, 5 * BUCKETS_PER_DECADE + 1))
+_RATIO = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
 
 
 class SloHistogram:
-    """Mergeable fixed-bucket latency histogram with SLO breach counting.
+    """Mergeable fixed-bucket histogram with SLO breach counting.
 
     Args:
         name: metric name (``serve.slo.latency_ms``).
-        lo: smallest bucket upper bound (values below land in bucket 0).
-        hi: largest finite bucket bound (values above land in overflow).
-        buckets_per_decade: bucket density; 10 bounds quantile error at
-            ``10**0.1 - 1`` (~26% worst case, ~12% typical).
         slo: optional target in the same unit as observations; values
             strictly above it count as breaches.
     """
 
-    __slots__ = ("name", "lo", "hi", "buckets_per_decade", "slo",
-                 "edges", "counts", "count", "total", "min", "max",
+    __slots__ = ("name", "slo", "counts", "count", "total", "min", "max",
                  "breaches")
 
-    def __init__(self, name: str, lo: float = 0.01, hi: float = 1e5,
-                 buckets_per_decade: int = 10,
-                 slo: Optional[float] = None) -> None:
+    def __init__(self, name: str, slo: Optional[float] = None) -> None:
         self.name = name
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.buckets_per_decade = int(buckets_per_decade)
         self.slo = float(slo) if slo is not None else None
-        self.edges = bucket_edges(self.lo, self.hi, self.buckets_per_decade)
-        # counts[i] <= edges[i]; counts[-1] is the overflow bucket
-        self.counts = [0] * (len(self.edges) + 1)
+        # counts[i] <= EDGES[i]; counts[-1] is the overflow bucket
+        self.counts = [0] * (len(EDGES) + 1)
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -106,7 +80,7 @@ class SloHistogram:
             self.min = value
         if value > self.max:
             self.max = value
-        self.counts[bisect_left(self.edges, value)] += 1
+        self.counts[bisect_left(EDGES, value)] += 1
         if self.slo is not None and value > self.slo:
             self.breaches += 1
 
@@ -116,31 +90,35 @@ class SloHistogram:
 
     # -------------------------------------------------------------- quantile
     def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile, clamped to observed [min, max]."""
+        """Nearest-rank quantile: exact at the extremes, else bucketed."""
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"quantile must be in [0, 1], got {q}")
         if not self.count:
             return float("nan")
-        rank = max(1, math.ceil(q * self.count))
-        cumulative = 0
-        for index, bucket_count in enumerate(self.counts):
-            cumulative += bucket_count
-            if cumulative >= rank:
-                break
-        else:  # pragma: no cover - counts always sum to self.count
-            index = len(self.counts) - 1
-        if index >= len(self.edges):  # overflow bucket
-            estimate = self.max
-        else:
-            upper = self.edges[index]
-            lower = self.edges[index - 1] if index else \
-                upper / (10.0 ** (1.0 / self.buckets_per_decade))
-            estimate = math.sqrt(lower * upper)
-        return min(self.max, max(self.min, estimate))
+        return self._quantile(q, list(accumulate(self.counts)))
 
     def percentiles(self) -> Dict[str, float]:
-        return {"p50": self.quantile(0.5), "p90": self.quantile(0.9),
-                "p99": self.quantile(0.99), "p999": self.quantile(0.999)}
+        quantiles = (("p50", 0.5), ("p90", 0.9), ("p99", 0.99),
+                     ("p999", 0.999))
+        if not self.count:
+            return {key: float("nan") for key, _ in quantiles}
+        # one cumulative pass shared by every quantile: snapshots are
+        # taken per shard request and per pool task
+        cumulative = list(accumulate(self.counts))
+        return {key: self._quantile(q, cumulative) for key, q in quantiles}
+
+    def _quantile(self, q: float, cumulative: List[int]) -> float:
+        rank = max(1, math.ceil(q * self.count))
+        if rank == 1:
+            return self.min
+        if rank == self.count:
+            return self.max
+        index = bisect_left(cumulative, rank)
+        if index >= len(EDGES):  # overflow bucket
+            return self.max
+        upper = EDGES[index]
+        lower = EDGES[index - 1] if index else upper / _RATIO
+        return min(self.max, max(self.min, math.sqrt(lower * upper)))
 
     # -------------------------------------------------------------- snapshot
     def snapshot(self) -> Dict[str, Any]:
@@ -151,9 +129,6 @@ class SloHistogram:
             "min": self.min if self.count else float("nan"),
             "max": self.max if self.count else float("nan"),
             "breaches": float(self.breaches),
-            "lo": self.lo,
-            "hi": self.hi,
-            "buckets_per_decade": self.buckets_per_decade,
             "counts": list(self.counts),
         }
         snap.update(self.percentiles())
@@ -162,28 +137,22 @@ class SloHistogram:
         return snap
 
     def merge_snapshot(self, other: Mapping[str, Any]) -> None:
-        """Fold another SloHistogram's snapshot into this one.
+        """Fold another histogram's snapshot into this one.
 
-        With an identical bucket layout the bucket vectors add
-        elementwise, so merged quantiles are exactly what a single
-        process observing both streams would report.  A mismatched
-        layout degrades to count/sum/min/max/breaches folding (the
-        merged quantiles then describe only locally bucketed values).
+        Bucket vectors add elementwise, so merged quantiles are exactly
+        what a single process observing both streams would report.
         """
+        counts = other.get("counts")
+        if not isinstance(counts, (list, tuple)) or \
+                len(counts) != len(self.counts):
+            raise ConfigError(
+                f"histogram {self.name!r}: snapshot counts do not match "
+                f"the {len(self.counts)}-bucket layout")
         count = int(other.get("count", 0))
         if count <= 0:
             return
-        counts = other.get("counts")
-        same_layout = (
-            isinstance(counts, (list, tuple))
-            and len(counts) == len(self.counts)
-            and float(other.get("lo", -1.0)) == self.lo
-            and float(other.get("hi", -1.0)) == self.hi
-            and int(other.get("buckets_per_decade", -1))
-            == self.buckets_per_decade)
-        if same_layout:
-            for index, bucket_count in enumerate(counts):
-                self.counts[index] += int(bucket_count)
+        self.counts = [mine + int(theirs)
+                       for mine, theirs in zip(self.counts, counts)]
         self.count += count
         self.total += float(other.get("sum", 0.0))
         self.breaches += int(float(other.get("breaches", 0.0)))
@@ -193,7 +162,7 @@ class SloHistogram:
                 setattr(self, key, fold(getattr(self, key), value))
 
     def reset(self) -> None:
-        self.counts = [0] * (len(self.edges) + 1)
+        self.counts = [0] * (len(EDGES) + 1)
         self.count = 0
         self.total = 0.0
         self.min = math.inf

@@ -411,11 +411,11 @@ def worker_recorder(ctx: TraceContext) -> TraceRecorder:
 
 @contextlib.contextmanager
 def timed_stage(name: str, registry=None, **attrs: Any) -> Iterator[None]:
-    """Span + EWMA timer in one: the standard stage instrumentation.
+    """Span + histogram in one: the standard stage instrumentation.
 
     Emits a span named ``name`` (when tracing is active) and always
-    updates the ``<name>_s`` timer in ``registry`` (the default metrics
-    registry when omitted).
+    observes the duration into the ``<name>_s`` histogram in
+    ``registry`` (the default metrics registry when omitted).
     """
     from repro.telemetry.metrics import default_registry
 
@@ -423,4 +423,4 @@ def timed_stage(name: str, registry=None, **attrs: Any) -> Iterator[None]:
     start = time.perf_counter()
     with span(name, **attrs):
         yield
-    registry.timer(name + "_s").update(time.perf_counter() - start)
+    registry.histogram(name + "_s").observe(time.perf_counter() - start)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.parallel import Task, TaskOutcome, WorkerPool, cpu_workers
-from repro.telemetry import default_registry
+from repro.telemetry import MetricsRegistry, default_registry
 
 
 # ---------------------------------------------------------------- tasks
@@ -54,6 +54,11 @@ def count_calls(x):
     default_registry().counter("pooltest.calls").inc()
     default_registry().histogram("pooltest.values").observe(x)
     return x
+
+
+def observe_values(values):
+    for value in values:
+        default_registry().histogram("pooltest.latency").observe(value)
 
 
 def return_unpicklable():
@@ -183,6 +188,20 @@ class TestTelemetryShipBack:
         hist = registry.histogram("pooltest.values")
         assert hist.count == 5
         assert hist.min == 0.0 and hist.max == 4.0
+        # two tasks of nine 1.0s and one 100.0: the merged quantiles are
+        # those of one registry observing all 20 values in-process
+        values = [1.0] * 9 + [100.0]
+        registry.histogram("pooltest.latency").reset()
+        outcomes = pool.map(observe_values, [{"values": values}] * 2)
+        assert all(o.ok for o in outcomes)
+        local = MetricsRegistry()
+        observe_local = local.histogram("pooltest.latency").observe
+        for value in values * 2:
+            observe_local(value)
+        merged = registry.histogram("pooltest.latency").snapshot()
+        expected = local.histogram("pooltest.latency").snapshot()
+        assert merged["p50"] == expected["p50"] == 1.0
+        assert merged["p99"] == expected["p99"] == 100.0
 
     def test_outcome_carries_typed_snapshot(self):
         pool = WorkerPool(max_workers=2)

@@ -29,6 +29,12 @@ def flaky_experiment(x):
     return {"y": x * 10}
 
 
+def timed_experiment(x):
+    from repro.telemetry import default_registry
+    default_registry().histogram("sweeptest.step_s").observe(0.01 * x)
+    return {"y": x}
+
+
 GRID = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # 16 points
 
 
@@ -107,3 +113,13 @@ class TestPooledTelemetry:
         result = sweep.run(parallel=1)
         for record in result.records:
             assert record["duration_s"] >= 0.0
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_telemetry_records_hold_only_scalars(self, parallel):
+        # histogram snapshots carry a bucket vector; records flatten it
+        # away on the serial and pooled paths alike
+        sweep = Sweep({"x": [1, 2]}, timed_experiment, telemetry=True)
+        for record in sweep.run(parallel=parallel).records:
+            tm = {k: v for k, v in record.items() if k.startswith("tm.")}
+            assert not any(isinstance(v, list) for v in tm.values())
+            assert record["tm.sweeptest.step_s.p50"] > 0.0

@@ -43,6 +43,7 @@ TARGET_FILES = (
     "src/repro/serve/http.py",
     "src/repro/serve/tracing.py",
     "src/repro/serve/analyze.py",
+    "src/repro/telemetry/metrics.py",
     "src/repro/telemetry/slo.py",
     "src/repro/pipeline/sweep.py",
     "src/repro/backend/__init__.py",

@@ -86,11 +86,11 @@ class TestStageAccounting:
         registry = MetricsRegistry()
         tracer = make_tracer(registry=registry, slo_ms=10.0)
         finish_one(tracer, gaps=(0.001, 0.004, 0.020))
-        assert registry.slo("serve.slo.latency_ms").count == 1
-        assert registry.slo("serve.slo.latency_ms").breaches == 1  # 25 > 10
-        assert registry.slo("serve.slo.admission_ms").count == 1
-        assert registry.slo("serve.slo.queue_ms").count == 1
-        assert registry.slo("serve.slo.infer_ms").count == 1
+        assert registry.histogram("serve.slo.latency_ms").count == 1
+        assert registry.histogram("serve.slo.latency_ms").breaches == 1  # 25 > 10
+        assert registry.histogram("serve.slo.admission_ms").count == 1
+        assert registry.histogram("serve.slo.queue_ms").count == 1
+        assert registry.histogram("serve.slo.infer_ms").count == 1
 
     def test_finish_is_idempotent(self):
         tracer = make_tracer()
@@ -99,7 +99,7 @@ class TestStageAccounting:
         tracer.finish(ctx, ok=False, error_kind="late")  # double finish
         assert ctx.t_done == t_done
         assert ctx.ok is True
-        assert tracer.registry.slo("serve.slo.latency_ms").count == 1
+        assert tracer.registry.histogram("serve.slo.latency_ms").count == 1
 
     def test_admission_failure_has_no_queue_stage(self):
         tracer = make_tracer()
@@ -181,7 +181,7 @@ class TestSpanEmission:
         tracer = make_tracer(recorder=None)
         ctx = finish_one(tracer)
         assert ctx.lane == -1
-        assert tracer.registry.slo("serve.slo.latency_ms").count == 1
+        assert tracer.registry.histogram("serve.slo.latency_ms").count == 1
         assert len(tracer.flight) == 1
 
     def test_fake_clock_maps_onto_recorder_timeline(self):
@@ -288,7 +288,7 @@ class TestServerEndToEnd:
 
     def test_flight_ring_matches_traffic_and_slo_observed(self, artifact):
         # the server tracer observes into the process default registry
-        before = default_registry().slo("serve.slo.latency_ms").count
+        before = default_registry().histogram("serve.slo.latency_ms").count
 
         async def _go():
             async with ModelServer({"m": artifact},
@@ -305,7 +305,7 @@ class TestServerEndToEnd:
         tiling = stages["admission_ms"] + stages["queue_ms"] + \
             stages["batch_ms"]
         assert tiling == pytest.approx(stages["latency_ms"], abs=0.01)
-        assert default_registry().slo("serve.slo.latency_ms").count == \
+        assert default_registry().histogram("serve.slo.latency_ms").count == \
             before + 5
 
     def test_trace_requests_off_disables_the_tracer(self, artifact):

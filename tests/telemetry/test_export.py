@@ -45,21 +45,17 @@ class TestPrometheusText:
         assert "# TYPE repro_trainer_images_per_s gauge" in text
         assert "repro_trainer_images_per_s 123.5" in text
 
-    def test_histogram_becomes_summary_with_quantiles(self):
+    def test_every_histogram_renders_native_buckets(self):
         registry = MetricsRegistry()
         for value in range(100):
             registry.histogram("batch_ms").observe(float(value))
         text = prometheus_text(registry)
-        assert "# TYPE repro_batch_ms summary" in text
-        assert 'repro_batch_ms{quantile="0.50"}' in text
+        assert "# TYPE repro_batch_ms histogram" in text
+        assert 'repro_batch_ms_bucket{le="1"} 2' in text     # 0 and 1
+        assert 'repro_batch_ms_bucket{le="+Inf"} 100' in text
         assert "repro_batch_ms_count 100" in text
-
-    def test_timer_exposes_ewma(self):
-        registry = MetricsRegistry()
-        registry.timer("epoch_s").update(2.0)
-        text = prometheus_text(registry)
-        assert "# TYPE repro_epoch_s_ewma gauge" in text
-        assert "repro_epoch_s_count 1" in text
+        assert "summary" not in text
+        assert "_breaches" not in text   # no SLO target, no breach tally
 
     def test_names_are_sanitized(self):
         registry = MetricsRegistry()

@@ -10,30 +10,23 @@ import pytest
 from repro.errors import ConfigError
 from repro.telemetry.export import prometheus_text
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.slo import SloHistogram, bucket_edges
+from repro.telemetry.slo import EDGES, SloHistogram
 
 
 class TestBucketEdges:
     def test_log_spacing_and_coverage(self):
-        edges = bucket_edges(lo=0.01, hi=1e5, buckets_per_decade=10)
-        assert edges[0] == 0.01
-        assert edges[-1] >= 1e5
-        ratios = [b / a for a, b in zip(edges, edges[1:])]
+        assert EDGES[0] == 1e-6
+        assert EDGES[-1] == 1e5
+        assert len(EDGES) == 111
+        ratios = [b / a for a, b in zip(EDGES, EDGES[1:])]
         assert all(r == pytest.approx(10 ** 0.1, rel=1e-6) for r in ratios)
 
     def test_deterministic_across_computations(self):
-        # layout equality gates the exact merge path; two independent
-        # computations must agree bit-for-bit
-        assert bucket_edges() == bucket_edges()
-        assert bucket_edges(0.1, 100.0, 5) == bucket_edges(0.1, 100.0, 5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            bucket_edges(lo=0.0)
-        with pytest.raises(ConfigError):
-            bucket_edges(lo=10.0, hi=1.0)
-        with pytest.raises(ConfigError):
-            bucket_edges(buckets_per_decade=0)
+        # every process must bucket identically for counts to add: the
+        # layout is one constant, the same for every histogram
+        assert SloHistogram("a").snapshot()["counts"] == \
+            SloHistogram("b").snapshot()["counts"]
+        assert len(SloHistogram("a").counts) == len(EDGES) + 1
 
 
 class TestObserve:
@@ -50,9 +43,9 @@ class TestObserve:
         assert sum(hist.counts) == len(values)
 
     def test_underflow_and_overflow_buckets(self):
-        hist = SloHistogram("lat", lo=1.0, hi=100.0)
-        hist.observe(1e-6)   # below lo -> bucket 0
-        hist.observe(1e9)    # above hi -> overflow bucket
+        hist = SloHistogram("lat")
+        hist.observe(1e-9)   # below the first edge -> bucket 0
+        hist.observe(1e9)    # above the last edge -> overflow bucket
         assert hist.counts[0] == 1
         assert hist.counts[-1] == 1
         # overflow quantile answers with the observed max, not a bucket
@@ -132,15 +125,25 @@ class TestMerge:
         for q in (0.5, 0.9, 0.99):
             assert merged.quantile(q) == single.quantile(q)
 
-    def test_layout_mismatch_degrades_to_scalar_fold(self):
-        coarse = SloHistogram("lat", buckets_per_decade=2)
-        fine = SloHistogram("lat", buckets_per_decade=10)
-        fine.observe(10.0)
-        before = list(coarse.counts)
-        coarse.merge_snapshot(fine.snapshot())
-        assert coarse.counts == before  # buckets untouched
-        assert coarse.count == 1        # scalars still folded
-        assert coarse.min == 10.0 and coarse.max == 10.0
+    def test_layout_mismatch_raises(self):
+        hist = SloHistogram("lat")
+        other = SloHistogram("lat")
+        other.observe(10.0)
+        snap = other.snapshot()
+        snap["counts"] = snap["counts"][:-1]
+        with pytest.raises(ConfigError):
+            hist.merge_snapshot(snap)
+        del snap["counts"]
+        with pytest.raises(ConfigError):
+            hist.merge_snapshot(snap)
+        assert hist.count == 0
+
+    def test_extremes_are_exact(self):
+        hist = SloHistogram("lat")
+        for value in (10.1, 10.2, 10.3):   # one bucket
+            hist.observe(value)
+        assert hist.quantile(0.0) == 10.1
+        assert hist.quantile(1.0) == 10.3
 
     def test_empty_snapshot_is_a_noop(self):
         hist = SloHistogram("lat")
@@ -159,28 +162,29 @@ class TestMerge:
 class TestRegistryIntegration:
     def test_typed_snapshot_roundtrip_across_registries(self):
         source = MetricsRegistry()
-        hist = source.slo("serve.slo.latency_ms", slo=100.0)
+        hist = source.histogram("serve.slo.latency_ms", slo=100.0)
         for value in (10.0, 150.0, 30.0):
             hist.observe(value)
         shipped = source.typed_snapshot()
-        assert "serve.slo.latency_ms" in shipped["slo"]
+        assert "serve.slo.latency_ms" in shipped["histograms"]
 
         parent = MetricsRegistry()
         parent.merge_typed(shipped)
-        merged = parent.slo("serve.slo.latency_ms")
+        merged = parent.histogram("serve.slo.latency_ms")
+        assert merged.slo == 100.0   # the target ships with the snapshot
         assert merged.count == 3
         assert merged.breaches == 1
         assert merged.counts == hist.counts
 
     def test_accessor_kind_collision_raises(self):
         registry = MetricsRegistry()
-        registry.slo("x")
+        registry.histogram("x")
         with pytest.raises(ConfigError):
             registry.counter("x")
 
     def test_flat_snapshot_skips_bucket_vector(self):
         registry = MetricsRegistry()
-        registry.slo("x", slo=1.0).observe(2.0)
+        registry.histogram("x", slo=1.0).observe(2.0)
         flat = registry.flat_snapshot()
         assert flat["x.count"] == 1
         assert flat["x.breaches"] == 1.0
@@ -191,7 +195,7 @@ class TestRegistryIntegration:
 class TestPrometheusRendering:
     def test_native_histogram_series(self):
         registry = MetricsRegistry()
-        hist = registry.slo("serve.slo.latency_ms", slo=50.0)
+        hist = registry.histogram("serve.slo.latency_ms", slo=50.0)
         for value in (1.0, 10.0, 100.0):
             hist.observe(value)
         text = prometheus_text(registry)

@@ -130,14 +130,14 @@ class TestTimedStage:
         with recording() as recorder:
             with timed_stage("stage.x", registry=registry, tag="t"):
                 pass
-        assert registry.timer("stage.x_s").count == 1
+        assert registry.histogram("stage.x_s").count == 1
         assert len(recorder.by_name("stage.x")) == 1
 
     def test_timer_updates_even_without_recorder(self):
         registry = MetricsRegistry()
         with timed_stage("stage.y", registry=registry):
             pass
-        assert registry.timer("stage.y_s").count == 1
+        assert registry.histogram("stage.y_s").count == 1
 
 
 class TestExceptionUnwind:
