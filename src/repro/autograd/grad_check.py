@@ -29,10 +29,7 @@ def _fd_probe_slice(
     start: int,
     stop: int,
 ) -> List[float]:
-    """Central differences for elements [start, stop) of input ``index``.
-
-    Module-level so worker processes can import it under ``spawn``.
-    """
+    """Central differences for elements [start, stop) of input ``index``."""
     base = [np.array(arr, dtype=np.float64) for arr in inputs]
     target = base[index].reshape(-1)
     values: List[float] = []

@@ -1,12 +1,17 @@
-"""Process-pool experiment execution with deterministic seeding.
+"""Multi-process execution with deterministic seeding.
 
-Three pieces:
+Six pieces:
 
+* :mod:`repro.parallel.worker` -- the one fork core every runtime below
+  runs on: fork a worker, answer units of work with one typed
+  :class:`~repro.parallel.worker.Envelope` each, merge the shipped
+  telemetry, one liveness wait on pipes and process sentinels, and one
+  reap (stop sentinel, join, terminate, join, kill).
 * :mod:`repro.parallel.pool` -- :class:`WorkerPool`: chunked
   multi-process task scheduling with per-task timeouts, bounded retry
   of crashed workers, structured :class:`TaskOutcome` failure records
-  (never pool-wide aborts), per-worker telemetry snapshot ship-back,
-  and a transparent in-process serial fallback.
+  (never pool-wide aborts), per-task telemetry ship-back, and a
+  transparent in-process serial fallback.
 * :mod:`repro.parallel.shards` -- :class:`ShardPool`: *persistent*
   worker processes holding expensive state (loaded model artifacts)
   and answering a request stream, with shard respawn + bounded retry

@@ -20,8 +20,9 @@ One training step under ``world`` ranks:
    arena, and a final barrier releases the ranks into the next batch.
 
 Parameters and gradients only ever cross process boundaries through the
-shared-memory arena: the per-rank control pipes carry one tiny "epoch"
-command down and one "done" summary up per epoch, and
+shared-memory arena: the per-rank control pipes of the fork core
+(:mod:`repro.parallel.worker`) carry one tiny epoch :class:`Unit` down
+and one summary :class:`Envelope` up per epoch, and
 :func:`set_message_audit` lets the test suite assert that nothing else
 -- no weights, no batches -- is ever pickled on the steady-state path.
 
@@ -33,8 +34,9 @@ averaged across ranks through the arena at every epoch end, which keeps
 eval-time behaviour close to the serial run (the EMA update is linear,
 so averaging commutes with it).
 
-A watchdog thread in the parent aborts the shared barrier the moment a
-worker dies, converting what would be a hang into a :class:`DDPError`;
+A watchdog thread in the parent blocks in the core's liveness wait on
+the ranks' process sentinels and aborts the shared barrier the moment
+a worker dies, converting what would be a hang into a :class:`DDPError`;
 arena segments are unlinked on every teardown path (including crashes,
 via the arena's ``atexit`` hook and the stale-segment sweep).
 """
@@ -42,10 +44,10 @@ via the arena's ``atexit`` hook and the stale-segment sweep).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing as mp
 import os
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -61,13 +63,10 @@ from repro.parallel.arena import (
     cleanup_stale_segments,
     live_segments,
 )
+from repro.parallel.worker import (Unit, Worker, absorb, fork, reap,
+                                   set_message_audit, wait)
 from repro.telemetry.metrics import default_registry
-from repro.telemetry.trace import (
-    current_trace_context,
-    set_recorder,
-    span,
-    worker_recorder,
-)
+from repro.telemetry.trace import current_trace_context, span
 
 __all__ = [
     "DDPContext", "available", "shm_available", "reduce_plan",
@@ -132,44 +131,6 @@ def ddp_config() -> Dict[str, Any]:
         "default_workers": default_ddp_workers(),
         "live_segments": len(live_segments()),
     }
-
-
-# ---------------------------------------------------------------------------
-# Control-plane message audit (the "no pickling on the hot path" gate)
-# ---------------------------------------------------------------------------
-
-_message_audit: Optional[Callable[[str, Any], None]] = None
-
-
-def set_message_audit(
-    hook: Optional[Callable[[str, Any], None]]
-) -> Optional[Callable[[str, Any], None]]:
-    """Install a hook observing every pickled control message.
-
-    The hook is called as ``hook(direction, message)`` with direction
-    ``"send"`` or ``"recv"`` for every message crossing a DDP control
-    pipe in this process.  Tests use it to pin down that the
-    steady-state step path pickles no weights and no batches -- the
-    only traffic is one epoch command and one completion summary per
-    worker per epoch.
-    """
-    global _message_audit
-    previous = _message_audit
-    _message_audit = hook
-    return previous
-
-
-def _send_msg(conn, message: Any) -> None:
-    if _message_audit is not None:
-        _message_audit("send", message)
-    conn.send(message)
-
-
-def _recv_msg(conn) -> Any:
-    message = conn.recv()
-    if _message_audit is not None:
-        _message_audit("recv", message)
-    return message
 
 
 # ---------------------------------------------------------------------------
@@ -344,48 +305,26 @@ def _run_rank_epoch(state: _RankState, epoch: int) -> None:
         _sync_buffers(state)
 
 
-def _worker_main(state: _RankState, conn) -> None:
-    """Entry point of a forked worker: serve epoch commands until told
-    to stop (``None``) or the barrier breaks."""
+def _rank_handler(state: _RankState) -> Callable[[Unit], Dict[str, Any]]:
+    """Build one forked rank's epoch handler (runs in the child)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    set_recorder(None)  # never inherit the parent's live recorder
-    default_registry().reset()
-    while True:
-        try:
-            command = _recv_msg(conn)
-        except (EOFError, OSError):
-            break
-        if command is None:
-            break
-        _, epoch, trace_ctx = command
-        recorder = worker_recorder(trace_ctx) if trace_ctx is not None else None
-        set_recorder(recorder)
+
+    def run_epoch(unit: Unit) -> Dict[str, Any]:
         state.reset_stats()
-        payload: Dict[str, Any] = {"rank": state.rank}
         try:
             with _backend.use_backend(state.backend), \
                     _precision.use_dtype(state.dtype):
-                _run_rank_epoch(state, epoch)
-        except DDPError:
-            set_recorder(None)
-            os._exit(1)
+                _run_rank_epoch(state, unit.work)
         except BaseException:
-            # crash honestly: the parent watchdog turns this into a
-            # DDPError at the next barrier instead of a silent hang
-            set_recorder(None)
+            # crash honestly: the parent's liveness wait turns this into
+            # a DDPError at the next barrier instead of a silent hang
             os._exit(1)
-        set_recorder(None)
-        payload.update(state.stats)
         from repro.autograd.planner import last_tape_stats
         tape = last_tape_stats()
-        payload["tape"] = dataclasses.asdict(tape) if tape is not None else None
-        payload["spans"] = recorder.drain_dicts() if recorder is not None else []
-        try:
-            _send_msg(conn, ("done", state.rank, payload))
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()
-    sys.exit(0)
+        return dict(state.stats, rank=state.rank,
+                    tape=dataclasses.asdict(tape) if tape is not None else None)
+
+    return run_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +377,11 @@ class DDPContext:
         self._state: Optional[_RankState] = None
         self._param_views: List[np.ndarray] = []
         self._procs: Dict[int, mp.Process] = {}
-        self._conns: Dict[int, Any] = {}
+        self._workers: Dict[int, Worker] = {}
         self._started = False
         self._broken = False
         self._shutting_down = False
         self._dead_rank: Optional[int] = None
-        self._watch_stop = threading.Event()
         self._watchdog: Optional[threading.Thread] = None
         self._epoch_open = False
         self.last_epoch: Dict[str, Any] = {}
@@ -510,17 +448,12 @@ class DDPContext:
 
         self._state = rank_state(0)
         for rank in range(1, self.world):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(rank_state(rank), child_conn),
-                daemon=True,
-                name=f"repro-ddp-{rank}",
-            )
-            proc.start()
-            child_conn.close()
-            self._procs[rank] = proc
-            self._conns[rank] = parent_conn
+            # spans only: perfbench's attack_flow table tiles rank 0's wall
+            # time, so merging rank-1 layer counters would double its rows
+            worker = fork(functools.partial(_rank_handler, rank_state(rank)),
+                          telemetry=False)
+            self._workers[rank] = worker
+            self._procs[rank] = worker.process
         self._watchdog = threading.Thread(
             target=self._watch, name="repro-ddp-watchdog", daemon=True
         )
@@ -538,17 +471,16 @@ class DDPContext:
         )
 
     def _watch(self) -> None:
-        """Break the barrier as soon as any child dies unexpectedly."""
-        while not self._watch_stop.wait(0.05):
-            for rank, proc in self._procs.items():
-                if not proc.is_alive() and not self._shutting_down:
-                    self._dead_rank = rank
-                    self._broken = True
-                    try:
-                        self._state.barrier.abort()
-                    except Exception:
-                        pass
-                    return
+        """Break the barrier as soon as any rank dies outside shutdown."""
+        ranks = {worker: rank for rank, worker in self._workers.items()}
+        dead = wait(list(ranks), messages=False)
+        if dead and not self._shutting_down:
+            self._dead_rank = ranks[dead[0]]
+            self._broken = True
+            try:
+                self._state.barrier.abort()
+            except Exception:
+                pass
 
     # ------------------------------------------------------------ one epoch
     def begin_epoch(self, epoch: int):
@@ -558,10 +490,10 @@ class DDPContext:
             self._start()
         self._raise_if_broken()
         trace_ctx = current_trace_context()
-        for rank, conn in self._conns.items():
+        for rank, worker in self._workers.items():
             try:
-                _send_msg(conn, ("epoch", epoch, trace_ctx))
-            except (BrokenPipeError, OSError):
+                worker.send(Unit(rank, epoch, trace_ctx))
+            except OSError:
                 self._broken = True
                 self._dead_rank = rank
                 raise DDPError(f"ddp worker rank {rank} is gone")
@@ -618,31 +550,30 @@ class DDPContext:
             raise self._death_error()
         self._epoch_open = False
         summaries: Dict[int, Dict[str, Any]] = {}
-        for rank, conn in self._conns.items():
+        for rank, worker in self._workers.items():
             try:
-                kind, got_rank, payload = _recv_msg(conn)
+                envelope = worker.recv()
             except (EOFError, OSError):
                 self._broken = True
                 self._dead_rank = rank
                 raise self._death_error()
-            if kind != "done" or got_rank != rank:
+            if envelope.status != "ok" or envelope.key != rank:
                 self._broken = True
                 raise DDPError(
-                    f"ddp protocol error: expected done from rank {rank}, "
-                    f"got {kind!r} from {got_rank}"
+                    f"ddp protocol error: expected rank {rank}'s epoch "
+                    f"summary, got {envelope.status!r} from {envelope.key}"
                 )
-            summaries[rank] = payload
+            absorb(envelope, label=f"ddp rank={rank}")
+            summaries[rank] = envelope.value
         return self._publish_epoch_metrics(summaries)
 
     def _publish_epoch_metrics(
         self, summaries: Dict[int, Dict[str, Any]]
     ) -> Dict[str, Any]:
         from repro.autograd.planner import last_tape_stats
-        from repro.telemetry.trace import get_recorder
 
         state = self._state
         registry = default_registry()
-        recorder = get_recorder()
         steps = int(state.stats["steps"])
         param_bytes = sum(int(p.data.nbytes) for p in self.params)
         # per step: every rank writes its slab, then (world - 1) slab
@@ -655,13 +586,10 @@ class DDPContext:
         worker_steps = 0
         allreduce_s = float(state.stats["allreduce_s"])
         barrier_s = float(state.stats["barrier_s"])
-        for rank, payload in sorted(summaries.items()):
+        for payload in summaries.values():
             worker_steps += int(payload.get("steps", 0))
             if payload.get("tape"):
                 tapes.append(payload["tape"])
-            if recorder is not None and payload.get("spans"):
-                recorder.merge_spans(payload["spans"],
-                                     label=f"ddp rank={rank}")
         registry.counter("ddp.steps").inc(steps)
         registry.counter("ddp.worker_steps").inc(worker_steps)
         registry.counter("ddp.bytes_moved").inc(steps * step_bytes)
@@ -715,27 +643,13 @@ class DDPContext:
         """
         if self._started and not self._shutting_down:
             self._shutting_down = True
-            self._watch_stop.set()
+            reap(self._workers.values())
+            # the reaped ranks' sentinels wake the watchdog, which sees
+            # the shutdown and exits
             if self._watchdog is not None:
                 self._watchdog.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    _send_msg(conn, None)
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs.values():
-                proc.join(timeout=2.0)
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=1.0)
-            for conn in self._conns.values():
-                try:
-                    conn.close()
-                except OSError:
-                    pass
             self._procs.clear()
-            self._conns.clear()
+            self._workers.clear()
         # detach the model from the arena before the mapping goes away
         if self._param_views:
             grad_slabs = (set(id(s) for s in self._state.grad_views[0])

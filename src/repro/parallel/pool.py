@@ -14,42 +14,41 @@ pool-wide:
 * a task that exceeds the per-task **timeout** gets its worker killed
   and is retried / recorded as ``error_kind="timeout"``.
 
-Workers are spawn-safe: the worker entrypoint is a module-level
-function and tasks are pickled when the start method requires it.  When
-``max_workers <= 1``, the platform has no usable start method, or the
-tasks cannot be pickled under a non-fork start method, the pool
-transparently falls back to in-process serial execution with identical
-outcome semantics (timeouts cannot preempt in-process and are ignored
-there).
+Workers fork (see :mod:`repro.parallel.worker`): task functions and
+arguments travel by memory inheritance, never by pickling.  When
+``max_workers <= 1``, the platform cannot fork, or another start method
+is asked for, the pool runs the tasks in-process, serially, with
+identical outcome semantics (timeouts cannot preempt in-process and are
+ignored there).
 
 Each worker resets its process-local :func:`repro.telemetry.metrics
-.default_registry` before a task and ships the task's typed metrics
-snapshot back with the result; the parent merges it into its own
-registry (see :meth:`MetricsRegistry.merge_typed`) and attaches it to
-the outcome.  When the parent is inside a :func:`repro.telemetry
-.profile` region, workers additionally collect per-kernel stats for
-each task and ship those back too, so the parent profile's kernel
-table covers work done in worker processes.  Likewise, when the parent
-has a :class:`repro.telemetry.trace.TraceRecorder` active, its
-:class:`TraceContext` rides along in the worker envelope: each worker
-records spans on a clock aligned to the parent's timeline and ships
-them back per task, and the parent merges them so one pooled run
-renders as a single multi-lane Chrome trace.
+.default_registry` before a task and ships the metrics the task moved
+back with the result; the parent merges them into its own registry
+(see :meth:`MetricsRegistry.merge_typed`) and attaches them to the
+outcome.  When the parent is inside a :func:`repro.telemetry.profile`
+region, workers additionally collect per-kernel stats for each task
+and ship those back too, so the parent profile's kernel table covers
+work done in worker processes.  Likewise, when the parent has a
+:class:`repro.telemetry.trace.TraceRecorder` active, its
+:class:`TraceContext` rides along with every task: each worker records
+spans on a clock aligned to the parent's timeline and ships them back
+per task, and the parent merges them so one pooled run renders as a
+single multi-lane Chrome trace.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-import multiprocessing.connection
 import os
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
+from repro.parallel.worker import (Envelope, Unit, Worker, absorb, execute,
+                                   fork, reap, uses_fork, wait)
 from repro.telemetry.metrics import default_registry
+from repro.telemetry.trace import current_trace_context, span
 
 
 @dataclass
@@ -97,102 +96,44 @@ def cpu_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _execute(fn: Callable[..., Any], args: Tuple[Any, ...],
-             kwargs: Optional[Mapping[str, Any]]) -> Tuple[str, Any, str, float]:
-    """Run one task, catching exceptions: (status, value, kind, duration)."""
-    start = time.perf_counter()
-    try:
-        value = fn(*args, **dict(kwargs or {}))
-    except Exception as exc:
-        return "err", repr(exc), "exception", time.perf_counter() - start
-    return "ok", value, "", time.perf_counter() - start
+def _run_task(unit: Unit) -> Any:
+    task = unit.work
+    return task.fn(*task.args, **dict(task.kwargs or {}))
 
 
-class _KernelCollector:
-    """Worker-side kernel hook accumulating the profiler wire format."""
-
-    def __init__(self) -> None:
-        self.stats: Dict[str, Dict[str, Any]] = {}
-
-    def __call__(self, backend: str, kernel: str,
-                 seconds: float, nbytes: int) -> None:
-        key = f"{backend}/{kernel}"
-        stat = self.stats.get(key)
-        if stat is None:
-            stat = self.stats[key] = {
-                "backend": backend, "kernel": kernel,
-                "calls": 0, "total_time": 0.0, "bytes_moved": 0,
-            }
-        stat["calls"] += 1
-        stat["total_time"] += seconds
-        stat["bytes_moved"] += nbytes
-
-    def drain(self) -> Dict[str, Dict[str, Any]]:
-        stats, self.stats = self.stats, {}
-        return stats
+def _forked_task(unit: Unit) -> Any:
+    with span("pool.task", index=unit.key):
+        return _run_task(unit)
 
 
-def _worker_main(chunk: List[Tuple[int, Task]], conn,
-                 collect_kernels: bool = False,
-                 trace_ctx=None) -> None:
-    """Worker entrypoint: run a chunk of tasks, send one message each.
-
-    Module-level so the pool stays importable under the ``spawn`` start
-    method.  The process-local metrics registry is reset per task so the
-    shipped snapshot covers exactly that task (under ``fork`` the child
-    inherits a copy of the parent registry; resetting the copy leaves
-    the parent untouched).  With ``collect_kernels`` the worker installs
-    a kernel hook and ships per-task kernel stats for the parent's
-    active profile to merge.  With ``trace_ctx`` the worker installs a
-    parent-aligned trace recorder (replacing any recorder inherited via
-    fork, whose spans the parent already owns) and ships each task's
-    span dicts back for the parent to merge.
-    """
-    from repro.telemetry.trace import set_recorder, span, worker_recorder
-
-    registry = default_registry()
-    collector: Optional[_KernelCollector] = None
-    if collect_kernels:
-        from repro.backend import registry as _backend_registry
-        collector = _KernelCollector()
-        _backend_registry.set_kernel_hook(collector)
-    recorder = worker_recorder(trace_ctx) if trace_ctx is not None else None
-    set_recorder(recorder)
-    for index, task in chunk:
-        registry.reset()
-        with span("pool.task", index=index):
-            status, value, kind, duration = _execute(task.fn, task.args,
-                                                     task.kwargs)
-        snapshot = registry.typed_snapshot()
-        kernels = collector.drain() if collector is not None else {}
-        spans = recorder.drain_dicts() if recorder is not None else []
-        try:
-            conn.send((status, index, value, kind, duration, snapshot,
-                       kernels, spans))
-        except Exception as exc:  # unpicklable task result
-            conn.send(("err", index, f"unpicklable result: {exc!r}",
-                       "exception", duration, snapshot, kernels, spans))
-    conn.send(("bye", -1, None, "", 0.0, None, None, None))
-    conn.close()
+def _outcome(envelope: Envelope, attempts: int) -> TaskOutcome:
+    return TaskOutcome(
+        envelope.key, envelope.status == "ok", value=envelope.value,
+        error=envelope.error, error_kind=envelope.error_kind,
+        attempts=attempts, duration_s=envelope.duration_s,
+        telemetry=dict(envelope.metrics), kernels=dict(envelope.kernels),
+        spans=list(envelope.spans),
+    )
 
 
-class _ActiveWorker:
-    """Parent-side bookkeeping for one live worker process."""
+class _Chunk:
+    """A forked worker and the tasks it inherited, run in order."""
 
-    __slots__ = ("process", "conn", "chunk", "position", "last_event")
+    __slots__ = ("worker", "units", "position", "since")
 
-    def __init__(self, process, conn, chunk: List[Tuple[int, Task]]) -> None:
-        self.process = process
-        self.conn = conn
-        self.chunk = chunk
-        self.position = 0  # index into chunk of the task now executing
-        self.last_event = time.perf_counter()
+    def __init__(self, units: List[Unit]) -> None:
+        self.worker = fork(lambda: _forked_task, units)
+        self.units = units
+        self.position = 0                 # index of the task now executing
+        self.since = time.perf_counter()  # when that task started
 
-    def current_index(self) -> int:
-        return self.chunk[self.position][0]
+    @property
+    def done(self) -> bool:
+        return self.position == len(self.units)
 
-    def remaining(self) -> List[Tuple[int, Task]]:
-        return self.chunk[self.position + 1:]
+    @property
+    def current(self) -> Unit:
+        return self.units[self.position]
 
 
 class WorkerPool:
@@ -208,11 +149,10 @@ class WorkerPool:
         retries: how many times a crashed or timed-out task is re-run
             before a failure outcome is recorded (exceptions are never
             retried -- they are deterministic).
-        chunk_size: tasks handed to a worker per process spawn; defaults
+        chunk_size: tasks handed to a worker per process fork; defaults
             to ``ceil(n / (workers * 4))`` for load balancing.
-        start_method: multiprocessing start method override; defaults to
-            ``fork`` when available (no pickling of task functions),
-            else the platform default.
+        start_method: ``None`` or ``"fork"`` fork workers where the
+            platform can; any other valid start method runs serially.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
@@ -230,14 +170,7 @@ class WorkerPool:
         self.timeout = timeout
         self.retries = int(retries)
         self.chunk_size = chunk_size
-        available = multiprocessing.get_all_start_methods()
-        if start_method is not None and start_method not in available:
-            raise ConfigError(
-                f"start method {start_method!r} not in {available}")
-        if start_method is None:
-            start_method = "fork" if "fork" in available else (
-                available[0] if available else None)
-        self.start_method = start_method
+        self.start_method = "fork" if uses_fork(start_method, ConfigError) else None
 
     # ------------------------------------------------------------- API
     def map(self, fn: Callable[..., Any],
@@ -250,185 +183,88 @@ class WorkerPool:
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.max_workers <= 1 or self.start_method is None or not self._picklable(tasks):
-            return self._run_serial(tasks)
+        if self.max_workers <= 1 or self.start_method is None:
+            return [_outcome(execute(_run_task, Unit(index, task)), 1)
+                    for index, task in enumerate(tasks)]
         return self._run_pooled(tasks)
 
-    # ---------------------------------------------------- serial path
-    def _picklable(self, tasks: Sequence[Task]) -> bool:
-        """Under fork, task payloads travel by memory inheritance; any
-        other start method pickles them into the child."""
-        if self.start_method == "fork":
-            return True
-        try:
-            pickle.dumps([(t.fn, t.args, dict(t.kwargs or {})) for t in tasks])
-        except Exception:
-            return False
-        return True
-
-    def _run_serial(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
-        outcomes: List[TaskOutcome] = []
-        for index, task in enumerate(tasks):
-            status, value, kind, duration = _execute(task.fn, task.args, task.kwargs)
-            if status == "ok":
-                outcomes.append(TaskOutcome(index, True, value=value,
-                                            duration_s=duration))
-            else:
-                outcomes.append(TaskOutcome(index, False, error=value,
-                                            error_kind=kind, duration_s=duration))
-        return outcomes
-
     # ---------------------------------------------------- pooled path
-    def _chunks(self, indexed: List[Tuple[int, Task]]) -> List[List[Tuple[int, Task]]]:
+    def _chunks(self, units: List[Unit]) -> List[List[Unit]]:
         size = self.chunk_size
         if size is None:
-            size = max(1, math.ceil(len(indexed) / (self.max_workers * 4)))
-        return [indexed[i:i + size] for i in range(0, len(indexed), size)]
-
-    def _spawn(self, ctx, chunk: List[Tuple[int, Task]],
-               collect_kernels: bool = False,
-               trace_ctx=None) -> _ActiveWorker:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_worker_main,
-                              args=(chunk, child_conn, collect_kernels,
-                                    trace_ctx),
-                              daemon=True)
-        process.start()
-        child_conn.close()
-        return _ActiveWorker(process, parent_conn, chunk)
-
-    def _reap(self, worker: _ActiveWorker) -> None:
-        worker.conn.close()
-        if worker.process.is_alive():
-            worker.process.terminate()
-            worker.process.join(0.5)
-            if worker.process.is_alive():
-                worker.process.kill()
-        worker.process.join()
+            size = max(1, math.ceil(len(units) / (self.max_workers * 4)))
+        return [units[i:i + size] for i in range(0, len(units), size)]
 
     def _run_pooled(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
-        ctx = multiprocessing.get_context(self.start_method)
-        pending = self._chunks(list(enumerate(tasks)))
+        registry = default_registry()
+        # decided once at run start: workers record spans only when the
+        # parent has a recorder to merge them into
+        trace = current_trace_context()
+        pending = self._chunks([Unit(index, task, trace)
+                                for index, task in enumerate(tasks)])
         outcomes: Dict[int, TaskOutcome] = {}
         failures: Dict[int, int] = {}   # crash/timeout count per task index
         attempts: Dict[int, int] = {}   # executions started per task index
-        active: List[_ActiveWorker] = []
-        registry = default_registry()
-        from repro.telemetry.profiler import active_profile
-        from repro.telemetry.trace import current_trace_context, get_recorder
-        # Decided once at run start: workers collect kernel stats only
-        # when the parent has a profile to merge them into; likewise
-        # workers record spans only when the parent has a recorder.
-        collect_kernels = active_profile() is not None
-        trace_ctx = current_trace_context()
+        active: Dict[Worker, _Chunk] = {}
 
-        def start_task(worker: _ActiveWorker) -> None:
-            index = worker.current_index()
-            attempts[index] = attempts.get(index, 0) + 1
+        def start_task(chunk: _Chunk) -> None:
+            key = chunk.current.key
+            attempts[key] = attempts.get(key, 0) + 1
+            chunk.since = time.perf_counter()
 
-        def fail_current(worker: _ActiveWorker, kind: str, message: str) -> None:
+        def fail(chunk: _Chunk, kind: str) -> None:
             """Attribute a crash/timeout to the in-flight task and
             reschedule it (bounded) plus the chunk's untouched tail."""
-            registry.counter(f"pool.worker_{kind}s" if kind in
-                             ("crash", "timeout") else
-                             "pool.worker_failures").inc()
-            index = worker.current_index()
-            failures[index] = failures.get(index, 0) + 1
-            retry = failures[index] <= self.retries
-            tail = worker.remaining()
-            requeue = ([worker.chunk[worker.position]] if retry else []) + tail
+            reap([chunk.worker], grace=0.0)
+            del active[chunk.worker]
+            registry.counter(f"pool.worker_{kind}s").inc()
+            key = chunk.current.key
+            failures[key] = failures.get(key, 0) + 1
+            retry = failures[key] <= self.retries
             if not retry:
-                outcomes[index] = TaskOutcome(
-                    index, False, error=message, error_kind=kind,
-                    attempts=attempts.get(index, 1),
-                    duration_s=time.perf_counter() - worker.last_event,
-                )
+                message = (f"task exceeded {self.timeout:.3g}s timeout"
+                           if kind == "timeout" else
+                           f"worker died (exitcode "
+                           f"{chunk.worker.process.exitcode})")
+                outcomes[key] = TaskOutcome(
+                    key, False, error=message, error_kind=kind,
+                    attempts=attempts[key],
+                    duration_s=time.perf_counter() - chunk.since)
+            requeue = chunk.units[chunk.position + (0 if retry else 1):]
             if requeue:
                 pending.append(requeue)
-            self._reap(worker)
-            active.remove(worker)
 
         while pending or active:
             while pending and len(active) < self.max_workers:
-                worker = self._spawn(ctx, pending.pop(0), collect_kernels,
-                                     trace_ctx)
-                active.append(worker)
-                start_task(worker)
+                chunk = _Chunk(pending.pop(0))
+                active[chunk.worker] = chunk
+                start_task(chunk)
             registry.gauge("pool.workers_alive").set(float(len(active)))
 
-            now = time.perf_counter()
-            wait_for = 0.1
+            timeout = None
             if self.timeout is not None:
-                deadlines = [w.last_event + self.timeout for w in active]
-                wait_for = max(0.0, min(min(deadlines) - now, wait_for))
-            ready = multiprocessing.connection.wait(
-                [w.conn for w in active], timeout=wait_for)
-
-            for worker in list(active):
-                if worker.conn not in ready:
-                    continue
-                try:
-                    message = worker.conn.recv()
-                except (EOFError, OSError):
-                    fail_current(worker, "crash",
-                                 f"worker died (exitcode "
-                                 f"{worker.process.exitcode})")
-                    continue
-                (status, index, value, kind, duration, snapshot, kernels,
-                 spans) = message
-                if status == "bye":
-                    self._reap(worker)
-                    active.remove(worker)
-                    continue
-                if snapshot:
-                    registry.merge_typed(snapshot)
-                if kernels:
-                    prof = active_profile()
-                    if prof is not None:
-                        prof.merge_kernels(kernels)
-                if spans:
-                    parent_recorder = get_recorder()
-                    if parent_recorder is not None:
-                        parent_recorder.merge_spans(spans)
-                if status == "ok":
-                    outcomes[index] = TaskOutcome(
-                        index, True, value=value,
-                        attempts=attempts.get(index, 1), duration_s=duration,
-                        telemetry=snapshot or {}, kernels=kernels or {},
-                        spans=list(spans or []),
-                    )
-                else:
-                    outcomes[index] = TaskOutcome(
-                        index, False, error=value, error_kind=kind,
-                        attempts=attempts.get(index, 1), duration_s=duration,
-                        telemetry=snapshot or {}, kernels=kernels or {},
-                        spans=list(spans or []),
-                    )
-                worker.last_event = time.perf_counter()
-                worker.position += 1
-                if worker.position < len(worker.chunk):
-                    start_task(worker)
+                oldest = min(chunk.since for chunk in active.values())
+                timeout = max(0.0, oldest + self.timeout - time.perf_counter())
+            for worker in wait(list(active), timeout):
+                chunk = active[worker]
+                for envelope in worker.receive():
+                    absorb(envelope)
+                    outcomes[envelope.key] = _outcome(
+                        envelope, attempts[envelope.key])
+                    chunk.position += 1
+                    if not chunk.done:
+                        start_task(chunk)
+                if chunk.done:
+                    reap([worker])
+                    del active[worker]
+                elif worker.gone:
+                    fail(chunk, "crash")
 
             if self.timeout is not None:
                 now = time.perf_counter()
-                for worker in list(active):
-                    if (worker.position < len(worker.chunk)
-                            and now - worker.last_event > self.timeout):
-                        fail_current(
-                            worker, "timeout",
-                            f"task exceeded {self.timeout:.3g}s timeout")
-
-            # a worker that exited without a farewell (e.g. os._exit
-            # right after its last send) still needs collecting
-            for worker in list(active):
-                if not worker.process.is_alive() and not worker.conn.poll():
-                    if worker.position < len(worker.chunk):
-                        fail_current(worker, "crash",
-                                     f"worker died (exitcode "
-                                     f"{worker.process.exitcode})")
-                    else:
-                        self._reap(worker)
-                        active.remove(worker)
+                for chunk in list(active.values()):
+                    if now - chunk.since > self.timeout:
+                        fail(chunk, "timeout")
 
         registry.gauge("pool.workers_alive").set(0.0)
         return [outcomes[i] for i in sorted(outcomes)]

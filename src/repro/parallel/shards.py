@@ -1,7 +1,7 @@
 """Persistent shard workers: the long-lived counterpart of :class:`WorkerPool`.
 
 :class:`~repro.parallel.pool.WorkerPool` is built for *finite* fan-out:
-it spawns workers per chunk, runs a fixed task list, and tears down.  A
+it forks workers per chunk, runs a fixed task list, and tears down.  A
 serving front end needs the opposite shape -- a small set of
 **persistent** worker processes, each holding expensive state (a loaded
 model artifact), answering a stream of requests until shut down.
@@ -18,28 +18,32 @@ pool established:
   ``error_kind="timeout"`` result (the shard is left alone -- it may
   still be doing useful work for later requests).
 
-Shards are started with the ``fork`` start method so the ``init_fn``
-and payloads travel by memory inheritance; where ``fork`` is
-unavailable the pool transparently degrades to in-process serial
-execution with identical result semantics (and no crash isolation,
-as with the WorkerPool's serial fallback).
+Shards fork (see :mod:`repro.parallel.worker`) so the ``init_fn``
+travels by memory inheritance; where ``fork`` is unavailable the pool
+transparently degrades to in-process serial execution with identical
+result semantics (and no crash isolation, as with the WorkerPool's
+serial fallback).  Each reply ships the metrics the request moved --
+counters, gauges and histograms -- and the parent merges them.
 
-A background collector thread owns every shard pipe; :meth:`submit` /
-:meth:`result` are thread-safe, so the asyncio server can dispatch
-batches from executor threads without extra locking.
+A background collector thread owns every shard pipe and blocks in the
+core's liveness wait, so replies and deaths are handled the moment
+they happen; :meth:`submit` / :meth:`result` are thread-safe, so the
+asyncio server can dispatch batches from executor threads without
+extra locking.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import multiprocessing
-import multiprocessing.connection
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ServeError
+from repro.parallel.worker import (Envelope, Handler, Unit, Worker, absorb,
+                                   execute, fork, reap, uses_fork, wait)
 from repro.telemetry.metrics import default_registry
 
 __all__ = ["ShardResult", "ShardPool"]
@@ -59,79 +63,20 @@ class ShardResult:
     duration_s: float = 0.0
 
 
-def _counter_deltas(baseline: Dict[str, float]) -> Dict[str, float]:
-    """Positive counter movement since ``baseline`` (which is advanced).
-
-    Shard children fork with a copy of the parent's registry, so
-    counters bumped inside a shard (cache hits, handler-level tallies)
-    are invisible to the parent.  Each reply ships the per-request
-    counter *deltas* home instead; baselining after handler init keeps
-    the inherited parent values out of the first delta.
-    """
-    current = default_registry().typed_snapshot()["counters"]
-    deltas: Dict[str, float] = {}
-    for name, value in current.items():
-        moved = float(value) - baseline.get(name, 0.0)
-        if moved > 0:
-            deltas[name] = moved
-        baseline[name] = float(value)
-    return deltas
-
-
-def _shard_main(index: int, init_fn: Callable[[], Callable[[Any], Any]],
-                conn) -> None:
-    """Shard entrypoint: build the handler once, then serve requests.
-
-    Module-level for start-method safety.  ``init_fn`` returns the
-    request handler; an init failure is reported once and the shard
-    exits (the parent treats further traffic to it as a crash).  Replies
-    are 6-tuples ``(status, ticket, value, error, duration, deltas)``
-    where ``deltas`` maps counter names to their movement during the
-    request; the parent folds them into its own registry.
-    """
-    try:
-        handler = init_fn()
-    except Exception as exc:
-        try:
-            conn.send(("init_error", -1, None, repr(exc), 0.0, {}))
-        finally:
-            conn.close()
-        return
-    baseline = dict(default_registry().typed_snapshot()["counters"])
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:  # orderly shutdown
-            break
-        ticket, payload = message
-        start = time.perf_counter()
-        try:
-            value = handler(payload)
-            reply = ("ok", ticket, value, "", time.perf_counter() - start,
-                     _counter_deltas(baseline))
-        except Exception as exc:
-            reply = ("err", ticket, None, repr(exc),
-                     time.perf_counter() - start, _counter_deltas(baseline))
-        try:
-            conn.send(reply)
-        except Exception as exc:  # unpicklable handler result
-            conn.send(("err", ticket, None,
-                       f"unpicklable result: {exc!r}",
-                       time.perf_counter() - start, {}))
-    conn.close()
+def _unit_handler(init_fn: Callable[[], Callable[[Any], Any]]) -> Handler:
+    """Adapt ``init_fn``'s ``handler(payload)`` to the core's unit handler."""
+    handler = init_fn()
+    return lambda unit: handler(unit.work)
 
 
 class _Shard:
     """Parent-side state for one shard slot."""
 
-    __slots__ = ("index", "process", "conn", "inflight", "respawns", "dead")
+    __slots__ = ("index", "worker", "inflight", "respawns", "dead")
 
     def __init__(self, index: int) -> None:
         self.index = index
-        self.process = None
-        self.conn = None
+        self.worker: Optional[Worker] = None
         self.inflight: Dict[int, Any] = {}  # ticket -> payload
         self.respawns = 0
         self.dead = True
@@ -148,9 +93,8 @@ class ShardPool:
             result is delivered.
         max_respawns: times one shard slot is restarted after dying
             before it is written off as permanently dead.
-        start_method: multiprocessing start method; only ``fork`` keeps
-            ``init_fn`` unpickled, so anything else (or ``fork``
-            missing) falls back to in-process serial execution.
+        start_method: ``None`` or ``"fork"`` fork shards where the
+            platform can; any other valid start method runs serially.
     """
 
     def __init__(self, init_fn: Callable[[], Callable[[Any], Any]],
@@ -166,13 +110,8 @@ class ShardPool:
         self.n_shards = int(shards)
         self.retries = int(retries)
         self.max_respawns = int(max_respawns)
-        available = multiprocessing.get_all_start_methods()
-        if start_method is None:
-            start_method = "fork" if "fork" in available else None
-        elif start_method not in available:
-            raise ServeError(f"start method {start_method!r} not in {available}")
-        self.start_method = start_method if start_method == "fork" else None
-        self.serial = self.start_method is None
+        self.serial = not uses_fork(start_method, ServeError)
+        self.start_method = None if self.serial else "fork"
 
         self._lock = threading.Lock()
         self._results_ready = threading.Condition(self._lock)
@@ -183,16 +122,13 @@ class ShardPool:
         self._rr = itertools.count()
         self._closed = False
         self._shards: List[_Shard] = [_Shard(i) for i in range(self.n_shards)]
-        self._handler: Optional[Callable[[Any], Any]] = None
+        self._handle: Optional[Handler] = None
         self._collector: Optional[threading.Thread] = None
-        self._wake_r, self._wake_w = None, None
 
         if self.serial:
-            self._handler = init_fn()
+            self._handle = _unit_handler(init_fn)
             self._set_alive_gauge(self.n_shards)
         else:
-            self._ctx = multiprocessing.get_context(self.start_method)
-            self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
             for shard in self._shards:
                 self._spawn(shard)
             self._collector = threading.Thread(
@@ -204,14 +140,7 @@ class ShardPool:
         default_registry().gauge("serve.shards_alive").set(float(count))
 
     def _spawn(self, shard: _Shard) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_shard_main, args=(shard.index, self.init_fn, child_conn),
-            daemon=True)
-        process.start()
-        child_conn.close()
-        shard.process = process
-        shard.conn = parent_conn
+        shard.worker = fork(functools.partial(_unit_handler, self.init_fn))
         shard.dead = False
         self._set_alive_gauge(sum(not s.dead for s in self._shards))
 
@@ -222,27 +151,12 @@ class ShardPool:
                 return
             self._closed = True
             self._results_ready.notify_all()
-        if self.serial:
-            self._set_alive_gauge(0)
-            return
-        try:
-            self._wake_w.send(b"x")
-        except Exception:
-            pass
+            workers = [s.worker for s in self._shards if s.worker is not None]
+        # the reaped shards' sentinels wake the collector, which then
+        # sees the pool closed and exits
+        reap(workers)
         if self._collector is not None:
             self._collector.join(timeout=2.0)
-        for shard in self._shards:
-            if shard.conn is not None:
-                try:
-                    shard.conn.send(None)
-                except Exception:
-                    pass
-                shard.conn.close()
-            if shard.process is not None:
-                shard.process.join(timeout=1.0)
-                if shard.process.is_alive():
-                    shard.process.terminate()
-                    shard.process.join(timeout=1.0)
         self._set_alive_gauge(0)
 
     def __enter__(self) -> "ShardPool":
@@ -265,13 +179,8 @@ class ShardPool:
         Returns True when a live process was killed; serial mode has no
         processes to kill and returns False.
         """
-        if self.serial:
-            return False
-        shard = self._shards[index]
-        if shard.process is None or not shard.process.is_alive():
-            return False
-        shard.process.kill()
-        return True
+        worker = self._shards[index].worker
+        return worker is not None and worker.kill_process()
 
     # ------------------------------------------------------------- requests
     def submit(self, payload: Any, shard: Optional[int] = None) -> int:
@@ -287,7 +196,8 @@ class ShardPool:
             ticket = next(self._tickets)
             self._attempts[ticket] = 1
             if self.serial:
-                self._results[ticket] = self._run_serial(ticket, payload)
+                self._results[ticket] = self._result(
+                    execute(self._handle, Unit(ticket, payload)), 0)
                 self._results_ready.notify_all()
                 return ticket
             target = self._pick_shard(shard)
@@ -300,16 +210,12 @@ class ShardPool:
             self._send(target, ticket, payload)
             return ticket
 
-    def _run_serial(self, ticket: int, payload: Any) -> ShardResult:
-        start = time.perf_counter()
-        try:
-            value = self._handler(payload)
-        except Exception as exc:
-            return ShardResult(ticket, False, error=repr(exc),
-                               error_kind="exception", shard=0,
-                               duration_s=time.perf_counter() - start)
-        return ShardResult(ticket, True, value=value, shard=0,
-                           duration_s=time.perf_counter() - start)
+    def _result(self, envelope: Envelope, shard: int) -> ShardResult:
+        return ShardResult(
+            envelope.key, envelope.status == "ok", value=envelope.value,
+            error=envelope.error, error_kind=envelope.error_kind,
+            shard=shard, attempts=self._attempts.pop(envelope.key, 1),
+            duration_s=envelope.duration_s)
 
     def _pick_shard(self, index: Optional[int]) -> Optional[_Shard]:
         if index is not None:
@@ -323,10 +229,10 @@ class ShardPool:
     def _send(self, shard: _Shard, ticket: int, payload: Any) -> None:
         shard.inflight[ticket] = payload
         try:
-            shard.conn.send((ticket, payload))
-        except Exception:
-            # pipe already broken: let the collector's death handling
-            # retry/record it the same way a mid-request crash would be
+            shard.worker.send(Unit(ticket, payload))
+        except OSError:
+            # pipe already broken: retry/record it the same way a
+            # mid-request crash would be
             self._on_shard_death(shard)
 
     def result(self, ticket: int,
@@ -365,66 +271,40 @@ class ShardPool:
     def _collect_loop(self) -> None:
         while True:
             with self._lock:
-                if self._closed:
-                    return
-                conns = [s.conn for s in self._shards if not s.dead]
+                live = [s.worker for s in self._shards if not s.dead]
+                if self._closed or not live:
+                    return  # nothing left that could ever reply
             try:
-                ready = multiprocessing.connection.wait(
-                    conns + [self._wake_r], timeout=0.2)
+                ready = wait(live)
             except OSError:
-                # A submit thread's _send failure can run _on_shard_death
-                # and close one of the snapshotted conns while we wait on
-                # it; that is a shard death, not a collector crash --
-                # re-snapshot live conns and carry on.
-                continue
-            if self._wake_r in ready:
-                try:
-                    self._wake_r.recv()
-                except Exception:
-                    pass
+                # close() or a submit thread's _send failure closed a
+                # snapshotted pipe while we waited: re-snapshot
                 continue
             with self._lock:
+                if self._closed:
+                    return
                 for shard in self._shards:
-                    if shard.dead or shard.conn not in ready:
+                    if shard.dead or shard.worker not in ready:
                         continue
-                    try:
-                        message = shard.conn.recv()
-                    except (EOFError, OSError):
-                        self._on_shard_death(shard)
-                        continue
-                    self._on_message(shard, message)
-                # shards can die without a final message being ready
-                for shard in self._shards:
-                    if (not shard.dead and shard.process is not None
-                            and not shard.process.is_alive()
-                            and not shard.conn.poll()):
+                    for envelope in shard.worker.receive():
+                        self._on_envelope(shard, envelope)
+                    if not shard.dead and shard.worker.gone:
                         self._on_shard_death(shard)
 
-    def _on_message(self, shard: _Shard, message: Any) -> None:
-        status, ticket, value, error, duration = message[:5]
-        deltas = message[5] if len(message) > 5 else None
-        if deltas:
-            registry = default_registry()
-            for name, moved in deltas.items():
-                if moved > 0:
-                    registry.counter(str(name)).inc(float(moved))
-        if status == "init_error":
+    def _on_envelope(self, shard: _Shard, envelope: Envelope) -> None:
+        if shard.dead:
+            return
+        absorb(envelope)
+        if envelope.status == "init_error":
             # the shard never became serviceable; treat as death
-            self._on_shard_death(shard, reason=f"init failed: {error}")
+            self._on_shard_death(shard, reason=f"init failed: {envelope.error}")
             return
-        shard.inflight.pop(ticket, None)
-        attempts = self._attempts.pop(ticket, 1)
-        if ticket in self._abandoned:  # waiter already timed out and left
-            self._abandoned.discard(ticket)
+        shard.inflight.pop(envelope.key, None)
+        if envelope.key in self._abandoned:  # waiter already timed out
+            self._abandoned.discard(envelope.key)
+            self._attempts.pop(envelope.key, None)
             return
-        if status == "ok":
-            self._results[ticket] = ShardResult(
-                ticket, True, value=value, shard=shard.index,
-                attempts=attempts, duration_s=duration)
-        else:
-            self._results[ticket] = ShardResult(
-                ticket, False, error=error, error_kind="exception",
-                shard=shard.index, attempts=attempts, duration_s=duration)
+        self._results[envelope.key] = self._result(envelope, shard.index)
         self._results_ready.notify_all()
 
     def _on_shard_death(self, shard: _Shard,
@@ -432,17 +312,10 @@ class ShardPool:
         """Record the death, respawn the slot (bounded), retry in-flight."""
         registry = default_registry()
         registry.counter("serve.shard_deaths").inc()
-        exitcode = getattr(shard.process, "exitcode", None)
-        message = reason or f"shard {shard.index} died (exitcode {exitcode})"
         shard.dead = True
-        try:
-            shard.conn.close()
-        except Exception:
-            pass
-        if shard.process is not None:
-            if shard.process.is_alive():
-                shard.process.terminate()
-            shard.process.join(timeout=0.5)
+        reap([shard.worker], grace=0.0)
+        exitcode = shard.worker.process.exitcode
+        message = reason or f"shard {shard.index} died (exitcode {exitcode})"
         inflight = list(shard.inflight.items())
         shard.inflight.clear()
         self._set_alive_gauge(sum(not s.dead for s in self._shards))

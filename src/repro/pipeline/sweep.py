@@ -118,11 +118,10 @@ def _run_point(experiment: Callable[..., Mapping[str, Any]],
                seed_seq: Optional[np.random.SeedSequence],
                index: int,
                backend: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one grid point (module-level for spawn-safe pickling).
+    """Execute one grid point (a pooled task, or inline).
 
-    ``backend`` is threaded by *name* so it survives pickling into
-    spawn-started workers, where the backend registry is re-created on
-    import.
+    ``backend`` is threaded by *name* and resolved against the worker's
+    own backend registry.
     """
     from repro import backend as _backend
     with _backend.use_backend(backend), \
@@ -192,8 +191,8 @@ class Sweep:
                 forwarded to the pool (ignored when ``parallel`` is
                 ``None``).
             backend: kernel backend name scoped around every point --
-                threaded by name into worker processes so spawn-started
-                workers resolve it against their own registry.
+                threaded by name into worker processes, which resolve
+                it against their own registry.
         """
         points = list(expand_grid(self.grid))
         seeds: List[Optional[np.random.SeedSequence]] = [None] * len(points)

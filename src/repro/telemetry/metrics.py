@@ -21,6 +21,7 @@ next to experiment records without this library.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -123,7 +124,7 @@ class MetricsRegistry:
             return {name: metric.snapshot()
                     for name, metric in sorted(self._metrics.items())}
 
-    def typed_snapshot(self) -> Dict[str, Dict[str, Any]]:
+    def typed_snapshot(self, sparse: bool = False) -> Dict[str, Dict[str, Any]]:
         """Snapshot keyed by metric kind, suitable for cross-process merge.
 
         The plain :meth:`snapshot` loses the counter/gauge distinction
@@ -131,7 +132,9 @@ class MetricsRegistry:
         ``{"counters": {...}, "gauges": {...}, "histograms": {...}}`` so
         :meth:`merge_typed` can apply the right fold per kind.  Used by
         ``repro.parallel`` workers to ship their process-local metrics
-        back to the parent.
+        back to the parent.  ``sparse`` keeps only metrics moved since
+        the last :meth:`reset` -- counters != 0, set gauges, histograms
+        with observations -- and never snapshots an untouched histogram.
         """
         kinds = {Counter: "counters", Gauge: "gauges",
                  SloHistogram: "histograms"}
@@ -139,6 +142,8 @@ class MetricsRegistry:
             "counters": {}, "gauges": {}, "histograms": {}}
         with self._lock:
             for name, metric in sorted(self._metrics.items()):
+                if sparse and not _moved(metric):
+                    continue
                 typed[kinds[type(metric)]][name] = metric.snapshot()
         return typed
 
@@ -195,6 +200,14 @@ class MetricsRegistry:
         return format_table(["metric", "value"], rows, title=title)
 
 
+def _moved(metric: Any) -> bool:
+    if isinstance(metric, SloHistogram):
+        return metric.count > 0
+    if isinstance(metric, Gauge):
+        return not math.isnan(metric.value)
+    return metric.value != 0.0
+
+
 def flatten(snapshot: Mapping[str, Any]) -> Dict[str, float]:
     """Flatten ``{name: scalar or dict}`` to dotted scalar keys.
 
@@ -224,6 +237,15 @@ def _compact(value: Any) -> str:
 
 
 _default_registry = MetricsRegistry()
+
+
+def _renew_lock() -> None:
+    # a thread of the parent (the exporter, the sampler) may hold the
+    # lock at fork time; the child has no such thread to release it
+    _default_registry._lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_lock)
 
 
 def default_registry() -> MetricsRegistry:

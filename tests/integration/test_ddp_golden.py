@@ -83,3 +83,9 @@ def test_ddp_attack_flow_stays_in_golden_bands(world):
     assert registry.gauge("ddp.workers").value == float(world)
     assert registry.counter("ddp.worker_steps").value > 0
     assert registry.gauge("ddp.shm_segments").value == 0.0
+    assert registry.counter("ddp.steps").value > 0
+    assert registry.counter("ddp.bytes_moved").value > 0
+    assert registry.histogram("ddp.allreduce_s").count > 0
+    assert registry.histogram("ddp.barrier_wait_s").count > 0
+    assert registry.gauge("ddp.tape_saved_bytes").value > 0
+    assert registry.gauge("ddp.tape_peak_live_bytes").value > 0

@@ -8,6 +8,7 @@ equivalence for a batch-norm-free model, the no-pickling control plane,
 and crash/teardown behaviour.
 """
 
+import multiprocessing
 import os
 import signal
 
@@ -19,6 +20,7 @@ from repro.errors import DDPError
 from repro.models.mlp import MLP
 from repro.parallel import ddp
 from repro.parallel.arena import live_segments
+from repro.parallel.worker import Envelope, Unit
 from repro.pipeline.config import TrainingConfig
 from repro.pipeline.trainer import Trainer
 
@@ -179,9 +181,9 @@ def test_no_weights_or_batches_on_the_control_plane():
     # O(workers * epochs), never O(batches), and never an ndarray
     sends = [m for d, m in messages if d == "send"]
     recvs = [m for d, m in messages if d == "recv"]
-    epoch_cmds = [m for m in sends if isinstance(m, tuple) and m[0] == "epoch"]
+    epoch_cmds = [m for m in sends if isinstance(m, Unit)]
     sentinels = [m for m in sends if m is None]
-    dones = [m for m in recvs if isinstance(m, tuple) and m[0] == "done"]
+    dones = [m for m in recvs if isinstance(m, Envelope) and m.status == "ok"]
     assert len(epoch_cmds) == epochs * (world - 1)
     assert len(sentinels) == world - 1
     assert len(dones) == epochs * (world - 1)
@@ -192,7 +194,7 @@ def test_no_weights_or_batches_on_the_control_plane():
         )
     # and the workers really did step through shared memory instead:
     # 48 images / batch 16 = 3 global steps per epoch, on every rank
-    done_payloads = [m[2] for m in dones]
+    done_payloads = [m.value for m in dones]
     assert all(p["steps"] == 3 for p in done_payloads)
 
 
@@ -217,6 +219,7 @@ def test_dead_worker_raises_instead_of_hanging():
     # teardown after a crash still reclaims every segment (the autouse
     # no_shm_leaks fixture enforces the same thing suite-wide)
     assert trainer._ddp is None
+    assert multiprocessing.active_children() == []
     for param in trainer._params:
         assert np.isfinite(param.data).all()
 

@@ -6,6 +6,7 @@ the in-process serial fallback, which must behave identically for
 everything it can express.
 """
 
+import multiprocessing
 import os
 import time
 
@@ -109,10 +110,13 @@ class TestFailureIsolation:
         assert "exitcode" in outcomes[1].error
 
     def test_crash_retry_is_bounded(self):
+        crashes = default_registry().counter("pool.worker_crashs")
+        before = crashes.value
         pool = WorkerPool(max_workers=2, retries=2)
         outcome = pool.run([Task(hard_crash)])[0]
         assert not outcome.ok
         assert outcome.attempts == 3  # 1 first try + 2 retries
+        assert crashes.value == before + 3
 
     def test_zero_retries(self):
         pool = WorkerPool(max_workers=2, retries=0)
@@ -143,13 +147,17 @@ class TestTimeouts:
         assert elapsed < 30.0  # far below the task's 60s sleep
         assert not outcomes[0].ok and outcomes[0].error_kind == "timeout"
         assert outcomes[1].ok and outcomes[1].value == 4
+        assert multiprocessing.active_children() == []
 
     def test_timeout_retry_bounded(self):
+        timeouts = default_registry().counter("pool.worker_timeouts")
+        before = timeouts.value
         pool = WorkerPool(max_workers=2, timeout=0.2, retries=1)
         outcome = pool.run([Task(sleep_forever)])[0]
         assert not outcome.ok
         assert outcome.error_kind == "timeout"
         assert outcome.attempts == 2
+        assert timeouts.value == before + 2
 
 
 class TestSerialFallback:

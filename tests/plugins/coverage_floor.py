@@ -17,9 +17,9 @@ floor with::
     PYTHONPATH=src python -m pytest --repro-cov -m "not slow"
 
 Known limit: lines that execute only inside worker *processes* (the
-``_worker_main`` body) are invisible to the parent's trace hook, so the
-floor is set with that in mind; everything else in the layer runs
-in-process somewhere in the suite.
+fork core's ``_child_main`` in ``parallel/worker.py``) are invisible to
+the parent's trace hook, so the floor is set with that in mind;
+everything else in the layer runs in-process somewhere in the suite.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ TARGET_FILES = (
     "src/repro/parallel/pool.py",
     "src/repro/parallel/seeding.py",
     "src/repro/parallel/shards.py",
+    "src/repro/parallel/worker.py",
     "src/repro/serve/__init__.py",
     "src/repro/serve/artifacts.py",
     "src/repro/serve/batcher.py",

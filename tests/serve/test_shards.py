@@ -8,7 +8,7 @@ import pytest
 
 from repro.errors import ServeError
 from repro.parallel import ShardPool
-from repro.telemetry.metrics import default_registry
+from repro.telemetry.metrics import MetricsRegistry, default_registry
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK,
@@ -113,6 +113,9 @@ class TestProcessShards:
     def test_kill_mid_request_retries_on_respawned_shard(self, tmp_path):
         sentinel = str(tmp_path / "go")
         deaths0 = default_registry().counter("serve.shard_deaths").value
+        registry = default_registry()
+        respawns0 = registry.counter("serve.shard_respawns").value
+        retries0 = registry.counter("serve.request_retries").value
         with ShardPool(_make_handler, shards=1, retries=1) as pool:
             ticket = pool.submit({"block_unless": sentinel})
             assert _wait_until(lambda: pool.kill_shard(0))
@@ -123,6 +126,8 @@ class TestProcessShards:
             assert result.attempts == 2, "first attempt died with the shard"
             assert pool.alive() == [True], "slot was respawned"
         assert default_registry().counter("serve.shard_deaths").value > deaths0
+        assert registry.counter("serve.shard_respawns").value == respawns0 + 1
+        assert registry.counter("serve.request_retries").value == retries0 + 1
 
     def test_retries_exhausted_yields_structured_crash(self, tmp_path):
         sentinel = str(tmp_path / "never")
@@ -177,3 +182,33 @@ class TestProcessShards:
             result = pool.request(1, timeout=10)
             assert not result.ok
             assert result.error_kind == "crash"
+
+
+def _observing_handler():
+    """Per-shard handler observing nine 1.0s and one 100.0 per request."""
+    registry = default_registry()
+
+    def handle(payload):
+        for value in [1.0] * 9 + [100.0]:
+            registry.histogram("shardtest.latency").observe(value)
+        return payload
+
+    return handle
+
+
+@needs_fork
+class TestTelemetryShipBack:
+    def test_shard_histograms_merge_into_parent(self):
+        registry = default_registry()
+        registry.histogram("shardtest.latency").reset()
+        with ShardPool(_observing_handler, shards=2) as pool:
+            results = [pool.request(i, shard=i, timeout=10) for i in range(2)]
+        assert all(r.ok for r in results)
+        local = MetricsRegistry()
+        for value in ([1.0] * 9 + [100.0]) * 2:
+            local.histogram("shardtest.latency").observe(value)
+        merged = registry.histogram("shardtest.latency").snapshot()
+        expected = local.histogram("shardtest.latency").snapshot()
+        assert merged["count"] == expected["count"] == 20
+        assert merged["p50"] == expected["p50"] == 1.0
+        assert merged["p99"] == expected["p99"] == 100.0
