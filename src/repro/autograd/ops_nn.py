@@ -93,8 +93,11 @@ class Conv2dFn(Function):
         # Checkpoint the input rather than the patch matrix: cols is
         # ~kh*kw times larger than x and would dominate the tape's saved
         # bytes, while x is the parent tensor's own data (alive through
-        # the walk regardless).  Backward re-gathers the columns, which
-        # is cheap next to the two gradient matmuls.
+        # the walk regardless).  Backward re-gathers the columns.  With
+        # fast's tap-slice gather that re-gather costs 0.24x the two
+        # gradient matmuls, summed over resnet8_tiny's convs at batch 16,
+        # float32, one BLAS thread on a 2-vCPU Xeon (the fancy-index
+        # gather it replaced cost 1.03x).
         del cols
         self.save_for_backward(x, weight)
         self._x_shape = x.shape

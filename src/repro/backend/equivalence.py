@@ -4,7 +4,9 @@ Every kernel name registered on any backend has a *case generator*
 here that produces randomized-but-valid inputs.  ``check_kernel`` runs
 one kernel on two backends with identical inputs and compares outputs:
 float arrays must agree to ``allclose`` (default rtol 1e-6), integer
-arrays (argmax, cluster indices) must match exactly.
+arrays (argmax, cluster indices) must match exactly, and so must every
+output of an :data:`EXACT` kernel, which only moves or selects input
+elements.
 
 This is the contract that lets the fast backend exist at all -- any
 new backend (or new kernel on an existing backend) is expected to pass
@@ -23,6 +25,12 @@ from repro.backend.registry import Backend, get_backend
 
 RTOL = 1e-6
 ATOL = 1e-9
+
+#: Kernels that move or select input elements without arithmetic: any
+#: backend must reproduce the oracle's outputs exactly, so a mis-ordered
+#: patch column or a wrong pick cannot hide inside a tolerance.
+EXACT = frozenset({"im2col", "maxpool2d_forward", "maxpool2d_infer",
+                   "broadcast_copy"})
 
 CaseGen = Callable[[np.random.Generator], Tuple[tuple, dict]]
 
@@ -327,7 +335,8 @@ def _as_tuple(out: Any) -> Tuple[Any, ...]:
 def compare_outputs(
     kernel_name: str, expected: Any, got: Any, rtol: float = RTOL, atol: float = ATOL
 ) -> None:
-    """Assert two kernel outputs agree (exact for ints, allclose for floats)."""
+    """Assert two kernel outputs agree (exact for ints and :data:`EXACT`
+    kernels, allclose for other floats)."""
     expected_t, got_t = _as_tuple(expected), _as_tuple(got)
     assert len(expected_t) == len(got_t), (
         f"{kernel_name}: output arity {len(got_t)} != {len(expected_t)}"
@@ -348,6 +357,10 @@ def compare_outputs(
         if np.issubdtype(ref_arr.dtype, np.integer) or ref_arr.dtype == bool:
             assert np.array_equal(ref_arr, new_arr), (
                 f"{kernel_name}[{idx}]: integer outputs differ"
+            )
+        elif kernel_name in EXACT:
+            assert np.array_equal(ref_arr, new_arr), (
+                f"{kernel_name}[{idx}]: data-movement outputs differ"
             )
         else:
             np.testing.assert_allclose(
@@ -438,6 +451,8 @@ def compare_outputs_cross_dtype(
     (argmax maps, cluster ids) are compared exactly against the oracle
     run on the *same-dtype* inputs -- near-boundary ties are decided by
     the rounded values either way, so that is the meaningful contract.
+    Float outputs of :data:`EXACT` kernels must also equal that
+    same-dtype oracle run exactly.
     """
     expected_t = _as_tuple(expected)
     same_t = _as_tuple(expected_same_dtype)
@@ -465,6 +480,11 @@ def compare_outputs_cross_dtype(
                 f"{kernel_name}[{idx}]: kernel did not preserve the input "
                 f"dtype ({new_arr.dtype} != {dtype})"
             )
+            if kernel_name in EXACT:
+                assert np.array_equal(np.asarray(same_out), new_arr), (
+                    f"{kernel_name}[{idx}]: data-movement outputs differ "
+                    f"at {dtype}"
+                )
             np.testing.assert_allclose(
                 new_arr.astype(np.float64), ref_arr, rtol=rtol, atol=atol,
                 err_msg=f"{kernel_name}[{idx}] at {dtype}",

@@ -1,17 +1,20 @@
-"""Fast backend: cached indices, slice-accumulation col2im, fused kernels.
+"""Fast backend: tap-slice gathers, slice-accumulation col2im, fused kernels.
 
 Overrides the hot kernels of :mod:`repro.backend.reference` with
 implementations that avoid repeated work, and falls back to reference
 for everything else.  All outputs must stay ``allclose`` (rtol <=
-1e-6) to reference on every registered kernel -- the equivalence suite
+1e-6) to reference on every registered kernel, and equal to it on the
+data-movement kernels (``equivalence.EXACT``) -- the equivalence suite
 (:mod:`repro.backend.equivalence`) enforces this on randomized shapes.
 
 What makes it fast:
 
-* **Shape-keyed index caches.**  ``im2col_indices`` builds the same
-  gather arrays for every (shape, kernel, stride, padding) combination;
-  a bounded LRU keyed on those parameters makes repeat calls (every
-  batch of every epoch) free.
+* **Tap-slice patch gather.**  Reference gathers conv patches with
+  int64 index arrays and then transposes the result; :func:`_gather`
+  reads the input channels-first/batch-last and copies one strided
+  slice per kernel tap straight into the final column layout.  It only
+  moves data, so its columns are ``array_equal`` to reference's and
+  every matmul sees the same operands (see :func:`_gather`).
 * **Slice-accumulation col2im.**  Reference ``col2im`` uses
   ``np.add.at``, an order of magnitude slower than one vectorized
   strided ``+=`` per kernel tap into a batch-last accumulator that
@@ -38,7 +41,6 @@ What makes it fast:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -47,100 +49,6 @@ from repro.backend import reference
 from repro.backend.registry import Backend
 
 BACKEND = Backend("fast", fallback=reference.BACKEND)
-
-_CACHE_SIZE = 64
-
-
-class _LRU(OrderedDict):
-    """Bounded mapping with true LRU order and an eviction counter.
-
-    Hits refresh recency (``touch``), so steady-state workloads that
-    cycle through more shapes than ``capacity`` evict the coldest key,
-    not merely the oldest insertion.  Evictions are counted locally and
-    mirrored to the ``backend.im2col_cache_evictions`` telemetry
-    counter; the current size is published on the
-    ``backend.im2col_cache_size`` gauge.
-    """
-
-    def __init__(self, capacity: int = _CACHE_SIZE) -> None:
-        super().__init__()
-        self.capacity = int(capacity)
-        self.evictions = 0
-
-    def _evict_to_capacity(self) -> None:
-        evicted = 0
-        while len(self) > self.capacity:
-            self.popitem(last=False)
-            evicted += 1
-        if evicted:
-            self.evictions += evicted
-            _cache_telemetry(evicted, len(self))
-
-    def put(self, key, value):
-        self[key] = value
-        self._evict_to_capacity()
-
-    def touch(self, key) -> None:
-        self.move_to_end(key)
-
-    def resize(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("cache capacity must be >= 1")
-        self.capacity = int(capacity)
-        self._evict_to_capacity()
-
-
-def _cache_telemetry(evicted: int, size: int) -> None:
-    try:
-        from repro.telemetry.metrics import default_registry
-    except Exception:  # pragma: no cover - telemetry is optional here
-        return
-    registry = default_registry()
-    registry.counter("backend.im2col_cache_evictions").inc(evicted)
-    registry.gauge("backend.im2col_cache_size").set(size)
-
-
-_indices_cache: "_LRU" = _LRU()
-
-
-def set_index_cache_capacity(capacity: int) -> int:
-    """Resize the im2col index cache; returns the previous capacity."""
-    previous = _indices_cache.capacity
-    _indices_cache.resize(capacity)
-    return previous
-
-
-def index_cache_stats() -> Dict[str, int]:
-    """Size, capacity, and cumulative eviction count of the index cache."""
-    return {
-        "size": len(_indices_cache),
-        "capacity": _indices_cache.capacity,
-        "evictions": _indices_cache.evictions,
-    }
-
-
-def cached_im2col_indices(
-    shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
-):
-    """Reference ``im2col_indices`` memoized on everything but batch size."""
-    _, channels, height, width = shape
-    key = (channels, height, width, kh, kw, stride, padding)
-    hit = _indices_cache.get(key)
-    if hit is None:
-        k, i, j, out_h, out_w = reference.im2col_indices(
-            shape, kh, kw, stride, padding
-        )
-        hit = (k, i, j, out_h, out_w)
-        _indices_cache.put(key, hit)
-    else:
-        _indices_cache.touch(key)
-    return hit
-
-
-def clear_caches() -> None:
-    """Drop all cached index arrays and pooled buffers (tests, memory)."""
-    _indices_cache.clear()
-    _pool.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -181,17 +89,9 @@ class BufferPool:
 _pool = BufferPool()
 
 
-def _pad_input(x: np.ndarray, padding: int) -> Tuple[np.ndarray, bool]:
-    """Zero-padded copy of x from the pool; (array, pooled) pair."""
-    if padding <= 0:
-        return x, False
-    batch, channels, height, width = x.shape
-    buf = _pool.take(
-        (batch, channels, height + 2 * padding, width + 2 * padding), x.dtype
-    )
-    buf.fill(0.0)
-    buf[:, :, padding:-padding, padding:-padding] = x
-    return buf, True
+def clear_caches() -> None:
+    """Drop all pooled scratch buffers (tests, memory)."""
+    _pool.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +99,44 @@ def _pad_input(x: np.ndarray, padding: int) -> Tuple[np.ndarray, bool]:
 # ---------------------------------------------------------------------------
 
 
+def _gather(
+    x: np.ndarray, kh: int, kw: int, stride: int, padding: int
+) -> Tuple[np.ndarray, int, int]:
+    """Reference's patch matrix, element for element, by tap slices.
+
+    The input is read channels-first/batch-last, ``(C, Hp, Wp, N)``: a
+    transposed view when unpadded, else one copy into zeroed pooled
+    scratch.  Each kernel tap then fills its ``(C, out_h, out_w, N)``
+    block of a fresh ``(C, kh, kw, out_h, out_w, N)`` array with one
+    strided slice copy -- :func:`col2im`'s pattern in reverse -- which
+    flattens for free into reference's ``(C*kh*kw, out_h*out_w*N)``
+    layout.  The result escapes (``conv2d_forward`` returns it), so it
+    is never pooled.  Returns ``(cols, out_h, out_w)``.
+    """
+    batch, channels, height, width = x.shape
+    out_h = reference.conv_output_size(height, kh, stride, padding)
+    out_w = reference.conv_output_size(width, kw, stride, padding)
+    p, s = padding, stride
+    if p == 0:
+        padded = x.transpose(1, 2, 3, 0)
+    else:
+        padded = _pool.take((channels, height + 2 * p, width + 2 * p, batch), x.dtype)
+        padded.fill(0)
+        padded[:, p:-p, p:-p, :] = x.transpose(1, 2, 3, 0)
+    cols = np.empty((channels, kh, kw, out_h, out_w, batch), dtype=x.dtype)
+    for tap_r in range(kh):
+        for tap_c in range(kw):
+            cols[:, tap_r, tap_c] = (
+                padded[:, tap_r:tap_r + s * out_h:s, tap_c:tap_c + s * out_w:s, :]
+            )
+    if p:
+        _pool.give(padded)
+    return cols.reshape(channels * kh * kw, -1), out_h, out_w
+
+
 @BACKEND.register()
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    k, i, j, _, _ = cached_im2col_indices(x.shape, kh, kw, stride, padding)
-    x_padded, pooled = _pad_input(x, padding)
-    cols = x_padded[:, k, i, j]
-    if pooled:
-        _pool.give(x_padded)
-    return cols.transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
+    return _gather(x, kh, kw, stride, padding)[0]
 
 
 @BACKEND.register()
@@ -231,7 +161,8 @@ def col2im(
     batch, channels, height, width = shape
     p = padding
     padded_h, padded_w = height + 2 * p, width + 2 * p
-    _, _, _, out_h, out_w = cached_im2col_indices(shape, kh, kw, stride, padding)
+    out_h = reference.conv_output_size(height, kh, stride, padding)
+    out_w = reference.conv_output_size(width, kw, stride, padding)
     patches = cols.reshape(channels, kh, kw, out_h, out_w, batch)
     # accumulate in (C, H, W, batch) so slice adds match cols' memory
     # order; the dtype follows cols (the float32 contract holds by
@@ -257,14 +188,7 @@ def conv2d_forward(
     x: np.ndarray, weight: np.ndarray, stride: int, padding: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     out_channels, _, kh, kw = weight.shape
-    k, i, j, out_h, out_w = cached_im2col_indices(x.shape, kh, kw, stride, padding)
-    x_padded, pooled = _pad_input(x, padding)
-    # cols is handed to the caller -- it must own fresh memory, so it
-    # is never drawn from the pool (the conv op discards it and
-    # re-gathers in backward; see Conv2dFn)
-    cols = x_padded[:, k, i, j].transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
-    if pooled:
-        _pool.give(x_padded)
+    cols, out_h, out_w = _gather(x, kh, kw, stride, padding)
     scratch = _pool.take((out_channels, cols.shape[1]), cols.dtype)
     np.matmul(weight.reshape(out_channels, -1), cols, out=scratch)
     out = np.ascontiguousarray(
@@ -319,11 +243,7 @@ def conv2d_infer(
 ) -> np.ndarray:
     """Fused conv+bias+relu: epilogue applied in place on the matmul output."""
     out_channels, _, kh, kw = weight.shape
-    k, i, j, out_h, out_w = cached_im2col_indices(x.shape, kh, kw, stride, padding)
-    x_padded, pooled = _pad_input(x, padding)
-    cols = x_padded[:, k, i, j].transpose(1, 2, 0).reshape(kh * kw * x.shape[1], -1)
-    if pooled:
-        _pool.give(x_padded)
+    cols, out_h, out_w = _gather(x, kh, kw, stride, padding)
     scratch = _pool.take((out_channels, cols.shape[1]), cols.dtype)
     out = np.matmul(weight.reshape(out_channels, -1), cols, out=scratch)
     if bias is not None:
@@ -348,10 +268,7 @@ def maxpool2d_forward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     batch, channels, _, _ = x.shape
     reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-    k, i, j, out_h, out_w = cached_im2col_indices(
-        reshaped.shape, kernel, kernel, stride, 0
-    )
-    cols = reshaped[:, k, i, j].transpose(1, 2, 0).reshape(kernel * kernel, -1)
+    cols, out_h, out_w = _gather(reshaped, kernel, kernel, stride, 0)
     argmax = np.argmax(cols, axis=0)
     out = cols[argmax, np.arange(cols.shape[1])]
     out = np.ascontiguousarray(
@@ -364,10 +281,7 @@ def maxpool2d_forward(
 def maxpool2d_infer(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     batch, channels, _, _ = x.shape
     reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-    k, i, j, out_h, out_w = cached_im2col_indices(
-        reshaped.shape, kernel, kernel, stride, 0
-    )
-    cols = reshaped[:, k, i, j].transpose(1, 2, 0).reshape(kernel * kernel, -1)
+    cols, out_h, out_w = _gather(reshaped, kernel, kernel, stride, 0)
     out = cols.max(axis=0)
     return np.ascontiguousarray(
         out.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
@@ -412,10 +326,7 @@ def avgpool2d_backward(
 def avgpool2d_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     batch, channels, _, _ = x.shape
     reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-    k, i, j, out_h, out_w = cached_im2col_indices(
-        reshaped.shape, kernel, kernel, stride, 0
-    )
-    cols = reshaped[:, k, i, j].transpose(1, 2, 0).reshape(kernel * kernel, -1)
+    cols, out_h, out_w = _gather(reshaped, kernel, kernel, stride, 0)
     out = cols.mean(axis=0)
     return np.ascontiguousarray(
         out.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)

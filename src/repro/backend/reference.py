@@ -49,6 +49,12 @@ BACKEND = Backend("reference")
 
 
 def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
+    """Output extent of one spatial axis; the geometry check of every gather."""
+    if kernel < 1 or stride < 1 or padding < 0:
+        raise ShapeError(
+            f"invalid convolution geometry: kernel={kernel} and stride={stride} "
+            f"must be >= 1, padding={padding} must be >= 0"
+        )
     out = (size + 2 * padding - kernel) // stride + 1
     if out <= 0:
         raise ShapeError(

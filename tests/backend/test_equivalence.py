@@ -160,6 +160,43 @@ class TestDtypeAxis:
                                         np.dtype(np.float32), 1e-4, 1e-5)
 
 
+class TestExactKernels:
+    """Data-movement kernels are held to equality, not a tolerance."""
+
+    @staticmethod
+    def _one_ulp_off():
+        from repro.backend.registry import Backend
+
+        drifted = Backend("drifted", fallback=B.get_backend("reference"))
+
+        @drifted.register()
+        def im2col(x, kh, kw, stride, padding):
+            cols = B.get_backend("reference").im2col(x, kh, kw, stride, padding)
+            return np.nextafter(cols, np.inf, dtype=cols.dtype)
+
+        return drifted
+
+    def test_im2col_is_exact(self):
+        assert "im2col" in equivalence.EXACT
+        assert equivalence.EXACT <= set(CASES)
+
+    def test_one_ulp_passes_allclose_but_fails_exact(self):
+        a = np.linspace(1.0, 2.0, 8)
+        drifted = np.nextafter(a, np.inf)
+        compare_outputs("matmul", a, drifted)
+        with pytest.raises(AssertionError, match="data-movement"):
+            compare_outputs("im2col", a, drifted)
+
+    def test_drifted_gather_is_caught(self):
+        with pytest.raises(AssertionError, match="data-movement"):
+            check_kernel("im2col", self._one_ulp_off(), trials=2, seed=1)
+
+    def test_drifted_gather_is_caught_at_float32(self):
+        with pytest.raises(AssertionError, match="data-movement"):
+            check_kernel_dtype("im2col", self._one_ulp_off(), np.float32,
+                               trials=2, seed=1)
+
+
 class TestGeometryGenerators:
     def test_conv_cases_are_valid_shapes(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,4 @@
-"""Fast-backend internals: caches, buffer pool, fused inference, dtype
+"""Fast-backend internals: buffer pool, fused inference, dtype
 contracts (the col2im float32 regression lives here)."""
 
 import numpy as np
@@ -18,39 +18,6 @@ def fresh_caches():
     fast.clear_caches()
     yield
     fast.clear_caches()
-
-
-class TestIndexCaches:
-    def test_repeat_calls_hit_the_cache(self):
-        a = fast.cached_im2col_indices((2, 3, 8, 8), 3, 3, 1, 1)
-        b = fast.cached_im2col_indices((2, 3, 8, 8), 3, 3, 1, 1)
-        assert a[0] is b[0]  # same cached arrays, not recomputed copies
-
-    def test_key_ignores_batch_size(self):
-        a = fast.cached_im2col_indices((1, 3, 8, 8), 3, 3, 1, 1)
-        b = fast.cached_im2col_indices((7, 3, 8, 8), 3, 3, 1, 1)
-        assert a[0] is b[0]
-
-    def test_cache_matches_reference_indices(self):
-        from repro.backend.reference import im2col_indices
-
-        got = fast.cached_im2col_indices((2, 2, 6, 5), 3, 2, 2, 1)
-        want = im2col_indices((2, 2, 6, 5), 3, 2, 2, 1)
-        for g, w in zip(got[:3], want[:3]):
-            assert np.array_equal(g, w)
-        assert got[3:] == want[3:]
-
-    def test_lru_is_bounded(self):
-        for size in range(fast._CACHE_SIZE + 16):
-            fast.cached_im2col_indices((1, 1, size + 4, size + 4), 2, 2, 1, 0)
-        assert len(fast._indices_cache) == fast._CACHE_SIZE
-
-    def test_clear_caches_empties_everything(self):
-        fast.cached_im2col_indices((1, 1, 5, 5), 2, 2, 1, 0)
-        fast._pool.give(np.empty((3, 3)))
-        fast.clear_caches()
-        assert not fast._indices_cache
-        assert not fast._pool._free
 
 
 class TestBufferPool:
@@ -77,17 +44,27 @@ class TestBufferPool:
             pool.give(arr)
         assert len(pool._free[((2, 2), np.dtype(np.float64))]) == 2
 
+    def test_clear_caches_empties_the_pool(self):
+        fast._pool.give(np.empty((3, 3)))
+        fast.clear_caches()
+        assert not fast._pool._free
+
     def test_returned_cols_never_pooled(self):
-        # cols is saved for backward by Conv2dFn: if conv2d_forward drew
-        # it from the pool, the next forward would overwrite saved state.
+        # the patch matrix escapes im2col and conv2d_forward: drawn from
+        # the pool, the next same-shape call would overwrite it.  Both
+        # gathers are covered: padded (pooled scratch) and unpadded.
         fast_b = B.get_backend("fast")
         x = RNG.normal(size=(2, 3, 6, 6))
         w = RNG.normal(size=(4, 3, 3, 3))
-        _, cols_a = fast_b.conv2d_forward(x, w, 1, 1)
-        snapshot = cols_a.copy()
-        fast_b.conv2d_forward(x + 1.0, w, 1, 1)
-        fast_b.conv2d_infer(x - 1.0, w, None, 1, 1)
-        assert np.array_equal(cols_a, snapshot)
+        for padding in (0, 1):
+            _, cols_a = fast_b.conv2d_forward(x, w, 1, padding)
+            cols_b = fast_b.im2col(x, 3, 3, 1, padding)
+            snapshots = cols_a.copy(), cols_b.copy()
+            fast_b.conv2d_forward(x + 1.0, w, 1, padding)
+            fast_b.im2col(x + 2.0, 3, 3, 1, padding)
+            fast_b.conv2d_infer(x - 1.0, w, None, 1, padding)
+            assert np.array_equal(cols_a, snapshots[0])
+            assert np.array_equal(cols_b, snapshots[1])
 
 
 class TestConvBackwardGradSkip:
@@ -294,73 +271,3 @@ class TestFusedInference:
         with B.use_backend("fast"):
             back = col2im(fast_cols, x.shape, 3, 3, 1, 1)
         assert back.shape == x.shape
-
-
-class TestIndexCacheLRU:
-    """Capacity control, recency, and eviction telemetry of the im2col LRU."""
-
-    @pytest.fixture(autouse=True)
-    def restore_capacity(self):
-        previous = fast.index_cache_stats()["capacity"]
-        yield
-        fast.set_index_cache_capacity(previous)
-
-    @staticmethod
-    def _warm(side):
-        return fast.cached_im2col_indices((1, 1, side, side), 2, 2, 1, 0)
-
-    def test_set_capacity_returns_previous_and_evicts(self):
-        previous = fast.set_index_cache_capacity(4)
-        assert previous == fast._CACHE_SIZE
-        before = fast.index_cache_stats()["evictions"]
-        for side in range(4, 10):  # six distinct keys through capacity 4
-            self._warm(side)
-        stats = fast.index_cache_stats()
-        assert stats["capacity"] == 4
-        assert stats["size"] == 4
-        assert stats["evictions"] == before + 2
-
-    def test_evicted_entry_recomputes_identically(self):
-        from repro.backend.reference import im2col_indices
-
-        fast.set_index_cache_capacity(2)
-        first = self._warm(6)
-        self._warm(7)
-        self._warm(8)  # evicts the side-6 entry
-        again = self._warm(6)
-        assert again[0] is not first[0]  # genuinely recomputed
-        want = im2col_indices((1, 1, 6, 6), 2, 2, 1, 0)
-        for got, ref in zip(again[:3], want[:3]):
-            assert np.array_equal(got, ref)
-        assert again[3:] == want[3:]
-
-    def test_hits_refresh_recency_not_insertion_order(self):
-        fast.set_index_cache_capacity(2)
-        kept = self._warm(6)
-        self._warm(7)
-        touched = self._warm(6)  # hit: side 6 becomes most recent
-        assert touched[0] is kept[0]
-        self._warm(8)  # must evict side 7, the coldest, not side 6
-        assert self._warm(6)[0] is kept[0]
-
-    def test_eviction_mirrors_to_telemetry(self):
-        from repro.telemetry.metrics import default_registry
-
-        registry = default_registry()
-        counter = registry.counter("backend.im2col_cache_evictions")
-        before = counter.snapshot()
-        fast.set_index_cache_capacity(1)
-        self._warm(6)
-        self._warm(7)
-        self._warm(8)
-        assert counter.snapshot() == before + 2
-        assert registry.gauge("backend.im2col_cache_size").snapshot() == 1.0
-
-    def test_resize_rejects_non_positive_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            fast.set_index_cache_capacity(0)
-
-    def test_stats_shape(self):
-        assert set(fast.index_cache_stats()) == {
-            "size", "capacity", "evictions",
-        }
