@@ -5,9 +5,10 @@ epoch of the tiny ResNet substrate:
 
 * the fast backend must be at least **1.3x** faster than reference on
   the same data, same seeds, same model init;
-* the op profiler must attribute at least **90%** of the step's wall
-  time to named backend kernels -- if attribution decays, the kernel
-  seam has sprung a leak (ops inlining numpy again).
+* a traced epoch must attribute at least **90%** of its wall time to
+  named backend kernels (the kernel rows of its self-time table) -- if
+  attribution decays, the kernel seam has sprung a leak (ops inlining
+  numpy again).
 
 Timing halves are marked ``slow`` (deselect with ``-m "not slow"``)
 and skip on single-core machines where wall-clock comparisons of
@@ -27,7 +28,7 @@ from repro.backend import fast
 from repro.models import resnet8_tiny
 from repro.pipeline.config import TrainingConfig
 from repro.pipeline.trainer import Trainer
-from repro.telemetry import profile
+from repro.telemetry import attribute, recording
 
 BATCH_SIZE = 64  # amortizes per-op Python overhead like real training
 SEED = 123
@@ -46,7 +47,7 @@ def make_trainer(backend):
 def epoch_seconds(backend, repeats=3):
     """Best-of-``repeats`` wall time of one training epoch."""
     trainer = make_trainer(backend)
-    trainer.train_epoch()  # warm-up: index caches, pools, BLAS init
+    trainer.train_epoch()  # warm-up: buffer pools, BLAS init
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
@@ -68,7 +69,7 @@ class TestBackendSpeedup:
               f"fast {fast_s * 1e3:.1f} ms, speedup {speedup:.2f}x")
         assert speedup >= 1.3
 
-    def test_profiler_attributes_90_percent_to_kernels(self):
+    def test_trace_attributes_90_percent_to_kernels(self):
         # Pinned to float64: the 90% bar gauges attribution completeness
         # (every hot path behind a named kernel), and was calibrated on
         # double-precision kernel times.  Under the float32 policy the
@@ -78,13 +79,16 @@ class TestBackendSpeedup:
         with precision.use_dtype("float64"):
             trainer = make_trainer("fast")
             trainer.train_epoch()  # warm-up
-            with profile() as prof:
+            with recording() as recorder:
                 trainer.train_epoch()
-        coverage = prof.kernel_coverage()
-        top = ", ".join(f"{stat.name} {stat.total_time * 1e3:.1f}ms"
-                        for stat in prof.top_kernels(3))
+        (lane,) = attribute(recorder.chrome_trace())
+        kernels = [row for row in lane.rows if row[0] == "kernel"]
+        wall = recorder.by_name("trainer.epoch")[0].duration
+        coverage = sum(row[3] for row in kernels) / wall
+        top = ", ".join(f"{name} {s * 1e3:.1f}ms"
+                        for _, name, _, s in kernels[:3])
         print(f"\nkernel coverage {coverage:.1%} of "
-              f"{prof.wall_time * 1e3:.1f} ms epoch (top: {top})")
+              f"{wall * 1e3:.1f} ms epoch (top: {top})")
         assert coverage >= 0.90
 
 

@@ -1,8 +1,8 @@
 """Observability stack overhead gate.
 
 Times the same monitored attack-training epoch with and without the
-full observability stack live on top of it -- metrics exporter thread,
-wall-clock stack sampler, and the default alert-rule engine -- and
+full observability stack live on top of it -- metrics exporter thread
+and the default alert-rule engine -- and
 asserts the stack adds under the overhead budget.  Per-epoch numbers
 and the overhead fraction are appended to BENCH_observability.json so
 the trend is tracked across sessions (``repro info`` surfaces the
@@ -22,18 +22,15 @@ from repro.monitor.alerts import default_rules
 from repro.pipeline import TrainingConfig
 from repro.pipeline.trainer import Trainer
 from repro.telemetry.export import serve_metrics, stop_exporter
-from repro.telemetry.sampler import StackSampler
 
 from .test_monitor_overhead import _attack_setup, _best_epoch_seconds
 
 pytestmark = pytest.mark.slow
 
-# Exporter + sampler + alerts may cost at most this much on top of an
-# already-monitored epoch: the exporter is a pull-based idle thread,
-# the sampler wakes ~25x/s off-thread, and the rule engine evaluates a
-# handful of comparisons once per epoch tick.
+# Exporter + alerts may cost at most this much on top of an
+# already-monitored epoch: the exporter is a pull-based idle thread and
+# the rule engine evaluates a handful of comparisons once per epoch tick.
 OVERHEAD_BUDGET = 0.03
-SAMPLER_HZ = 25.0
 
 
 def _monitored_trainer(alerts=None):
@@ -55,11 +52,9 @@ def test_observability_stack_overhead(request):
         alerts=default_rules())
     observed_trainer.train_epoch()  # same warm-up on the observed side
     exporter = serve_metrics(port=0)
-    sampler = StackSampler(hz=SAMPLER_HZ).start()
     try:
         observed_s = _best_epoch_seconds(observed_trainer)
     finally:
-        sampler.stop()
         stop_exporter()
 
     overhead = observed_s / monitored_s - 1.0
@@ -67,7 +62,6 @@ def test_observability_stack_overhead(request):
         "monitored_epoch_s": monitored_s,
         "observed_epoch_s": observed_s,
         "observability_overhead_frac": max(0.0, overhead),
-        "sampler_samples": float(sampler.sample_count),
     }
 
     from repro.monitor import BenchStore
@@ -79,7 +73,6 @@ def test_observability_stack_overhead(request):
         pytest.skip(f"could not write {store.path('observability')}: {exc}")
 
     # the stack actually observed something while training ran
-    assert sampler.sample_count > 0
     assert exporter.port > 0
     assert observed_monitor.probe_records(scope="epoch")
     assert not observed_monitor.errors()

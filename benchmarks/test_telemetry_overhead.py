@@ -1,11 +1,11 @@
 """Telemetry overhead smoke benchmark.
 
-Times the same small training epoch three ways:
+Times the same small training epoch two ways:
 
-* **disabled** -- no recorder, no profiler: the shipped default.  The
+* **disabled** -- no recorder: the shipped default.  The
   instrumentation left in the hot loop must be invisible here.
-* **traced**   -- a TraceRecorder active (spans recorded per batch).
-* **profiled** -- the autograd op hook active (per-op timing).
+* **traced**   -- a TraceRecorder active: spans recorded per batch,
+  every top-level kernel call timed onto the innermost span.
 
 Prints an epochs/sec comparison table and asserts the disabled path's
 analytically-measured instrumentation cost stays under the 5% budget
@@ -23,7 +23,7 @@ from repro.models import resnet8_tiny
 from repro.pipeline import TrainingConfig
 from repro.pipeline.reporting import format_table
 from repro.pipeline.trainer import Trainer
-from repro.telemetry import profile, recording
+from repro.telemetry import recording
 
 
 def _make_trainer() -> Trainer:
@@ -51,24 +51,22 @@ def test_telemetry_overhead_smoke():
     disabled = _best_epoch_seconds(trainer)
     with recording() as recorder:
         traced = _best_epoch_seconds(trainer)
-    with profile() as prof:
-        profiled = _best_epoch_seconds(trainer)
 
     rows = [
         ["disabled", disabled * 1e3, 1.0],
         ["traced", traced * 1e3, traced / disabled],
-        ["profiled", profiled * 1e3, profiled / disabled],
     ]
     print()
     print(format_table(["mode", "epoch ms", "vs disabled"], rows,
                        title="telemetry overhead (min of 3 epochs)"))
+    kernel_calls = sum(stat["calls"] for s in recorder.spans
+                       for stat in s.attrs.get("kernels", {}).values())
     print(f"spans recorded: {len(recorder)}, "
-          f"op calls profiled: {prof.total_calls}")
+          f"kernel calls attributed: {kernel_calls}")
 
-    # The enabled modes do real extra work but must stay in the same
+    # The traced mode does real extra work but must stay in the same
     # order of magnitude; the disabled bound is the hard requirement
     # (asserted analytically in tier 1 where timing noise is removed).
     assert traced < disabled * 3.0
-    assert profiled < disabled * 3.0
     assert len(recorder) > 0
-    assert prof.total_calls > 0
+    assert kernel_calls > 0

@@ -14,8 +14,8 @@ Public API tour:
 * :mod:`repro.metrics` -- MAPE, SSIM, accuracy, recognizability.
 * :mod:`repro.pipeline` -- the end-to-end Fig. 1 attack flow plus the
   benign and original-attack baselines.
-* :mod:`repro.telemetry` -- metrics registry, span tracing, structured
-  run logging and the autograd op profiler.
+* :mod:`repro.telemetry` -- metrics registry, span tracing (with kernel
+  time attributed to spans) and structured run logging.
 * :mod:`repro.precision` -- process/context-scoped compute dtype policy
   (float32 training by default; ``use_dtype("float64")`` to widen).
 

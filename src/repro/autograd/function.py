@@ -8,32 +8,11 @@ wires the node into the graph when gradients are enabled.
 
 from __future__ import annotations
 
-import time
-from typing import Any, Callable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import backend as _backend
-
-# Op-level profiling hook.  ``None`` keeps dispatch on a no-hook fast
-# path (one global read + is-None test per op); repro.telemetry.profiler
-# installs a callable ``hook(op_name, phase, seconds, nbytes)`` while a
-# profile() region is active.  ``Tensor.backward`` reads the same hook
-# for the backward phase.
-_op_hook: Optional[Callable[[str, str, float, int], None]] = None
-
-def set_op_hook(
-    hook: Optional[Callable[[str, str, float, int], None]]
-) -> Optional[Callable[[str, str, float, int], None]]:
-    """Install (or with ``None``, clear) the op hook; returns the old one."""
-    global _op_hook
-    previous = _op_hook
-    _op_hook = hook
-    return previous
-
-
-def get_op_hook() -> Optional[Callable[[str, str, float, int], None]]:
-    return _op_hook
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -114,15 +93,7 @@ class Function:
 
         tensors = [arg if isinstance(arg, Tensor) else Tensor(arg) for arg in args]
         fn = cls(**kwargs) if kwargs else cls()
-        hook = _op_hook
-        if hook is None:
-            out_data = fn.forward(*[t.data for t in tensors])
-        else:
-            start = time.perf_counter()
-            out_data = fn.forward(*[t.data for t in tensors])
-            elapsed = time.perf_counter() - start
-            nbytes = out_data.nbytes + sum(t.data.nbytes for t in tensors)
-            hook(cls.__name__, "forward", elapsed, nbytes)
+        out_data = fn.forward(*[t.data for t in tensors])
         requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
         out = Tensor(out_data, requires_grad=requires)
         if requires:

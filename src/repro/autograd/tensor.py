@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from typing import Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro import precision as _precision
-from repro.autograd import function as _function
 from repro.errors import GradientError
+from repro.telemetry.trace import span
 
 Scalar = Union[int, float]
 ArrayLike = Union[np.ndarray, Scalar, list, tuple]
@@ -142,6 +141,11 @@ class Tensor:
                     f"gradient shape {grad.shape} does not match tensor shape {self.data.shape}"
                 )
 
+        with span("autograd.backward"):
+            self._backprop(grad, retain_graph)
+
+    def _backprop(self, grad: np.ndarray, retain_graph: bool) -> None:
+        """The graph walk behind :meth:`backward` (``grad`` is validated)."""
         from repro import backend as _backend
         from repro.autograd.planner import TapePlan
         K = _backend.active()
@@ -152,9 +156,6 @@ class Tensor:
         plan = TapePlan(order)
         grads = {id(self): grad}
         plan.grad_stored(grad.nbytes)
-        # One hook read per backward pass; the profiled branch times each
-        # op's backward and reports the gradient bytes it produced.
-        hook = _function._op_hook
         for position, tensor in enumerate(order):
             fn = tensor._creator
             tensor_grad = grads.pop(id(tensor), None)
@@ -177,16 +178,7 @@ class Tensor:
                 )
             plan.note_step(tensor_grad.nbytes,
                            pinned=tensor.requires_grad and not store)
-            if hook is None:
-                input_grads = fn.backward(tensor_grad)
-            else:
-                start = time.perf_counter()
-                input_grads = fn.backward(tensor_grad)
-                elapsed = time.perf_counter() - start
-                nbytes = tensor_grad.nbytes + sum(
-                    g.nbytes for g in input_grads if g is not None
-                )
-                hook(type(fn).__name__, "backward", elapsed, nbytes)
+            input_grads = fn.backward(tensor_grad)
             if len(input_grads) != len(fn.inputs):
                 raise GradientError(
                     f"{type(fn).__name__}.backward returned {len(input_grads)} "

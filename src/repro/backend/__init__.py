@@ -5,9 +5,9 @@ Importing this package registers the two built-in backends and makes
 
 * :mod:`repro.backend.reference` -- the original numpy kernels,
   verbatim; the correctness oracle.
-* :mod:`repro.backend.fast` -- cached im2col indices, bincount
-  scatter, fused inference kernels; falls back to reference for
-  anything it does not override.
+* :mod:`repro.backend.fast` -- tap-slice patch gathers,
+  slice-accumulation col2im, fused inference kernels; falls back to
+  reference for anything it does not override.
 
 Typical use::
 

@@ -70,7 +70,7 @@ def bench_kernels(
             args, kwargs = equivalence._cast_floats(args, kwargs, dt)
         base_fn = baseline_b.kernel(name)
         cand_fn = candidate_b.kernel(name)
-        # warm both (index caches, buffer pools) outside the timed region
+        # warm both (buffer pools, BLAS) outside the timed region
         base_fn(*args, **kwargs)
         cand_fn(*args, **kwargs)
         base_s = _time_call(base_fn, args, kwargs, repeats)

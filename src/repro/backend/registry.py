@@ -14,14 +14,15 @@ Two backends ship by default (registered by :mod:`repro.backend`):
   correctness oracle: every other backend must agree with it to
   ``allclose`` tolerance on every registered kernel (see
   :mod:`repro.backend.equivalence`).
-* ``fast`` -- cached im2col indices, scratch-buffer pools,
+* ``fast`` -- tap-slice patch gathers, scratch-buffer pools,
   slice-accumulation col2im, fused inference and batch-norm training
   kernels.  Falls back to ``reference`` for any kernel it does not
   override.
 
-Dispatch cost when nothing is profiling: one module-global read plus an
+Dispatch cost with no kernel hook: one module-global read plus an
 attribute lookup per kernel call.  Installing a kernel hook (see
-:func:`set_kernel_hook`) makes every *top-level* kernel call report
+:func:`set_kernel_hook`; an active trace recorder installs one) makes
+every *top-level* kernel call report
 ``(backend_name, kernel_name, seconds, nbytes)`` -- nested kernel calls
 (e.g. ``conv2d_forward`` calling ``im2col``) are attributed to the
 outermost kernel so totals never double-count.
@@ -42,8 +43,8 @@ KernelHook = Callable[[str, str, float, int], None]
 _backends: Dict[str, "Backend"] = {}
 _active: Optional["Backend"] = None
 
-# Per-kernel profiling hook; mirrors the op hook in
-# repro.autograd.function (None keeps dispatch on a no-hook fast path).
+# Per-kernel timing hook (None keeps dispatch on a no-hook fast path);
+# repro.telemetry.trace installs one while a recorder is active.
 _kernel_hook: Optional[KernelHook] = None
 _hook_depth: int = 0
 
@@ -103,7 +104,7 @@ class Backend:
             global _hook_depth
             hook = _kernel_hook
             if hook is None or _hook_depth:
-                # no profiler, or a nested kernel (kernels composing
+                # no hook, or a nested kernel (kernels composing
                 # kernels) whose time is inside the outer measurement
                 return fn(*args, **kwargs)
             _hook_depth = 1

@@ -18,19 +18,19 @@ Subcommands:
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
   against a server (in-process or ``--url``), with replayable traces
   and ``BENCH_serve.json`` trajectories.
-* ``analyze``      -- tail-latency attribution over a ``--trace-out``
-  Chrome trace or a flight-recorder dump: per-stage percentiles,
-  top-K slowest requests, queue-wait vs compute split.
-* ``profile``      -- per-autograd-op and per-kernel cost tables for a
-  small training run.
+* ``analyze``      -- where a ``--trace-out`` Chrome trace's time went:
+  one self-time table per process lane (spans, kernels,
+  unattributed); for serving traces and flight-recorder dumps, the
+  tail-latency report (per-stage percentiles, top-K slowest requests,
+  queue-wait vs compute split).
 * ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
 Global flags (before the subcommand): ``--backend {reference,fast}``
 selects the kernel backend every op dispatches through
-(``repro.backend``; ``fast`` caches im2col indices and fuses inference
-and batch-norm kernels, ``reference`` is the bit-exact oracle); every
-training step and forward runs eagerly on it,
+(``repro.backend``; ``fast`` gathers conv patches with tap slices and
+fuses inference and batch-norm kernels, ``reference`` is the bit-exact
+oracle); every training step and forward runs eagerly on it,
 ``--dtype {float32,float64}`` sets the compute-precision
 policy (``repro.precision``; float32 is the training default, float64
 restores the bit-exact wide path), ``--workers N`` fans sweep points
@@ -41,7 +41,8 @@ ranks sharing tensors through ``multiprocessing.shared_memory`` with a
 deterministic tree all-reduce (``repro.parallel.ddp``; attack metrics
 stay inside the serial tolerance bands),
 ``--trace-out PATH`` exports a Chrome-trace file of the run's spans
-(including spans shipped back from worker processes),
+(including spans shipped back from worker processes, with kernel time
+on them),
 ``--serve-metrics PORT`` serves live Prometheus ``/metrics`` and JSON
 ``/health`` on localhost for the duration of the run,
 ``--log-level LEVEL`` controls the structured JSONL event log
@@ -67,7 +68,8 @@ Examples::
     python -m repro.cli loadgen --demo --requests 200 --bench-out .
     python -m repro.cli --trace-out serve.trace.json loadgen --demo --requests 200
     python -m repro.cli analyze serve.trace.json --top 10
-    python -m repro.cli --backend fast profile quickstart --top 12
+    python -m repro.cli --trace-out t.json attack --epochs 1 && \
+        python -m repro.cli analyze t.json
     python -m repro.cli bench-kernels --repeats 20 --csv kernels.csv
 """
 
@@ -107,7 +109,6 @@ from repro.telemetry import (
     TraceRecorder,
     configure_logging,
     default_registry,
-    profile,
     set_recorder,
 )
 
@@ -669,51 +670,30 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    """Attribute tail latency from a trace or flight-recorder dump."""
+    """Self time per process lane of a trace; the tail-latency report
+    for serving traces and flight-recorder dumps."""
+    import json
+
     from repro.errors import ServeError
     from repro.serve import analyze_requests, load_requests, render_analysis
+    from repro.telemetry import attribute, render_lanes
 
     try:
         records = load_requests(args.path)
-        report = analyze_requests(records, top=args.top)
-    except (OSError, ServeError) as exc:
+        if records:
+            report = analyze_requests(records, top=args.top)
+            print(render_analysis(report, source=args.path), end="")
+            return 0
+        with open(args.path, "r", encoding="utf-8") as handle:
+            lanes = attribute(json.load(handle))
+        if not lanes:
+            raise ServeError(f"{args.path}: no spans to analyze")
+    except (OSError, ValueError, ServeError) as exc:
         raise SystemExit(f"repro analyze: {exc}")
-    print(render_analysis(report, source=args.path), end="")
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    """Profile autograd ops over a short training run of an example model."""
-    dataset_by_example = {"quickstart": "cifar", "faces": "faces",
-                          "digits": "digits"}
-    train, _ = _build_dataset(dataset_by_example[args.example], args.data_seed)
-    builder = _build_model_builder(dataset_by_example[args.example], train, args.seed)
-    from repro.datasets.transforms import images_to_batch, normalize_batch
-    from repro.pipeline.trainer import Trainer
-
-    batch = images_to_batch(train.images)
-    batch, _, _ = normalize_batch(batch)
-    labels = train.labels
-    if args.steps is not None:
-        limit = max(1, args.steps) * args.batch_size
-        batch, labels = batch[:limit], labels[:limit]
-    training = TrainingConfig(epochs=1, batch_size=args.batch_size,
-                              lr=args.lr, seed=args.seed)
-    trainer = Trainer(builder(), batch, labels, training)
-    trainer.train_epoch()  # warm-up: first-touch allocations stay unprofiled
-    with profile() as prof:
-        trainer.train_epoch()
-    print(prof.table(top_k=args.top,
-                     title=f"autograd ops: 1 epoch of {args.example} "
-                           f"({len(labels)} images, batch {args.batch_size})"))
-    print(f"\nop time {prof.total_op_time * 1e3:.1f} ms over {prof.total_calls} "
-          f"calls covers {prof.coverage():.1%} of the "
-          f"{prof.wall_time * 1e3:.1f} ms training step")
-    print()
-    print(prof.kernel_table(top_k=args.top,
-                            title=f"backend kernels ({_backend.active().name})"))
-    print(f"\nkernel time {prof.total_kernel_time * 1e3:.1f} ms covers "
-          f"{prof.kernel_coverage():.1%} of the training step")
+    except (KeyError, TypeError) as exc:
+        raise SystemExit(f"repro analyze: {args.path}: malformed trace "
+                         f"event: {exc!r}")
+    print(render_lanes(lanes, source=args.path), end="")
     return 0
 
 
@@ -772,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--backend", default="reference",
                         choices=_backend.available_backends(),
                         help="kernel backend for all op dispatch "
-                             "(fast: cached indices + fused inference; "
+                             "(fast: tap-slice gathers + fused inference; "
                              "reference: the bit-exact oracle)")
     parser.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"],
@@ -900,21 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--method", default="target_correlated")
     audit.set_defaults(func=_cmd_audit)
 
-    prof = sub.add_parser("profile",
-                          help="per-autograd-op cost table for a training run")
-    prof.add_argument("example", nargs="?", default="quickstart",
-                      choices=["quickstart", "faces", "digits"],
-                      help="which example's dataset/model to profile")
-    prof.add_argument("--steps", type=int, default=None,
-                      help="limit the profiled epoch to this many batches")
-    prof.add_argument("--batch-size", type=int, default=32)
-    prof.add_argument("--lr", type=float, default=0.08)
-    prof.add_argument("--seed", type=int, default=7)
-    prof.add_argument("--data-seed", type=int, default=3)
-    prof.add_argument("--top", type=int, default=12,
-                      help="rows in the op table")
-    prof.set_defaults(func=_cmd_profile)
-
     bench = sub.add_parser("bench-kernels",
                            help="per-kernel reference-vs-fast timing table")
     bench.add_argument("kernels", nargs="*",
@@ -1027,7 +992,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="attribute tail latency from a trace or flight dump")
+        help="self time per process lane of a trace; tail latency of "
+             "a serving trace or flight dump")
     analyze.add_argument("path", metavar="TRACE_OR_DUMP",
                          help="a --trace-out Chrome trace JSON or a "
                               "flight-recorder JSONL dump")

@@ -1,12 +1,14 @@
 """In-training observability: leakage probes, run timeseries, bench trends.
 
-Three pieces on top of the PR-1 telemetry layer:
+Three pieces on top of :mod:`repro.telemetry`:
 
 * **Probes** (:mod:`repro.monitor.probes`, :mod:`repro.monitor.system`)
   -- observers of the live training process.  Leakage probes measure
   what the paper is about (weight/secret correlation, mid-training
   decodability, weight-distribution drift); systems probes measure what
-  it costs (grad norm, update ratio, memory, throughput, kernel share).
+  it costs (grad norm, update ratio, memory, throughput).  Where the
+  time goes is not a probe: kernel time rides on trace spans
+  (``repro analyze``).
 * **Monitor** (:mod:`repro.monitor.core`) -- runs probes per epoch and
   every N batches from the Trainer's ``probes=`` seam and emits a
   structured JSONL timeseries keyed to the run manifest's run id.
@@ -45,7 +47,6 @@ from repro.monitor.probes import (
 )
 from repro.monitor.system import (
     GradNormProbe,
-    KernelShareProbe,
     MemoryProbe,
     ThroughputProbe,
     UpdateRatioProbe,
@@ -84,7 +85,7 @@ __all__ = [
     "Monitor", "as_monitor", "default_probes", "PROBE_EVENT", "ERROR_EVENT",
     "Probe", "ProbeContext", "CorrelationProbe", "DecodeProbe",
     "WeightDriftProbe", "histogram_entropy", "pearson",
-    "GradNormProbe", "KernelShareProbe", "MemoryProbe", "ThroughputProbe",
+    "GradNormProbe", "MemoryProbe", "ThroughputProbe",
     "UpdateRatioProbe",
     "load_timeseries", "render_run", "compare_runs", "series",
     "alert_records",

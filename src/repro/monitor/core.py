@@ -36,7 +36,6 @@ from repro.monitor.probes import (
 )
 from repro.monitor.system import (
     GradNormProbe,
-    KernelShareProbe,
     MemoryProbe,
     ThroughputProbe,
     UpdateRatioProbe,
@@ -57,7 +56,6 @@ def default_probes(decode_images: int = 4) -> List[Probe]:
         UpdateRatioProbe(),
         MemoryProbe(),
         ThroughputProbe(),
-        KernelShareProbe(),
     ]
 
 

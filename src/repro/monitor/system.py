@@ -2,15 +2,13 @@
 
 Complements the leakage probes in :mod:`repro.monitor.probes` with the
 run's physical side -- optimization health (gradient norm, parameter
-update ratio), process memory, throughput, and the kernel-time share
-reported by the PR-3 profiler when one is active.  All fields are flat
+update ratio), process memory and throughput.  All fields are flat
 floats so they land in the same JSONL timeseries.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, Optional
 
 import numpy as np
@@ -145,42 +143,4 @@ class ThroughputProbe(Probe):
             last = registry.gauge("trainer.last_epoch_s").snapshot()
             if np.isfinite(last):
                 values["epoch_s"] = float(last)
-        return values
-
-
-class KernelShareProbe(Probe):
-    """Kernel-time totals from the active op profiler, if one is installed.
-
-    When training runs under ``with profile() as prof:`` this reports
-    the cumulative time attributed to named backend kernels and its
-    share of total autograd op time (the profiler's wall-clock coverage
-    is only final at region exit, so op time is the live denominator).
-    Silently observes nothing when no profiler is active.
-    """
-
-    name = "kernels"
-    scope = "epoch"
-
-    def __init__(self) -> None:
-        self._last_kernel_s = 0.0
-        self._last_wall = time.perf_counter()
-
-    def observe(self, ctx: ProbeContext) -> Dict[str, float]:
-        from repro.telemetry.profiler import active_profile
-
-        prof = active_profile()
-        if prof is None:
-            return {}
-        kernel_s = prof.total_kernel_time
-        op_s = prof.total_op_time
-        now = time.perf_counter()
-        delta_kernel = kernel_s - self._last_kernel_s
-        delta_wall = now - self._last_wall
-        self._last_kernel_s, self._last_wall = kernel_s, now
-        values = {
-            "kernel_time_s": float(kernel_s),
-            "kernel_share_of_ops": float(kernel_s / op_s) if op_s > 0 else float("nan"),
-        }
-        if 0.0 < delta_wall and 0.0 <= delta_kernel <= delta_wall * 1.5:
-            values["kernel_share_interval"] = float(delta_kernel / delta_wall)
         return values

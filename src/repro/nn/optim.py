@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.nn.module import Parameter
+from repro.telemetry.trace import span
 
 
 class Optimizer:
@@ -48,15 +49,16 @@ class SGD(Optimizer):
     def step(self) -> None:
         from repro import backend as _backend
         K = _backend.active()
-        for param in self.params:
-            if param.grad is None:
-                continue
-            param.data, velocity = K.sgd_update(
-                param.data, param.grad, self._velocity.get(id(param)),
-                self.lr, self.momentum, self.weight_decay,
-            )
-            if velocity is not None:
-                self._velocity[id(param)] = velocity
+        with span("nn.optim.step"):
+            for param in self.params:
+                if param.grad is None:
+                    continue
+                param.data, velocity = K.sgd_update(
+                    param.data, param.grad, self._velocity.get(id(param)),
+                    self.lr, self.momentum, self.weight_decay,
+                )
+                if velocity is not None:
+                    self._velocity[id(param)] = velocity
 
 
 class Adam(Optimizer):

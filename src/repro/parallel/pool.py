@@ -25,15 +25,13 @@ Each worker resets its process-local :func:`repro.telemetry.metrics
 .default_registry` before a task and ships the metrics the task moved
 back with the result; the parent merges them into its own registry
 (see :meth:`MetricsRegistry.merge_typed`) and attaches them to the
-outcome.  When the parent is inside a :func:`repro.telemetry.profile`
-region, workers additionally collect per-kernel stats for each task
-and ship those back too, so the parent profile's kernel table covers
-work done in worker processes.  Likewise, when the parent has a
+outcome.  When the parent has a
 :class:`repro.telemetry.trace.TraceRecorder` active, its
 :class:`TraceContext` rides along with every task: each worker records
-spans on a clock aligned to the parent's timeline and ships them back
-per task, and the parent merges them so one pooled run renders as a
-single multi-lane Chrome trace.
+spans (with the kernel time attached to them) on a clock aligned to
+the parent's timeline and ships them back per task, and the parent
+merges them so one pooled run renders as a single multi-lane Chrome
+trace.
 """
 
 from __future__ import annotations
@@ -70,13 +68,10 @@ class TaskOutcome:
     counts executions including retries; ``telemetry`` is the worker's
     typed metrics snapshot for the task (empty in serial fallback,
     where metrics flow directly into the parent registry).
-    ``kernels`` is the worker's per-kernel profiler stats for the task,
-    populated only when the parent ran the pool inside a
-    :func:`repro.telemetry.profile` region (empty in serial fallback,
-    where the parent's own kernel hook sees every call).  ``spans`` is
-    the worker's span dicts for the task, populated only when the
-    parent had a trace recorder active at dispatch (empty in serial
-    fallback, where spans land directly in the parent recorder).
+    ``spans`` is the worker's span dicts for the task (kernel time
+    rides on them), populated only when the parent had a trace recorder
+    active at dispatch (empty in serial fallback, where spans land
+    directly in the parent recorder).
     """
 
     index: int
@@ -87,7 +82,6 @@ class TaskOutcome:
     attempts: int = 1
     duration_s: float = 0.0
     telemetry: Dict[str, Any] = field(default_factory=dict)
-    kernels: Dict[str, Any] = field(default_factory=dict)
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
 
@@ -111,8 +105,7 @@ def _outcome(envelope: Envelope, attempts: int) -> TaskOutcome:
         envelope.key, envelope.status == "ok", value=envelope.value,
         error=envelope.error, error_kind=envelope.error_kind,
         attempts=attempts, duration_s=envelope.duration_s,
-        telemetry=dict(envelope.metrics), kernels=dict(envelope.kernels),
-        spans=list(envelope.spans),
+        telemetry=dict(envelope.metrics), spans=list(envelope.spans),
     )
 
 

@@ -13,9 +13,8 @@ how they schedule work.  The process mechanics live here, once:
 * **the envelope** -- the only upward wire format: status, key, value
   or structured error, duration, and the unit's telemetry.  The child
   resets its registry before each unit and ships a *sparse* typed
-  snapshot (only metrics the unit moved), plus its spans when the unit
-  carries a trace context and its kernel stats when the parent was
-  profiling at fork time.
+  snapshot (only metrics the unit moved), plus its spans -- kernel
+  time included, on the spans -- when the unit carries a trace context.
 * **parent side** -- :func:`absorb` merges an envelope's telemetry;
   :func:`wait` blocks on the pipes *and* the process sentinels, so a
   death is seen the moment it happens, with no polling; :func:`reap`
@@ -36,9 +35,7 @@ import time
 from typing import (Any, Callable, Dict, Iterable, List, NamedTuple,
                     Optional, Sequence)
 
-from repro.backend import registry as _backend_registry
 from repro.telemetry.metrics import default_registry
-from repro.telemetry.profiler import OpProfile, active_profile
 from repro.telemetry.trace import (
     TraceContext,
     get_recorder,
@@ -69,7 +66,6 @@ class Envelope(NamedTuple):
     duration_s: float = 0.0
     metrics: Dict[str, Any] = {}    # sparse typed registry snapshot
     spans: List[Dict[str, Any]] = []
-    kernels: Dict[str, Any] = {}
 
 
 Handler = Callable[[Unit], Any]
@@ -129,9 +125,11 @@ def _child_main(conn, init: Callable[[], Handler],
                 units: Optional[Iterable[Unit]], telemetry: bool) -> None:
     """Forked worker: build the handler, answer every unit, exit.
 
-    ``telemetry=False`` ships spans only (no metrics, no kernel stats).
+    ``telemetry=False`` ships spans only (no metrics).
     """
-    set_recorder(None)  # the parent owns spans recorded before the fork
+    # the parent owns spans recorded before the fork; a kernel hook the
+    # parent's recorder did not install stays inherited
+    set_recorder(None)
     try:
         handle = init()
     except Exception as exc:
@@ -140,7 +138,6 @@ def _child_main(conn, init: Callable[[], Handler],
         conn.close()
         return
     registry = default_registry()
-    kernels = telemetry and active_profile() is not None
     context, recorder = None, None
     try:
         for unit in units if units is not None else iter(conn.recv, None):
@@ -150,13 +147,9 @@ def _child_main(conn, init: Callable[[], Handler],
                             if context is not None else None)
                 set_recorder(recorder)
             registry.reset()
-            profile = OpProfile() if kernels else None
-            if profile is not None:
-                _backend_registry.set_kernel_hook(profile._record_kernel)
             envelope = execute(handle, unit)._replace(
                 metrics=registry.typed_snapshot(sparse=True) if telemetry else {},
                 spans=recorder.drain_dicts() if recorder is not None else [],
-                kernels=profile.snapshot()["kernels"] if profile else {},
             )
             try:
                 conn.send(envelope)
@@ -240,13 +233,10 @@ def fork(init: Callable[[], Handler],
 
 
 def absorb(envelope: Envelope, label: Optional[str] = None) -> None:
-    """Merge one envelope's metrics, kernel stats and spans into this
-    process (spans land in a lane named ``label``, default by pid)."""
+    """Merge one envelope's metrics and spans into this process (spans
+    land in a lane named ``label``, default by pid)."""
     if envelope.metrics:
         default_registry().merge_typed(envelope.metrics)
-    profile = active_profile()
-    if envelope.kernels and profile is not None:
-        profile.merge_kernels(envelope.kernels)
     recorder = get_recorder()
     if envelope.spans and recorder is not None:
         recorder.merge_spans(envelope.spans, label=label)

@@ -1,17 +1,18 @@
-"""Observability layer: metrics, tracing, structured logging, profiling.
+"""Observability layer: metrics, tracing and attribution, structured logging.
 
-Four pieces, designed to stay permanently wired into the library's hot
+Three pieces, designed to stay permanently wired into the library's hot
 paths at near-zero disabled cost:
 
 * :mod:`repro.telemetry.metrics` -- counters / gauges / fixed-bucket
   histograms (:mod:`repro.telemetry.slo`, exactly mergeable across
   processes) in a process-global :func:`default_registry`.
 * :mod:`repro.telemetry.trace` -- nested wall-time spans via
-  ``with span(name):``, exported as JSONL or Chrome trace format.
+  ``with span(name):``, exported as JSONL or Chrome trace format.  While
+  a recorder is active, backend kernel time rides on the innermost open
+  span, and :func:`attribute` tiles each process lane of a trace into
+  span self time, kernel time and ``unattributed`` (``repro analyze``).
 * :mod:`repro.telemetry.events` -- leveled JSONL event log plus the
   :class:`RunManifest` written next to experiment results.
-* :mod:`repro.telemetry.profiler` -- per-op forward/backward timing of
-  the autograd dispatch (``with profile() as prof:``).
 
 Quick look at everything after a run::
 
@@ -27,18 +28,20 @@ from repro.telemetry.metrics import (
 )
 from repro.telemetry.slo import EDGES, SloHistogram
 from repro.telemetry.trace import (
+    Lane,
     SpanRecord,
     TraceContext,
     TraceRecorder,
+    attribute,
     current_trace_context,
     get_recorder,
     recording,
+    render_lanes,
     set_recorder,
     span,
     timed_stage,
     worker_recorder,
 )
-from repro.telemetry.sampler import StackSampler, compare_with_profile
 from repro.telemetry.export import (
     MetricsExporter,
     active_exporter,
@@ -56,13 +59,6 @@ from repro.telemetry.events import (
     get_logger,
     new_run_id,
 )
-from repro.telemetry.profiler import (
-    KernelStat,
-    OpProfile,
-    OpStat,
-    active_profile,
-    profile,
-)
 from repro.telemetry.tables import format_records, format_table, percent
 
 __all__ = [
@@ -70,12 +66,10 @@ __all__ = [
     "default_registry", "SloHistogram", "EDGES",
     "SpanRecord", "TraceContext", "TraceRecorder", "span", "recording",
     "get_recorder", "set_recorder", "timed_stage", "current_trace_context",
-    "worker_recorder",
-    "StackSampler", "compare_with_profile",
+    "worker_recorder", "Lane", "attribute", "render_lanes",
     "MetricsExporter", "active_exporter", "health_snapshot",
     "prometheus_text", "serve_metrics", "stop_exporter", "update_health",
     "EventLogger", "RunManifest", "config_fingerprint", "configure_logging",
     "get_logger", "new_run_id",
-    "KernelStat", "OpProfile", "OpStat", "active_profile", "profile",
     "format_records", "format_table", "percent",
 ]

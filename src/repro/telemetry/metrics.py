@@ -240,7 +240,7 @@ _default_registry = MetricsRegistry()
 
 
 def _renew_lock() -> None:
-    # a thread of the parent (the exporter, the sampler) may hold the
+    # a thread of the parent (the exporter, a serving thread) may hold the
     # lock at fork time; the child has no such thread to release it
     _default_registry._lock = threading.Lock()
 

@@ -23,11 +23,22 @@ on the parent's timeline via a wall-clock handshake), records spans as
 usual, and ships them back for :meth:`TraceRecorder.merge_spans`; the
 merged Chrome trace then shows one lane per worker process (stable
 pids, ``process_name`` metadata) under the parent's sweep span.
+
+Spans are also the one attribution mechanism.  While a recorder is
+active it owns the backend kernel hook (:mod:`repro.backend.registry`):
+each top-level kernel call adds its seconds, calls and bytes to the
+innermost open span, and the totals land in that span's
+``attrs["kernels"]`` when it closes -- so they ride home from workers
+with the spans.  :func:`attribute` turns a Chrome trace into one
+self-time table per process lane whose rows (span self time, kernel
+time, ``unattributed``) sum to the lane's total; ``repro analyze``
+prints it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import itertools
 import json
 import os
@@ -35,7 +46,10 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set
+from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
+
+from repro.backend import registry as _kernels
 
 
 @dataclass
@@ -106,7 +120,11 @@ class TraceRecorder:
         self._origin = time.perf_counter()
         self._origin_wall = time.time()
         self._lock = threading.Lock()
-        self._depth = threading.local()
+        # one innermost open span per thread *and* per asyncio task: a
+        # span held across an ``await`` must not nest spans of other tasks
+        self._open: contextvars.ContextVar[Optional[_LiveSpan]] = \
+            contextvars.ContextVar("repro_open_span", default=None)
+        self._stopped: Optional[float] = None
         self._ids = itertools.count(1)
         # spans merged from other processes label their pid lane here
         self._process_labels: Dict[int, str] = {os.getpid(): "repro main"}
@@ -117,29 +135,6 @@ class TraceRecorder:
         self._root_parent_id = 0
 
     # -------------------------------------------------------------- record
-    def _stack(self) -> List[int]:
-        stack = getattr(self._depth, "stack", None)
-        if stack is None:
-            stack = self._depth.stack = []
-        return stack
-
-    def _current_depth(self) -> int:
-        return len(self._stack())
-
-    def _push(self):
-        """Open a span: returns ``(depth, span_id, parent_id)``."""
-        stack = self._stack()
-        depth = len(stack)
-        span_id = next(self._ids)
-        parent_id = stack[-1] if stack else self._root_parent_id
-        stack.append(span_id)
-        return depth, span_id, parent_id
-
-    def _pop(self) -> None:
-        stack = self._stack()
-        if stack:
-            stack.pop()
-
     def add(self, name: str, start: float, duration: float, depth: int,
             attrs: Dict[str, Any], span_id: int = 0,
             parent_id: int = 0, thread_id: Optional[int] = None) -> None:
@@ -181,13 +176,13 @@ class TraceRecorder:
         """Capture a :class:`TraceContext` for handing to a worker.
 
         The parent span id is the innermost span currently open on the
-        calling thread (0 when none).
+        calling thread or task (0 when none).
         """
-        stack = self._stack()
+        live = self._open.get()
         return TraceContext(
             trace_id=self.trace_id,
             origin_wall=self._origin_wall,
-            parent_span_id=stack[-1] if stack else 0,
+            parent_span_id=live.span_id if live is not None else 0,
         )
 
     def drain_dicts(self) -> List[Dict[str, Any]]:
@@ -242,6 +237,15 @@ class TraceRecorder:
     def roots(self) -> List[SpanRecord]:
         return [s for s in self.spans if s.depth == 0]
 
+    @property
+    def wall_s(self) -> float:
+        """Seconds from construction until the recorder was last
+        uninstalled (until now while it is active)."""
+        end = self._stopped
+        if end is None or _active is self:
+            end = time.perf_counter()
+        return end - self._origin
+
     # -------------------------------------------------------------- export
     def to_jsonl(self, path: os.PathLike) -> None:
         """One JSON object per line, in completion order."""
@@ -256,7 +260,10 @@ class TraceRecorder:
         Metadata events (``ph: "M"``) name each process lane and pin a
         stable sort order -- the parent process first, then workers by
         pid -- so a merged multi-process trace renders each worker on
-        its own non-interleaved lane in ``chrome://tracing``.
+        its own non-interleaved lane in ``chrome://tracing``.  Events
+        keep their ``span_id``/``parent_id`` and ``otherData`` holds
+        this process's pid and :attr:`wall_s`, which is what
+        :func:`attribute` needs to tile each lane.
         """
         own_pid = os.getpid()
         events: List[Dict[str, Any]] = []
@@ -272,6 +279,8 @@ class TraceRecorder:
                 "dur": record.duration * 1e6,
                 "pid": pid,
                 "tid": record.thread_id,
+                "span_id": record.span_id,
+                "parent_id": record.parent_id,
                 "args": {str(k): v for k, v in record.attrs.items()},
             })
         meta: List[Dict[str, Any]] = []
@@ -288,7 +297,8 @@ class TraceRecorder:
                 meta.append({"name": "thread_name", "ph": "M", "pid": pid,
                              "tid": tid, "args": {"name": name}})
         return {"traceEvents": meta + events, "displayTimeUnit": "ms",
-                "otherData": {"trace_id": self.trace_id}}
+                "otherData": {"trace_id": self.trace_id, "pid": own_pid,
+                              "wall_s": self.wall_s}}
 
     def to_chrome_trace(self, path: os.PathLike) -> None:
         """Write a file loadable by chrome://tracing / Perfetto."""
@@ -302,6 +312,8 @@ class TraceRecorder:
 # ---------------------------------------------------------------------------
 
 _active: Optional[TraceRecorder] = None
+# the kernel hook that was installed when the recorder's hook went in
+_chained_hook: Optional[_kernels.KernelHook] = None
 
 
 class _NoopSpan:
@@ -321,27 +333,61 @@ _NOOP = _NoopSpan()
 
 class _LiveSpan:
     __slots__ = ("recorder", "name", "attrs", "start", "depth",
-                 "span_id", "parent_id")
+                 "span_id", "parent", "kernels")
 
     def __init__(self, recorder: TraceRecorder, name: str,
                  attrs: Dict[str, Any]) -> None:
         self.recorder = recorder
         self.name = name
         self.attrs = attrs
+        # kernel name -> [seconds, calls, bytes] of the kernels called
+        # while this was the innermost open span
+        self.kernels: Dict[str, List[float]] = {}
 
     def __enter__(self) -> "_LiveSpan":
-        self.depth, self.span_id, self.parent_id = self.recorder._push()
+        recorder = self.recorder
+        self.parent = parent = recorder._open.get()
+        self.depth = 0 if parent is None else parent.depth + 1
+        self.span_id = next(recorder._ids)
+        recorder._open.set(self)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
         end = time.perf_counter()
         recorder = self.recorder
-        recorder._pop()
+        parent = self.parent
+        recorder._open.set(parent)
+        if self.kernels:
+            self.attrs["kernels"] = {
+                name: {"s": s, "calls": int(calls), "bytes": int(nbytes)}
+                for name, (s, calls, nbytes) in self.kernels.items()}
         recorder.add(self.name, self.start - recorder._origin,
                      end - self.start, self.depth, self.attrs,
-                     span_id=self.span_id, parent_id=self.parent_id)
+                     span_id=self.span_id,
+                     parent_id=(parent.span_id if parent is not None
+                                else recorder._root_parent_id))
         return False
+
+
+def _kernel_to_span(backend_name: str, kernel: str, seconds: float,
+                    nbytes: int) -> None:
+    """Kernel hook installed while a recorder is active: adds the call
+    to the innermost open span's kernel totals, then chains to the hook
+    that was installed before it.  Calls outside any span go unrecorded
+    (their time reads as unattributed)."""
+    recorder = _active
+    live = recorder._open.get() if recorder is not None else None
+    if live is not None:
+        entry = live.kernels.get(kernel)
+        if entry is None:
+            live.kernels[kernel] = [seconds, 1, nbytes]
+        else:
+            entry[0] += seconds
+            entry[1] += 1
+            entry[2] += nbytes
+    if _chained_hook is not None:
+        _chained_hook(backend_name, kernel, seconds, nbytes)
 
 
 def span(name: str, **attrs: Any):
@@ -361,10 +407,23 @@ def get_recorder() -> Optional[TraceRecorder]:
 
 
 def set_recorder(recorder: Optional[TraceRecorder]) -> Optional[TraceRecorder]:
-    """Install (or with None, remove) the active recorder; returns the old one."""
-    global _active
+    """Install (or with None, remove) the active recorder; returns the old one.
+
+    While a recorder is active, :func:`_kernel_to_span` is the backend
+    kernel hook; removing the recorder restores whatever hook it
+    chained to, so a hook the recorder did not install survives.
+    """
+    global _active, _chained_hook
     previous = _active
     _active = recorder
+    hooked = _kernels.get_kernel_hook() is _kernel_to_span
+    if recorder is not None and not hooked:
+        _chained_hook = _kernels.set_kernel_hook(_kernel_to_span)
+    elif recorder is None and hooked:
+        _kernels.set_kernel_hook(_chained_hook)
+        _chained_hook = None
+    if previous is not None and previous is not recorder:
+        previous._stopped = time.perf_counter()
     return previous
 
 
@@ -424,3 +483,101 @@ def timed_stage(name: str, registry=None, **attrs: Any) -> Iterator[None]:
     with span(name, **attrs):
         yield
     registry.histogram(name + "_s").observe(time.perf_counter() - start)
+
+
+# ---------------------------------------------------------------------------
+# Attribution: where a trace's time went, one table per process lane
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Lane:
+    """Self-time rows of one process lane.
+
+    ``rows`` are ``(kind, name, calls, seconds)`` with kind ``"span"``
+    or ``"kernel"``; together with :attr:`unattributed_s` they sum to
+    ``total_s`` exactly.
+    """
+
+    pid: int
+    label: str
+    total_s: float
+    rows: List[Tuple[str, str, int, float]]
+
+    @property
+    def unattributed_s(self) -> float:
+        return self.total_s - sum(row[3] for row in self.rows)
+
+
+def attribute(trace: Mapping[str, Any]) -> List[Lane]:
+    """Tile each process lane of a :meth:`TraceRecorder.chrome_trace`.
+
+    A span name's row is its spans' durations minus their same-process
+    children and minus the kernel time attached to them; a kernel's row
+    sums the totals that spans carry under ``args["kernels"]``.  The
+    recording process's total is the recorder's wall time (from
+    ``otherData``); any other lane's total is its root spans' time.
+    """
+    other = trace.get("otherData", {}) or {}
+    labels: Dict[int, str] = {}
+    by_pid: Dict[int, List[Mapping[str, Any]]] = {}
+    for event in trace.get("traceEvents", ()):
+        if event.get("ph") == "X":
+            by_pid.setdefault(int(event["pid"]), []).append(event)
+        elif event.get("name") == "process_name":
+            labels[int(event["pid"])] = str(event["args"]["name"])
+    lanes: List[Lane] = []
+    for pid, events in by_pid.items():
+        ids = {event["span_id"] for event in events if "span_id" in event}
+        children: Dict[Any, float] = {}
+        for event in events:
+            if event.get("parent_id") in ids:
+                children[event["parent_id"]] = \
+                    children.get(event["parent_id"], 0.0) + event["dur"] / 1e6
+        spans: Dict[str, List[float]] = {}
+        kernels: Dict[str, List[float]] = {}
+        roots = 0.0
+        for event in events:
+            duration = event["dur"] / 1e6
+            self_s = duration - children.get(event.get("span_id"), 0.0)
+            for name, stat in ((event.get("args") or {})
+                               .get("kernels", {}).items()):
+                row = kernels.setdefault(name, [0, 0.0])
+                row[0] += stat["calls"]
+                row[1] += stat["s"]
+                self_s -= stat["s"]
+            row = spans.setdefault(event["name"], [0, 0.0])
+            row[0] += 1
+            row[1] += self_s
+            if event.get("parent_id") not in ids:
+                roots += duration
+        main = pid == other.get("pid") and "wall_s" in other
+        rows = [("span", name, int(calls), s)
+                for name, (calls, s) in spans.items()]
+        rows += [("kernel", name, int(calls), s)
+                 for name, (calls, s) in kernels.items()]
+        rows.sort(key=lambda row: -row[3])
+        lanes.append(Lane(pid, labels.get(pid, f"pid {pid}"),
+                          float(other["wall_s"]) if main else roots, rows))
+    lanes.sort(key=lambda lane: (lane.pid != other.get("pid"), lane.pid))
+    return lanes
+
+
+def render_lanes(lanes: Sequence[Lane], source: str = "") -> str:
+    """One self-time table per lane: rows, ``unattributed``, ``total``."""
+    from repro.telemetry.tables import format_table
+
+    blocks = []
+    for lane in lanes:
+        total = lane.total_s
+        rows = [list(row) for row in lane.rows]
+        rows.append(["", "unattributed", "", lane.unattributed_s])
+        rows.append(["", "total", "", total])
+        body = [[name, kind, calls, s * 1e3,
+                 f"{s / total:.1%}" if total > 0 else "-"]
+                for kind, name, calls, s in rows]
+        title = f"{lane.label} (pid {lane.pid}): self time"
+        if source:
+            title += f"  ({source})"
+        blocks.append(format_table(["row", "kind", "calls", "ms", "share"],
+                                   body, title=title))
+    return "\n\n".join(blocks) + "\n"

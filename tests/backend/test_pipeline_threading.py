@@ -143,11 +143,13 @@ class TestCliBackend:
         assert "kernel" in header and "speedup" in header
         assert len(text.splitlines()) == 3  # header + two kernels
 
-    def test_profile_reports_kernel_table(self, capsys):
-        code = main(["--backend", "fast", "profile", "quickstart",
-                     "--steps", "1", "--batch-size", "16", "--top", "5"])
+    def test_traced_run_analyzes_to_kernel_rows(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["--backend", "fast", "--trace-out", str(trace),
+                     "benign", "--dataset", "digits", "--epochs", "1",
+                     "--batch-size", "64"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "backend kernels (fast)" in out
         assert "conv2d_backward" in out
-        assert "kernel time" in out
+        assert "kernel" in out and "unattributed" in out

@@ -10,7 +10,6 @@ from repro.monitor import (
     CorrelationProbe,
     DecodeProbe,
     GradNormProbe,
-    KernelShareProbe,
     MemoryProbe,
     ProbeContext,
     ThroughputProbe,
@@ -133,18 +132,3 @@ class TestSystemsProbes:
         values = ThroughputProbe().observe(_ctx())
         assert values["images_per_s"] == pytest.approx(512.0)
         registry.reset()
-
-    def test_kernel_share_needs_active_profile(self):
-        assert KernelShareProbe().observe(_ctx()) == {}
-
-    def test_kernel_share_under_profile(self):
-        from repro import backend
-        from repro.telemetry import profile
-
-        probe = KernelShareProbe()
-        with profile() as prof:
-            a = np.ones((16, 16), dtype=np.float64)
-            backend.active().matmul(a, a)
-            values = probe.observe(_ctx())
-        assert values["kernel_time_s"] >= 0.0
-        assert prof.total_kernel_time >= values["kernel_time_s"]

@@ -271,45 +271,74 @@ def run_kernels(n):
     return n
 
 
-class TestKernelShipBack:
-    """Worker kernel stats must reach the parent's active profile."""
+def report_kernel_hook():
+    from repro import backend
+    return backend.get_kernel_hook()
 
-    def test_worker_kernels_merge_into_parent_profile(self):
-        from repro.telemetry import profile
+
+def kernel_calls(spans):
+    """Per-kernel call totals over span records or span dicts."""
+    calls = {}
+    for record in spans:
+        attrs = record["attrs"] if isinstance(record, dict) else record.attrs
+        for name, stat in attrs.get("kernels", {}).items():
+            calls[name] = calls.get(name, 0) + stat["calls"]
+    return calls
+
+
+class TestKernelShipBack:
+    """Worker kernel time rides home on the task's spans."""
+
+    def test_worker_kernels_ride_on_merged_spans(self):
+        from repro.telemetry import recording
 
         pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
-        with profile() as prof:
+        with recording() as recorder:
             outcomes = pool.run([Task(run_kernels, (3,)),
                                  Task(run_kernels, (2,))])
         assert all(o.ok for o in outcomes)
-        stat = prof.kernel_stats["reference/matmul"]
-        assert stat.calls == 5
-        assert stat.total_time > 0.0
+        tasks = recorder.by_name("pool.task")
+        assert {s.pid for s in tasks} - {os.getpid()}
+        assert kernel_calls(tasks) == {"matmul": 5}
+        assert all(s.attrs["kernels"]["matmul"]["s"] > 0.0 for s in tasks)
 
-    def test_outcome_carries_kernel_stats(self):
-        from repro.telemetry import profile
+    def test_outcome_spans_carry_kernel_totals(self):
+        from repro.telemetry import recording
 
         pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
-        with profile():
+        with recording():
             outcomes = pool.run([Task(run_kernels, (4,))])
-        kernels = outcomes[0].kernels
-        assert kernels["reference/matmul"]["calls"] == 4
-        assert kernels["reference/matmul"]["backend"] == "reference"
+        kernels = outcomes[0].spans[0]["attrs"]["kernels"]
+        assert kernels["matmul"]["calls"] == 4
+        assert kernels["matmul"]["bytes"] == 4 * 3 * 8 * 8 * 8
 
-    def test_no_collection_outside_profile_region(self):
+    def test_no_kernel_accounting_without_recorder(self):
         pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
-        outcomes = pool.run([Task(run_kernels, (2,))])
-        assert outcomes[0].ok
-        assert outcomes[0].kernels == {}
+        outcomes = pool.run([Task(run_kernels, (2,)),
+                             Task(report_kernel_hook)])
+        assert outcomes[0].ok and outcomes[0].spans == []
+        assert outcomes[1].ok and outcomes[1].value is None
 
-    def test_serial_fallback_hooks_see_kernels_directly(self):
-        from repro.telemetry import profile
+    def test_serial_fallback_kernels_land_on_parent_spans(self):
+        from repro.telemetry import recording, span
 
         pool = WorkerPool(max_workers=1)
-        with profile() as prof:
+        with recording() as recorder, span("root"):
             outcomes = pool.run([Task(run_kernels, (2,))])
         assert outcomes[0].ok
-        # in-process: the parent's own kernel hook records the calls,
-        # so nothing ships via the outcome
-        assert outcomes[0].kernels == {}
-        assert prof.kernel_stats["reference/matmul"].calls == 2
+        # in-process: the parent's open span takes the calls directly
+        assert outcomes[0].spans == []
+        assert kernel_calls(recorder.by_name("root")) == {"matmul": 2}
+
+    def test_pooled_and_serial_kernel_calls_match(self):
+        from repro.telemetry import recording, span
+
+        tasks = [Task(run_kernels, (n,)) for n in (1, 2, 3)]
+        totals = []
+        for pool in (WorkerPool(max_workers=1),
+                     WorkerPool(max_workers=2, chunk_size=1,
+                                start_method="fork")):
+            with recording() as recorder, span("root"):
+                assert all(o.ok for o in pool.run(tasks))
+            totals.append(kernel_calls(recorder.spans))
+        assert totals[0] == totals[1] == {"matmul": 6}

@@ -92,34 +92,47 @@ class TestTelemetryCli:
         assert args.trace_out == "t.json"
         assert args.log_level == "debug"
 
-    def test_profile_defaults(self):
-        args = build_parser().parse_args(["profile"])
-        assert args.example == "quickstart"
-        assert args.top == 12
+    def test_analyze_defaults(self):
+        args = build_parser().parse_args(["analyze", "t.json"])
+        assert args.path == "t.json"
+        assert args.top == 5
 
-    def test_profile_bad_example_exits(self):
+    def test_profile_subcommand_is_gone(self):
+        # a traced run plus ``repro analyze`` does its job
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["profile", "mnist"])
+            build_parser().parse_args(["profile"])
 
     def test_info_smoke(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro" in out and "numpy" in out and "metrics" in out
 
-    def test_profile_smoke(self, capsys):
-        code = main(["profile", "quickstart", "--steps", "1",
-                     "--batch-size", "64", "--top", "5"])
-        assert code == 0
+    def test_analyze_training_trace_smoke(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        assert main(["--trace-out", str(trace), "benign", "--dataset",
+                     "digits", "--epochs", "1", "--batch-size", "64"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "autograd ops" in out
-        assert "Conv2dFn" in out
-        assert "covers" in out
+        assert "repro main" in out and "self time" in out
+        for row in ("trainer.batch", "autograd.backward", "nn.optim.step",
+                    "conv2d_forward", "unattributed", "total"):
+            assert row in out
+
+    def test_analyze_malformed_trace_exits(self, tmp_path):
+        trace = tmp_path / "bad.json"
+        trace.write_text('{"traceEvents": [{"ph": "X", "name": "x"}]}')
+        with pytest.raises(SystemExit, match="malformed trace event"):
+            main(["analyze", str(trace)])
+        trace.write_text('{"traceEvents": []}')
+        with pytest.raises(SystemExit, match="no spans to analyze"):
+            main(["analyze", str(trace)])
 
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         import json
         trace = tmp_path / "trace.json"
-        code = main(["--trace-out", str(trace), "profile", "quickstart",
-                     "--steps", "1", "--batch-size", "64"])
+        code = main(["--trace-out", str(trace), "benign", "--dataset",
+                     "digits", "--epochs", "1", "--batch-size", "64"])
         assert code == 0
         data = json.loads(trace.read_text())
         assert any(e["name"] == "trainer.epoch" for e in data["traceEvents"])

@@ -60,7 +60,7 @@ TARGET_FILES = (
     "src/repro/monitor/report.py",
     "src/repro/monitor/bench.py",
     "src/repro/monitor/alerts.py",
-    "src/repro/telemetry/sampler.py",
+    "src/repro/telemetry/trace.py",
     "src/repro/telemetry/export.py",
     "src/repro/precision.py",
     "src/repro/autograd/planner.py",
@@ -77,25 +77,41 @@ def pytest_addoption(parser):
 
 
 class _FloorTracer:
-    """Targeted line tracer: only frames from watched files are traced."""
+    """Targeted line tracer: only frames from watched files are traced.
+
+    A code object stops being traced once every one of its lines has
+    been hit: further events could add nothing, and hot paths under
+    timing tests (the disabled ``span()``) stay near their untraced cost.
+    """
 
     def __init__(self, targets: Set[str]) -> None:
         self.targets = targets
         self.hits: Dict[str, Set[int]] = {path: set() for path in targets}
+        self.done: Set[object] = set()
+        self.lines: Dict[object, Set[int]] = {}
 
     def global_trace(self, frame, event, arg):
         if event == "call":
-            filename = frame.f_code.co_filename
-            if filename in self.targets:
+            code = frame.f_code
+            if code.co_filename in self.targets and code not in self.done:
                 # the call event's line is the def line, which never
                 # fires as a separate "line" event inside the body
-                self.hits[filename].add(frame.f_lineno)
+                self.hits[code.co_filename].add(frame.f_lineno)
                 return self.local_trace
         return None
 
     def local_trace(self, frame, event, arg):
         if event == "line":
             self.hits[frame.f_code.co_filename].add(frame.f_lineno)
+        elif event == "return":
+            code = frame.f_code
+            lines = self.lines.get(code)
+            if lines is None:
+                lines = self.lines[code] = {
+                    line for _, line in dis.findlinestarts(code)
+                    if line is not None and line > 0}
+            if lines <= self.hits[code.co_filename]:
+                self.done.add(code)
         return self.local_trace
 
     def install(self) -> None:

@@ -1,7 +1,7 @@
 """Disabled-telemetry overhead guard.
 
 The instrumentation left in the training hot loop must be near-free
-when no recorder/profiler is active.  Rather than racing two training
+when no recorder is active.  Rather than racing two training
 runs against each other (noisy), this measures the disabled fast paths
 directly -- the exact per-batch work `Trainer.train_epoch` adds -- and
 asserts that one epoch's worth costs <5% of a real (small) epoch.
