@@ -20,9 +20,10 @@ Subcommands:
   and ``BENCH_serve.json`` trajectories.
 * ``analyze``      -- where a ``--trace-out`` Chrome trace's time went:
   one self-time table per process lane (spans, kernels,
-  unattributed); for serving traces and flight-recorder dumps, the
-  tail-latency report (per-stage percentiles, top-K slowest requests,
-  queue-wait vs compute split).
+  unattributed; each serving shard has its own lane), preceded for
+  serving traces and flight-recorder dumps by the request report
+  (per-stage percentiles, top-K slowest requests, queue-wait vs
+  compute split).
 * ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
@@ -110,6 +111,7 @@ from repro.telemetry import (
     configure_logging,
     default_registry,
     set_recorder,
+    span,
 )
 
 
@@ -165,26 +167,26 @@ def _attack_configs(args) -> tuple:
     return training, attack, quantization
 
 
-def _attack_experiment(bits: int, rate: float, dataset: str = "cifar",
-                       data_seed: int = 3, seed: int = 7, epochs: int = 15,
-                       batch_size: int = 32, lr: float = 0.08,
-                       method: str = "target_correlated",
-                       backend: Optional[str] = None,
-                       rng=None) -> dict:
+def _attack_experiment(bits: int, rate: float, *, data: tuple,
+                       dataset: str = "cifar", seed: int = 7,
+                       epochs: int = 15, batch_size: int = 32,
+                       lr: float = 0.08, method: str = "target_correlated",
+                       backend: Optional[str] = None, rng=None) -> dict:
     """One full attack run reduced to a flat metrics record.
 
     Module-level (and partial-friendly) so ``repro sweep`` and the
-    multi-bitwidth ``repro attack`` can run it inside spawn-started
-    worker processes; ``backend`` is a name for the same reason (the
-    worker resolves it against its own registry).  ``rng`` is accepted
-    for ``Sweep(seed=...)`` compatibility but unused: every stage is
-    already seeded explicitly, which is what makes parallel and serial
-    records identical.
+    multi-bitwidth ``repro attack`` can bind it once and run it in
+    forked worker processes; ``backend`` is a name the worker resolves
+    against its own registry.  ``data`` is the ``(train, test)`` pair of
+    ``dataset``, built once by the caller before the workers fork.
+    ``rng`` is accepted for ``Sweep(seed=...)``
+    compatibility but unused: every stage is already seeded explicitly,
+    which is what makes parallel and serial records identical.
     """
     ns = argparse.Namespace(dataset=dataset, rate=rate, epochs=epochs,
                             batch_size=batch_size, lr=lr, seed=seed,
                             bits=bits, method=method)
-    train, test = _build_dataset(dataset, data_seed)
+    train, test = data
     builder = _build_model_builder(dataset, train, seed)
     training, attack, quantization = _attack_configs(ns)
     result = run_quantized_correlation_attack(
@@ -322,10 +324,11 @@ def _cmd_attack_multi(args) -> int:
     fanned across ``--workers`` processes."""
     from repro.pipeline import run_baseline_suite
 
+    data = _build_dataset(args.dataset, args.data_seed)
     arms = {
         f"{bits}-bit": functools.partial(
-            _attack_experiment, bits, args.rate, dataset=args.dataset,
-            data_seed=args.data_seed, seed=args.seed, epochs=args.epochs,
+            _attack_experiment, bits, args.rate, data=data,
+            dataset=args.dataset, seed=args.seed, epochs=args.epochs,
             batch_size=args.batch_size, lr=args.lr, method=args.method,
             backend=args.backend,
         )
@@ -346,9 +349,10 @@ def _cmd_sweep(args) -> int:
     from repro.pipeline.sweep import Sweep
 
     experiment = functools.partial(
-        _attack_experiment, dataset=args.dataset, data_seed=args.data_seed,
-        seed=args.seed, epochs=args.epochs, batch_size=args.batch_size,
-        lr=args.lr, method=args.method,
+        _attack_experiment,
+        data=_build_dataset(args.dataset, args.data_seed),
+        dataset=args.dataset, seed=args.seed, epochs=args.epochs,
+        batch_size=args.batch_size, lr=args.lr, method=args.method,
     )
     sweep = Sweep({"bits": args.bits, "rate": args.rates}, experiment)
     total = len(sweep)
@@ -374,8 +378,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_benign(args) -> int:
-    train, test = _build_dataset(args.dataset, args.data_seed)
-    builder = _build_model_builder(args.dataset, train, args.seed)
+    with span("benign.setup", dataset=args.dataset):
+        train, test = _build_dataset(args.dataset, args.data_seed)
+        builder = _build_model_builder(args.dataset, train, args.seed)
     training = TrainingConfig(epochs=args.epochs, batch_size=args.batch_size,
                               lr=args.lr, seed=args.seed)
     result = train_benign(train, test, builder, training)
@@ -670,30 +675,31 @@ def _cmd_loadgen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    """Self time per process lane of a trace; the tail-latency report
-    for serving traces and flight-recorder dumps."""
-    import json
+    """From one parsed trace: the request report when it holds serving
+    requests (a flight dump holds only those), then the self time of
+    every process lane."""
+    from repro.errors import ConfigError, ReproError
+    from repro.serve import analyze_requests, render_analysis, request_records
+    from repro.telemetry import attribute, read_trace, render_lanes
 
-    from repro.errors import ServeError
-    from repro.serve import analyze_requests, load_requests, render_analysis
-    from repro.telemetry import attribute, render_lanes
-
+    blocks = []
     try:
-        records = load_requests(args.path)
+        trace = read_trace(args.path)
+        records = request_records(trace)
         if records:
-            report = analyze_requests(records, top=args.top)
-            print(render_analysis(report, source=args.path), end="")
-            return 0
-        with open(args.path, "r", encoding="utf-8") as handle:
-            lanes = attribute(json.load(handle))
-        if not lanes:
-            raise ServeError(f"{args.path}: no spans to analyze")
-    except (OSError, ValueError, ServeError) as exc:
+            blocks.append(render_analysis(
+                analyze_requests(records, top=args.top), source=args.path))
+        lanes = attribute(trace)
+        if lanes:
+            blocks.append(render_lanes(lanes, source=args.path))
+        if not blocks:
+            raise ConfigError(f"{args.path}: no spans to analyze")
+    except ReproError as exc:
         raise SystemExit(f"repro analyze: {exc}")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit(f"repro analyze: {args.path}: malformed trace "
                          f"event: {exc!r}")
-    print(render_lanes(lanes, source=args.path), end="")
+    print("\n".join(blocks), end="")
     return 0
 
 
@@ -935,8 +941,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(the latency_slo burn-rate rule)")
     serve.add_argument("--flight-dir", metavar="DIR", default=None,
                        help="where the flight recorder dumps its last-N-"
-                            "requests JSONL when an alert fires or a "
-                            "shard crashes")
+                            "requests Chrome trace when an alert fires "
+                            "or a shard crashes")
     serve.add_argument("--manifest-out", metavar="PATH", default=None,
                        help="write a run manifest (recording --trace-out, "
                             "--flight-dir and the serve config) as JSON")
@@ -992,11 +998,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="self time per process lane of a trace; tail latency of "
-             "a serving trace or flight dump")
+        help="self time per process lane of a trace, after the tail "
+             "latency of its serving requests")
     analyze.add_argument("path", metavar="TRACE_OR_DUMP",
-                         help="a --trace-out Chrome trace JSON or a "
-                              "flight-recorder JSONL dump")
+                         help="a --trace-out Chrome trace or a "
+                              "flight-recorder dump")
     analyze.add_argument("--top", type=int, default=5,
                          help="slowest requests to list individually")
     analyze.set_defaults(func=_cmd_analyze)

@@ -25,6 +25,13 @@ result semantics (and no crash isolation, as with the WorkerPool's
 serial fallback).  Each reply ships the metrics the request moved --
 counters, gauges and histograms -- and the parent merges them.
 
+Each request runs under one ``serve.shard`` span.  :meth:`submit`
+captures the caller's trace context into the :class:`Unit`, so a forked
+shard ships the span (kernel time on it) home to a ``shard N`` lane,
+parented on the span open at submit -- also when a crash retries the
+request on another shard -- and the serial fallback nests it there
+directly.
+
 A background collector thread owns every shard pipe and blocks in the
 core's liveness wait, so replies and deaths are handled the moment
 they happen; :meth:`submit` / :meth:`result` are thread-safe, so the
@@ -45,6 +52,7 @@ from repro.errors import ServeError
 from repro.parallel.worker import (Envelope, Handler, Unit, Worker, absorb,
                                    execute, fork, reap, uses_fork, wait)
 from repro.telemetry.metrics import default_registry
+from repro.telemetry.trace import current_trace_context, span
 
 __all__ = ["ShardResult", "ShardPool"]
 
@@ -64,9 +72,15 @@ class ShardResult:
 
 
 def _unit_handler(init_fn: Callable[[], Callable[[Any], Any]]) -> Handler:
-    """Adapt ``init_fn``'s ``handler(payload)`` to the core's unit handler."""
+    """Adapt ``init_fn``'s ``handler(payload)`` to the core's unit
+    handler, one ``serve.shard`` span per request."""
     handler = init_fn()
-    return lambda unit: handler(unit.work)
+
+    def handle(unit: Unit) -> Any:
+        with span("serve.shard"):
+            return handler(unit.work)
+
+    return handle
 
 
 class _Shard:
@@ -77,7 +91,7 @@ class _Shard:
     def __init__(self, index: int) -> None:
         self.index = index
         self.worker: Optional[Worker] = None
-        self.inflight: Dict[int, Any] = {}  # ticket -> payload
+        self.inflight: Dict[int, Unit] = {}  # ticket -> unit
         self.respawns = 0
         self.dead = True
 
@@ -195,9 +209,10 @@ class ShardPool:
                 raise ServeError("ShardPool is closed")
             ticket = next(self._tickets)
             self._attempts[ticket] = 1
+            unit = Unit(ticket, payload, current_trace_context())
             if self.serial:
                 self._results[ticket] = self._result(
-                    execute(self._handle, Unit(ticket, payload)), 0)
+                    execute(self._handle, unit), 0)
                 self._results_ready.notify_all()
                 return ticket
             target = self._pick_shard(shard)
@@ -207,7 +222,7 @@ class ShardPool:
                     error_kind="crash", attempts=0)
                 self._results_ready.notify_all()
                 return ticket
-            self._send(target, ticket, payload)
+            self._send(target, unit)
             return ticket
 
     def _result(self, envelope: Envelope, shard: int) -> ShardResult:
@@ -226,10 +241,10 @@ class ShardPool:
             return None
         return live[next(self._rr) % len(live)]
 
-    def _send(self, shard: _Shard, ticket: int, payload: Any) -> None:
-        shard.inflight[ticket] = payload
+    def _send(self, shard: _Shard, unit: Unit) -> None:
+        shard.inflight[unit.key] = unit
         try:
-            shard.worker.send(Unit(ticket, payload))
+            shard.worker.send(unit)
         except OSError:
             # pipe already broken: retry/record it the same way a
             # mid-request crash would be
@@ -294,7 +309,7 @@ class ShardPool:
     def _on_envelope(self, shard: _Shard, envelope: Envelope) -> None:
         if shard.dead:
             return
-        absorb(envelope)
+        absorb(envelope, label=f"shard {shard.index}")
         if envelope.status == "init_error":
             # the shard never became serviceable; treat as death
             self._on_shard_death(shard, reason=f"init failed: {envelope.error}")
@@ -316,14 +331,15 @@ class ShardPool:
         reap([shard.worker], grace=0.0)
         exitcode = shard.worker.process.exitcode
         message = reason or f"shard {shard.index} died (exitcode {exitcode})"
-        inflight = list(shard.inflight.items())
+        inflight = list(shard.inflight.values())
         shard.inflight.clear()
         self._set_alive_gauge(sum(not s.dead for s in self._shards))
         if shard.respawns < self.max_respawns and reason is None:
             shard.respawns += 1
             registry.counter("serve.shard_respawns").inc()
             self._spawn(shard)
-        for ticket, payload in inflight:
+        for unit in inflight:
+            ticket = unit.key
             if ticket in self._abandoned:  # waiter already timed out
                 self._abandoned.discard(ticket)
                 self._attempts.pop(ticket, None)
@@ -334,7 +350,7 @@ class ShardPool:
                 registry.counter("serve.request_retries").inc()
                 target = self._pick_shard(None)
                 if target is not None:
-                    self._send(target, ticket, payload)
+                    self._send(target, unit)
                     continue
             self._attempts.pop(ticket, None)
             self._results[ticket] = ShardResult(

@@ -138,13 +138,13 @@ def _child_main(conn, init: Callable[[], Handler],
         conn.close()
         return
     registry = default_registry()
-    context, recorder = None, None
+    recorder = None
     try:
         for unit in units if units is not None else iter(conn.recv, None):
-            if unit.trace != context:
-                context = unit.trace
-                recorder = (worker_recorder(context)
-                            if context is not None else None)
+            current = recorder
+            recorder = (worker_recorder(unit.trace, reuse=recorder)
+                        if unit.trace is not None else None)
+            if recorder is not current:
                 set_recorder(recorder)
             registry.reset()
             envelope = execute(handle, unit)._replace(

@@ -26,6 +26,7 @@ from repro.quantization.finetune import finetune_quantized
 from repro.quantization.target_correlated import TargetCorrelatedQuantizer
 from repro.quantization.uniform import KMeansQuantizer, UniformQuantizer
 from repro.quantization.weighted_entropy import WeightedEntropyQuantizer
+from repro.telemetry.trace import span
 
 
 def make_quantizer(
@@ -148,7 +149,8 @@ def train_benign(
     trainer = Trainer(model, train_batch, train_dataset.labels, training,
                       ddp_workers=ddp_workers)
     history = trainer.train()
-    accuracy = evaluate_accuracy(model, test_batch, test_dataset.labels)
+    with span("benign.evaluate"):
+        accuracy = evaluate_accuracy(model, test_batch, test_dataset.labels)
     return BenignResult(model, accuracy, history, mean, std)
 
 

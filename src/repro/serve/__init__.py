@@ -16,17 +16,18 @@ is that serving stack, end to end:
 * :mod:`repro.serve.http` -- a stdlib HTTP/1.1 face for cross-process
   runs (``repro serve`` / ``repro loadgen``);
 * :mod:`repro.serve.tracing` -- per-request span trees, SLO
-  histograms, and the flight-recorder ring
-  (:class:`RequestTracer`);
-* :mod:`repro.serve.analyze` -- tail-latency attribution over traces
-  and flight dumps (``repro analyze``).
+  histograms, and the flight-recorder ring whose dumps are Chrome
+  traces (:class:`RequestTracer`);
+* :mod:`repro.serve.analyze` -- the request view of a trace or flight
+  dump: tail-latency attribution, printed by ``repro analyze`` next to
+  the lane tables, where each shard has its own lane.
 """
 
 from repro.serve.analyze import (
     RequestRecord,
     analyze_requests,
-    load_requests,
     render_analysis,
+    request_records,
 )
 from repro.serve.artifacts import (
     ArtifactCache,
@@ -54,7 +55,8 @@ from repro.serve.tracing import FlightRecorder, RequestContext, RequestTracer
 
 __all__ = [
     "RequestContext", "RequestTracer", "FlightRecorder",
-    "RequestRecord", "load_requests", "analyze_requests", "render_analysis",
+    "RequestRecord", "request_records", "analyze_requests",
+    "render_analysis",
     "ArtifactCache", "ReleasedArtifact", "artifact_fingerprint",
     "load_artifact", "save_artifact",
     "DeadlineBatcher", "QueuedRequest",

@@ -1,10 +1,12 @@
-"""Tail-latency attribution over traces and flight-recorder dumps.
+"""The request view of a trace: tail-latency attribution for serving.
 
-The tracer (:mod:`repro.serve.tracing`) leaves two artifacts behind: a
-Chrome trace with one ``serve.request`` span tree per request, and
-flight-recorder JSONL dumps of the requests leading up to an alert or
-crash.  ``repro analyze <path>`` reads either one back into uniform
-:class:`RequestRecord` rows and answers the on-call questions:
+:func:`~repro.telemetry.trace.attribute` tiles a trace's process lanes
+and leaves out the per-request span trees, which overlap one another by
+design.  This module reads those trees from the same parsed events
+(:func:`~repro.telemetry.trace.read_trace`) -- a ``--trace-out`` trace
+and a flight-recorder dump are both Chrome traces written by
+:func:`~repro.serve.tracing.emit_request` -- and answers the on-call
+questions:
 
 * **where does the time go** -- per-stage latency percentiles
   (admission / queue / batch / infer), whose stage means sum back to
@@ -16,23 +18,21 @@ crash.  ``repro analyze <path>`` reads either one back into uniform
   waiting for dispatch vs. inside the shard handler;
 * **which artifact is slow** -- per-model percentile rows.
 
-Everything is stdlib + exact arithmetic on the recorded numbers; the
-same loader backs the CLI and the tests.
+Everything is stdlib + exact arithmetic on the recorded numbers.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ServeError
-from repro.serve.tracing import FLIGHT_FORMAT, REQUEST_SPAN
+from repro.serve.tracing import REQUEST_SPAN
+from repro.telemetry.tables import format_table
 
-__all__ = ["RequestRecord", "load_requests", "load_flight_dump",
-           "load_chrome_trace", "analyze_requests", "render_analysis"]
+__all__ = ["RequestRecord", "request_records", "analyze_requests",
+           "render_analysis"]
 
 #: Stage keys in pipeline order (the tiling stages, then the overlay).
 STAGE_KEYS = ("admission_ms", "queue_ms", "batch_ms", "infer_ms")
@@ -40,7 +40,7 @@ STAGE_KEYS = ("admission_ms", "queue_ms", "batch_ms", "infer_ms")
 
 @dataclass
 class RequestRecord:
-    """One analyzed request, whichever artifact it was read from."""
+    """One analyzed request, rebuilt from its span tree."""
 
     request_id: str
     model: str = ""
@@ -61,61 +61,15 @@ class RequestRecord:
         return getattr(self, key)
 
 
-# ---------------------------------------------------------------------------
-# Loaders
-# ---------------------------------------------------------------------------
-
-def load_flight_dump(path: os.PathLike) -> List[RequestRecord]:
-    """Read a flight-recorder JSONL dump (header line + request lines)."""
-    records: List[RequestRecord] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        header_line = handle.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError as exc:
-            raise ServeError(f"{os.fspath(path)}: not a flight dump: {exc}")
-        if header.get("flight") != FLIGHT_FORMAT:
-            raise ServeError(
-                f"{os.fspath(path)}: unknown flight format "
-                f"{header.get('flight')!r} (expected {FLIGHT_FORMAT!r})")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                data = json.loads(line)
-            except ValueError as exc:
-                raise ServeError(
-                    f"{os.fspath(path)}:{line_no}: bad record: {exc}")
-            records.append(RequestRecord(
-                request_id=str(data.get("request_id", "")),
-                model=str(data.get("model", "")),
-                outcome=str(data.get("outcome", "ok")),
-                shard=int(data.get("shard", -1)),
-                batch_size=int(data.get("batch_size", 0)),
-                latency_ms=float(data.get("latency_ms", 0.0)),
-                **{key: (float(data[key]) if key in data else None)
-                   for key in STAGE_KEYS},
-            ))
-    return records
-
-
-def load_chrome_trace(path: os.PathLike) -> List[RequestRecord]:
-    """Rebuild request records from a ``--trace-out`` Chrome trace.
+def request_records(trace: Mapping[str, Any]) -> List[RequestRecord]:
+    """One record per request in a parsed Chrome trace, in file order.
 
     Groups ``ph: "X"`` events by their ``args.request_id``: the
     ``serve.request`` root carries identity/outcome/latency, the
     ``serve.request.<stage>`` children carry the stage durations.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except ValueError as exc:
-        raise ServeError(f"{os.fspath(path)}: not a chrome trace: {exc}")
-    events = payload.get("traceEvents", [])
     by_request: Dict[str, RequestRecord] = {}
-    order: List[str] = []
-    for event in events:
+    for event in trace.get("traceEvents", ()):
         if event.get("ph") != "X":
             continue
         name = str(event.get("name", ""))
@@ -128,7 +82,6 @@ def load_chrome_trace(path: os.PathLike) -> List[RequestRecord]:
         record = by_request.get(request_id)
         if record is None:
             record = by_request[request_id] = RequestRecord(request_id)
-            order.append(request_id)
         duration_ms = float(event.get("dur", 0.0)) / 1e3
         if name == REQUEST_SPAN:
             record.model = str(args.get("model", ""))
@@ -141,18 +94,7 @@ def load_chrome_trace(path: os.PathLike) -> List[RequestRecord]:
             key = f"{stage}_ms"
             if key in STAGE_KEYS:
                 setattr(record, key, duration_ms)
-    return [by_request[request_id] for request_id in order]
-
-
-def load_requests(path: os.PathLike) -> List[RequestRecord]:
-    """Auto-detect flight dump vs Chrome trace by the first bytes."""
-    with open(path, "r", encoding="utf-8") as handle:
-        head = handle.read(512).lstrip()
-    if not head:
-        raise ServeError(f"{os.fspath(path)}: empty file")
-    if f'"{FLIGHT_FORMAT}"' in head.splitlines()[0]:
-        return load_flight_dump(path)
-    return load_chrome_trace(path)
+    return list(by_request.values())
 
 
 # ---------------------------------------------------------------------------
@@ -237,81 +179,43 @@ def analyze_requests(records: Sequence[RequestRecord],
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "-"
-    return f"{value:.3f}" if isinstance(value, float) else str(value)
-
-
-def _table(headers: Sequence[str],
-           rows: Sequence[Sequence[Any]]) -> List[str]:
-    cells = [[str(h) for h in headers]] + \
-        [[_fmt(c) if isinstance(c, float) else str(c) for c in row]
-         for row in rows]
-    widths = [max(len(row[i]) for row in cells)
-              for i in range(len(headers))]
-    lines = []
-    for index, row in enumerate(cells):
-        lines.append("  ".join(cell.ljust(width) if i == 0
-                               else cell.rjust(width)
-                               for i, (cell, width)
-                               in enumerate(zip(row, widths))))
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return lines
-
-
 def render_analysis(report: Mapping[str, Any], source: str = "") -> str:
     """Human-readable report text for ``repro analyze``."""
-    lines: List[str] = []
+    def ms(value: Optional[float]) -> Any:
+        return "-" if value is None or math.isnan(value) else value
+
     title = f"request analysis: {report['count']} requests"
     if source:
         title += f"  ({source})"
-    lines.append(title)
     outcomes = ", ".join(f"{name}={count}" for name, count
                          in sorted(report["outcomes"].items()))
-    lines.append(f"outcomes: {outcomes}")
-    lines.append("")
+    blocks = [f"{title}\noutcomes: {outcomes}"]
 
-    lines.append("latency by stage (ms):")
-    stage_rows = []
-    for key, row in report["stages"].items():
-        label = key[:-3] if key.endswith("_ms") else key
-        stage_rows.append([label, int(row["count"]), row["mean"],
-                           row["p50"], row["p90"], row["p99"], row["max"]])
-    lines.extend(_table(
-        ["stage", "count", "mean", "p50", "p90", "p99", "max"], stage_rows))
-    lines.append("")
+    blocks.append(format_table(
+        ["stage", "count", "mean", "p50", "p90", "p99", "max"],
+        [[key[:-3] if key.endswith("_ms") else key, int(row["count"])]
+         + [ms(row[col]) for col in ("mean", "p50", "p90", "p99", "max")]
+         for key, row in report["stages"].items()],
+        title="latency by stage (ms):"))
 
     split = report["split"]
-    lines.append(
+    blocks.append(
         f"queue-wait vs compute: {split['queue_wait_frac']:.1%} waiting, "
         f"{split['compute_frac']:.1%} computing "
         f"(of {split['total_ms']:.1f} ms total request wall time)")
-    lines.append("")
 
     if report["slowest"]:
-        lines.append(f"top {len(report['slowest'])} slowest requests (ms):")
-        slow_rows = []
-        for record in report["slowest"]:
-            slow_rows.append([
-                record.request_id, record.outcome, record.latency_ms,
-                record.admission_ms if record.admission_ms is not None
-                else float("nan"),
-                record.queue_ms if record.queue_ms is not None
-                else float("nan"),
-                record.infer_ms if record.infer_ms is not None
-                else float("nan"),
-                record.batch_size,
-            ])
-        lines.extend(_table(
+        blocks.append(format_table(
             ["request", "outcome", "latency", "admission", "queue",
-             "infer", "batch"], slow_rows))
-        lines.append("")
+             "infer", "batch"],
+            [[r.request_id, r.outcome, r.latency_ms, ms(r.admission_ms),
+              ms(r.queue_ms), ms(r.infer_ms), r.batch_size]
+             for r in report["slowest"]],
+            title=f"top {len(report['slowest'])} slowest requests (ms):"))
 
-    lines.append("latency by artifact (ms):")
-    model_rows = [[model, int(row["count"]), row["mean"], row["p50"],
-                   row["p99"]] for model, row in report["models"].items()]
-    lines.extend(_table(["artifact", "count", "mean", "p50", "p99"],
-                        model_rows))
-    return "\n".join(lines) + "\n"
+    blocks.append(format_table(
+        ["artifact", "count", "mean", "p50", "p99"],
+        [[model, int(row["count"]), ms(row["mean"]), ms(row["p50"]),
+          ms(row["p99"])] for model, row in report["models"].items()],
+        title="latency by artifact (ms):"))
+    return "\n\n".join(blocks) + "\n"

@@ -34,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import concurrent.futures
+import contextvars
 import itertools
 import json
 import os
@@ -73,9 +74,8 @@ class ServeConfig:
     #   flight-recorder ring (repro.serve.tracing)
     slo_ms: float = 250.0  # end-to-end latency target; responses above
     #   it count as serve.slo.latency_ms breaches (latency_slo rule)
-    flight_capacity: int = 256  # flight-recorder ring size (requests)
     flight_dir: Optional[str] = None  # where alert/crash-triggered
-    #   flight dumps land as JSONL; None disables dumping to disk
+    #   flight dumps land as Chrome traces; None disables dumping to disk
 
 
 @dataclass
@@ -219,7 +219,6 @@ class ModelServer:
             self._tracer = RequestTracer(
                 recorder=get_recorder(), clock=self.clock,
                 slo_ms=self.config.slo_ms,
-                flight_capacity=self.config.flight_capacity,
                 flight_dir=self.config.flight_dir)
         self._pool = ShardPool(
             functools.partial(_make_shard_handler, self.config.cache_capacity,
@@ -280,7 +279,7 @@ class ModelServer:
         """The per-request tracer (None before start or when disabled)."""
         return self._tracer
 
-    def flight_records(self) -> List[Dict[str, Any]]:
+    def flight_records(self) -> List[RequestContext]:
         """The flight recorder's current ring (oldest first)."""
         if self._tracer is None:
             return []
@@ -475,8 +474,11 @@ class ModelServer:
         loop = asyncio.get_event_loop()
         with span("serve.batch", model=key, requests=len(batch),
                   rows=int(sum(sizes))):
+            # run_in_executor does not carry contextvars over: run the
+            # round trip in a copy, so the shard span lands under this one
             result = await loop.run_in_executor(
-                self._executor, self._pool.request, payload, None,
+                self._executor, contextvars.copy_context().run,
+                self._pool.request, payload, None,
                 self.config.request_timeout_s)
         infer_ms = (self.clock() - dispatched_at) * 1e3
         registry.histogram("serve.batch_size").observe(float(len(batch)))

@@ -1,13 +1,14 @@
 """Per-request tracing, SLO accounting, and the flight recorder.
 
-PR 7 made the serving path observable in *aggregate* (throughput
-counters, latency histograms).  This module makes individual requests
-observable: every admitted request carries a :class:`RequestContext`
-from admission through :class:`~repro.serve.batcher.DeadlineBatcher`
-coalescing, :class:`~repro.parallel.shards.ShardPool` dispatch, and the
-shard's eager forward, and on completion the :class:`RequestTracer`
+The server's metrics make the serving path observable in *aggregate*
+(throughput counters, latency histograms).  This module makes
+individual requests observable: every admitted request carries a
+:class:`RequestContext` from admission through
+:class:`~repro.serve.batcher.DeadlineBatcher` coalescing,
+:class:`~repro.parallel.shards.ShardPool` dispatch, and the shard's
+eager forward, and on completion the :class:`RequestTracer`
 
-* emits one **span tree** per request into the active PR-6
+* emits one **span tree** per request into the active
   :class:`~repro.telemetry.trace.TraceRecorder` -- a ``serve.request``
   parent with contiguous ``admission`` / ``queue`` / ``batch`` children
   (plus an ``infer`` grandchild for the shard round-trip), each request
@@ -17,11 +18,12 @@ shard's eager forward, and on completion the :class:`RequestTracer`
   :class:`~repro.telemetry.slo.SloHistogram`) whose bucket vectors
   merge exactly across shard workers and whose ``latency_ms`` target
   feeds the ``latency_slo`` burn-rate alert rule;
-* appends a compact record to the bounded in-memory **flight
-  recorder**, a ring of the last N requests (id, artifact, shape,
-  per-stage timings, outcome) that :meth:`RequestTracer.dump_flight`
-  writes to JSONL when an alert fires or a shard crashes -- the
-  post-mortem ``repro analyze`` reads.
+* keeps the request's context in the bounded in-memory **flight
+  recorder**, a ring of the last :data:`FLIGHT_CAPACITY` requests that
+  :meth:`RequestTracer.dump_flight` renders, when an alert fires or a
+  shard crashes, as a Chrome trace of the same span trees
+  (:func:`emit_request` builds both) -- the post-mortem
+  ``repro analyze`` reads like any other trace.
 
 Everything here is clock-injected: the tracer converts the server's
 (possibly fake) clock into the recorder's timebase with a one-time
@@ -37,26 +39,24 @@ import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry, default_registry
 from repro.telemetry.trace import TraceRecorder
 
 __all__ = ["RequestContext", "FlightRecorder", "RequestTracer",
-           "FLIGHT_FORMAT", "LANE_TID_BASE", "REQUEST_SPAN",
-           "STAGE_SPANS"]
+           "emit_request", "FLIGHT_CAPACITY", "LANE_TID_BASE",
+           "REQUEST_SPAN"]
 
-#: Header tag of a flight-recorder JSONL dump.
-FLIGHT_FORMAT = "repro-flight-v1"
+#: Requests the flight recorder keeps.
+FLIGHT_CAPACITY = 256
 
 #: Synthetic Chrome-trace tid for request lane 0; real thread idents on
 #: Linux are pointers (far larger), so these never collide.
 LANE_TID_BASE = 1000
 
 REQUEST_SPAN = "serve.request"
-STAGE_SPANS = ("serve.request.admission", "serve.request.queue",
-               "serve.request.batch", "serve.request.infer")
 
 
 @dataclass
@@ -72,7 +72,6 @@ class RequestContext:
 
     request_id: str
     model: str
-    trace_id: str = ""
     lane: int = -1
     input_shape: Tuple[int, ...] = ()
     t_admit: float = 0.0
@@ -84,6 +83,10 @@ class RequestContext:
     ok: bool = False
     error_kind: str = ""
     infer_s: float = 0.0
+
+    @property
+    def outcome(self) -> str:
+        return "ok" if self.ok else (self.error_kind or "error")
 
     # ------------------------------------------------------------ derived ms
     def stage_ms(self) -> Dict[str, float]:
@@ -107,32 +110,65 @@ class RequestContext:
         stages["latency_ms"] = (self.t_done - self.t_admit) * 1e3
         return stages
 
-    def to_record(self) -> Dict[str, Any]:
-        """Flight-recorder line: JSON-ready, one request per line."""
-        record: Dict[str, Any] = {
-            "request_id": self.request_id,
-            "model": self.model,
-            "input_shape": list(self.input_shape),
-            "ok": self.ok,
-            "outcome": "ok" if self.ok else (self.error_kind or "error"),
-            "shard": self.shard,
-            "batch_size": self.batch_size,
-            "t_admit": self.t_admit,
-        }
-        for key, value in self.stage_ms().items():
-            record[key] = round(value, 4)
-        return record
+
+def emit_request(recorder: TraceRecorder, ctx: RequestContext,
+                 offset: float) -> None:
+    """Add a finished request's span tree to ``recorder``.
+
+    A ``serve.request`` root on the request's lane with contiguous
+    ``admission`` / ``queue`` / ``batch`` children and an ``infer``
+    grandchild for the shard round trip; every span carries the
+    ``request_id`` arg that groups the tree.  ``offset`` maps the
+    server clock onto the recorder's timeline.  Live traces and flight
+    dumps are both built here.
+    """
+    lane = max(0, ctx.lane)
+    tid = LANE_TID_BASE + lane
+    recorder.label_thread(tid, f"request lane {lane}")
+    rid = ctx.request_id
+
+    def emit(name: str, start: float, end: float, depth: int,
+             parent_id: int, **attrs: Any) -> int:
+        span_id = recorder.next_span_id()
+        recorder.add(name, start + offset, max(0.0, end - start), depth,
+                     attrs, span_id=span_id, parent_id=parent_id,
+                     thread_id=tid)
+        return span_id
+
+    root = emit(
+        REQUEST_SPAN, ctx.t_admit, ctx.t_done, 0, 0,
+        request_id=rid, model=ctx.model, outcome=ctx.outcome,
+        shard=ctx.shard, batch_size=ctx.batch_size,
+        input_shape=list(ctx.input_shape),
+        latency_ms=round((ctx.t_done - ctx.t_admit) * 1e3, 4))
+    if ctx.t_submit is None:
+        # failed at admission: the whole request was admission
+        emit("serve.request.admission", ctx.t_admit, ctx.t_done, 1, root,
+             request_id=rid)
+        return
+    emit("serve.request.admission", ctx.t_admit, ctx.t_submit, 1, root,
+         request_id=rid)
+    end_queue = ctx.t_dispatch if ctx.t_dispatch is not None else ctx.t_done
+    emit("serve.request.queue", ctx.t_submit, end_queue, 1, root,
+         request_id=rid)
+    if ctx.t_dispatch is not None:
+        batch = emit("serve.request.batch", ctx.t_dispatch, ctx.t_done, 1,
+                     root, request_id=rid, batch_size=ctx.batch_size)
+        emit("serve.request.infer",
+             max(ctx.t_dispatch, ctx.t_done - ctx.infer_s), ctx.t_done, 2,
+             batch, request_id=rid, shard=ctx.shard)
 
 
 class FlightRecorder:
-    """Bounded ring of the last N finished-request records.
+    """Bounded ring of the last N finished requests' contexts.
 
     Cheap enough to run always (a deque append per request); the value
     is at dump time -- when an alert fires or a shard dies, the ring
-    holds exactly the requests leading up to the event.
+    holds exactly the requests leading up to the event, rendered then
+    as a Chrome trace of their span trees.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
+    def __init__(self, capacity: int = FLIGHT_CAPACITY) -> None:
         if capacity < 1:
             from repro.errors import ServeError
             raise ServeError(f"flight capacity must be >= 1, got {capacity}")
@@ -143,26 +179,32 @@ class FlightRecorder:
     def __len__(self) -> int:
         return len(self._ring)
 
-    def record(self, record: Dict[str, Any]) -> None:
+    def record(self, ctx: RequestContext) -> None:
         with self._lock:
-            self._ring.append(record)
+            self._ring.append(ctx)
 
-    def records(self) -> List[Dict[str, Any]]:
+    def records(self) -> List[RequestContext]:
         with self._lock:
             return list(self._ring)
 
     def dump(self, path: os.PathLike, reason: str = "manual",
              **extra: Any) -> int:
-        """Write header + one JSON line per request; returns line count."""
-        records = self.records()
-        header = {"flight": FLIGHT_FORMAT, "reason": reason,
-                  "capacity": self.capacity, "records": len(records)}
-        header.update(extra)
+        """Write the ring as a Chrome trace (``otherData`` holds the
+        reason, capacity and ``extra``); returns the request count.
+        Timestamps stay on the server clock: readers use only the
+        durations and ids."""
+        contexts = self.records()
+        recorder = TraceRecorder()
+        for ctx in contexts:
+            emit_request(recorder, ctx, 0.0)
+        trace = recorder.chrome_trace()
+        trace["otherData"] = dict(extra, reason=reason,
+                                  capacity=self.capacity,
+                                  requests=len(contexts))
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(header, sort_keys=True) + "\n")
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+            json.dump(trace, handle)
+            handle.write("\n")
+        return len(contexts)
 
 
 class RequestTracer:
@@ -179,8 +221,8 @@ class RequestTracer:
         slo_ms: end-to-end latency target; responses above it count as
             breaches on ``serve.slo.latency_ms`` (the burn-rate rule's
             numerator).
-        flight_capacity: ring size of the flight recorder.
-        flight_dir: where :meth:`dump_flight` writes JSONL dumps; with
+        flight_dir: where :meth:`dump_flight` writes its Chrome-trace
+            dumps (:data:`FLIGHT_CAPACITY` requests at most); with
             ``None`` dumps are skipped (the ring still fills and stays
             readable in-process).
         registry: metrics sink, the process default when omitted.
@@ -189,13 +231,12 @@ class RequestTracer:
     def __init__(self, recorder: Optional[TraceRecorder] = None,
                  clock: Callable[[], float] = time.monotonic,
                  slo_ms: float = 250.0,
-                 flight_capacity: int = 256,
                  flight_dir: Optional[os.PathLike] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.recorder = recorder
         self.clock = clock
         self.slo_ms = float(slo_ms)
-        self.flight = FlightRecorder(flight_capacity)
+        self.flight = FlightRecorder()
         self.flight_dir = os.fspath(flight_dir) if flight_dir is not None \
             else None
         self.registry = registry if registry is not None \
@@ -210,7 +251,6 @@ class RequestTracer:
         self._lock = threading.Lock()
         self._free_lanes: List[int] = []
         self._next_lane = 0
-        self._labeled: set = set()
         self._dumped_reasons: set = set()
         self._dump_seq = 0
         # SLO histograms are created eagerly so a zero-traffic snapshot
@@ -234,8 +274,6 @@ class RequestTracer:
             return lane
 
     def _release_lane(self, lane: int) -> None:
-        if lane < 0:
-            return
         with self._lock:
             heapq.heappush(self._free_lanes, lane)
 
@@ -243,15 +281,12 @@ class RequestTracer:
     def admit(self, request_id: str, model: str,
               input_shape: Tuple[int, ...] = ()) -> RequestContext:
         """Mint the per-request context at the admission boundary."""
-        recorder = self.recorder
-        ctx = RequestContext(
+        return RequestContext(
             request_id=str(request_id), model=str(model),
-            trace_id=recorder.trace_id if recorder is not None else "",
-            lane=self._acquire_lane() if recorder is not None else -1,
+            lane=self._acquire_lane() if self.recorder is not None else -1,
             input_shape=tuple(int(d) for d in input_shape),
             t_admit=self.clock(),
         )
-        return ctx
 
     def mark_submitted(self, ctx: Optional[RequestContext]) -> None:
         """The request entered the batcher queue."""
@@ -284,62 +319,15 @@ class RequestTracer:
             if key in stages:
                 histogram.observe(stages[key])
         self._slo_latency.observe(stages["latency_ms"])
-        self.flight.record(ctx.to_record())
-        self._emit_spans(ctx, stages)
-        self._release_lane(ctx.lane)
-
-    # ----------------------------------------------------------------- spans
-    def _to_recorder_time(self, t: float) -> float:
-        return t + self._offset
-
-    def _emit_spans(self, ctx: RequestContext,
-                    stages: Dict[str, float]) -> None:
-        recorder = self.recorder
-        if recorder is None or ctx.t_done is None:
-            return
-        tid = LANE_TID_BASE + max(0, ctx.lane)
-        if tid not in self._labeled:
-            self._labeled.add(tid)
-            recorder.label_thread(tid, f"request lane {max(0, ctx.lane)}")
-
-        def emit(name: str, start: float, end: float, depth: int,
-                 parent_id: int, **attrs: Any) -> int:
-            span_id = recorder.next_span_id()
-            recorder.add(
-                name, self._to_recorder_time(start),
-                max(0.0, end - start), depth, attrs,
-                span_id=span_id, parent_id=parent_id, thread_id=tid)
-            return span_id
-
-        root = emit(
-            REQUEST_SPAN, ctx.t_admit, ctx.t_done, 0, 0,
-            request_id=ctx.request_id, model=ctx.model,
-            outcome="ok" if ctx.ok else (ctx.error_kind or "error"),
-            shard=ctx.shard, batch_size=ctx.batch_size,
-            latency_ms=round(stages.get("latency_ms", 0.0), 4))
-        if ctx.t_submit is not None:
-            emit("serve.request.admission", ctx.t_admit, ctx.t_submit,
-                 1, root, request_id=ctx.request_id)
-            end_queue = ctx.t_dispatch if ctx.t_dispatch is not None \
-                else ctx.t_done
-            emit("serve.request.queue", ctx.t_submit, end_queue,
-                 1, root, request_id=ctx.request_id)
-        else:
-            # failed at admission: the whole request was admission
-            emit("serve.request.admission", ctx.t_admit, ctx.t_done,
-                 1, root, request_id=ctx.request_id)
-        if ctx.t_dispatch is not None:
-            batch = emit("serve.request.batch", ctx.t_dispatch, ctx.t_done,
-                         1, root, request_id=ctx.request_id,
-                         batch_size=ctx.batch_size)
-            infer_start = max(ctx.t_dispatch, ctx.t_done - ctx.infer_s)
-            emit("serve.request.infer", infer_start, ctx.t_done,
-                 2, batch, request_id=ctx.request_id, shard=ctx.shard)
+        self.flight.record(ctx)
+        if self.recorder is not None:
+            emit_request(self.recorder, ctx, self._offset)
+            self._release_lane(ctx.lane)
 
     # ------------------------------------------------------ flight dump path
     def dump_flight(self, reason: str,
                     once_per_reason: bool = True) -> Optional[str]:
-        """Dump the flight ring to ``flight_dir`` (JSONL); returns path.
+        """Dump the flight ring to ``flight_dir``; returns the path.
 
         ``once_per_reason`` latches each reason so a sustained alert
         storm produces one post-mortem, not thousands; returns ``None``
@@ -356,7 +344,7 @@ class RequestTracer:
             seq = self._dump_seq
         safe = "".join(c if c.isalnum() or c in "-_" else "-"
                        for c in reason) or "dump"
-        path = os.path.join(self.flight_dir, f"flight-{seq:03d}-{safe}.jsonl")
+        path = os.path.join(self.flight_dir, f"flight-{seq:03d}-{safe}.json")
         try:
             os.makedirs(self.flight_dir, exist_ok=True)
             self.flight.dump(path, reason=reason, slo_ms=self.slo_ms)

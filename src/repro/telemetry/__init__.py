@@ -35,6 +35,7 @@ from repro.telemetry.trace import (
     attribute,
     current_trace_context,
     get_recorder,
+    read_trace,
     recording,
     render_lanes,
     set_recorder,
@@ -66,7 +67,8 @@ __all__ = [
     "default_registry", "SloHistogram", "EDGES",
     "SpanRecord", "TraceContext", "TraceRecorder", "span", "recording",
     "get_recorder", "set_recorder", "timed_stage", "current_trace_context",
-    "worker_recorder", "Lane", "attribute", "render_lanes",
+    "worker_recorder", "Lane", "read_trace", "attribute",
+    "render_lanes",
     "MetricsExporter", "active_exporter", "health_snapshot",
     "prometheus_text", "serve_metrics", "stop_exporter", "update_health",
     "EventLogger", "RunManifest", "config_fingerprint", "configure_logging",

@@ -29,10 +29,10 @@ active it owns the backend kernel hook (:mod:`repro.backend.registry`):
 each top-level kernel call adds its seconds, calls and bytes to the
 innermost open span, and the totals land in that span's
 ``attrs["kernels"]`` when it closes -- so they ride home from workers
-with the spans.  :func:`attribute` turns a Chrome trace into one
-self-time table per process lane whose rows (span self time, kernel
-time, ``unattributed``) sum to the lane's total; ``repro analyze``
-prints it.
+with the spans.  :func:`read_trace` loads a Chrome trace and
+:func:`attribute` turns it into one self-time table per process lane
+whose rows (span self time, kernel time, ``unattributed``) sum to the
+lane's total; ``repro analyze`` prints it.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from typing import (Any, Dict, Iterator, List, Mapping, Optional, Sequence,
                     Set, Tuple)
 
 from repro.backend import registry as _kernels
+from repro.errors import ConfigError
 
 
 @dataclass
@@ -450,21 +451,29 @@ def current_trace_context() -> Optional[TraceContext]:
     return recorder.context()
 
 
-def worker_recorder(ctx: TraceContext) -> TraceRecorder:
+def worker_recorder(ctx: TraceContext,
+                    reuse: Optional[TraceRecorder] = None) -> TraceRecorder:
     """Build a recorder inside a worker, aligned to the parent timeline.
 
     The worker's monotonic origin is back-dated by the wall-clock gap
     since the parent's origin, so span ``start`` values are directly
     comparable with (and mergeable into) the parent recorder.  Root
     spans recorded here are parented onto ``ctx.parent_span_id``; span
-    ids are offset into a per-pid block so they cannot collide with the
-    parent's or a sibling worker's ids after the merge.
+    ids are offset into a per-pid block of 2**30 ids so they cannot
+    collide with the parent's or a sibling worker's ids after the merge
+    (and stay exact as JSON doubles).  ``reuse`` -- the worker's
+    recorder from an earlier unit -- is kept and only re-parented when
+    it records the same trace, so its ids keep counting within the
+    block instead of restarting.
     """
+    if reuse is not None and reuse.trace_id == ctx.trace_id:
+        reuse._root_parent_id = ctx.parent_span_id
+        return reuse
     recorder = TraceRecorder(trace_id=ctx.trace_id)
     recorder._origin = time.perf_counter() - (time.time() - ctx.origin_wall)
     recorder._origin_wall = ctx.origin_wall
     recorder._root_parent_id = ctx.parent_span_id
-    recorder._ids = itertools.count(os.getpid() * 1_000_000 + 1)
+    recorder._ids = itertools.count((os.getpid() << 30) + 1)
     return recorder
 
 
@@ -493,9 +502,9 @@ def timed_stage(name: str, registry=None, **attrs: Any) -> Iterator[None]:
 class Lane:
     """Self-time rows of one process lane.
 
-    ``rows`` are ``(kind, name, calls, seconds)`` with kind ``"span"``
-    or ``"kernel"``; together with :attr:`unattributed_s` they sum to
-    ``total_s`` exactly.
+    ``rows`` are ``(kind, name, calls, seconds)`` with kind ``"span"``,
+    ``"kernel"`` or ``"overlap"``; together with :attr:`unattributed_s`
+    they sum to ``total_s`` exactly.
     """
 
     pid: int
@@ -508,6 +517,23 @@ class Lane:
         return self.total_s - sum(row[3] for row in self.rows)
 
 
+def read_trace(path: os.PathLike) -> Dict[str, Any]:
+    """Load a Chrome trace file (a ``--trace-out`` trace or a serving
+    flight dump); anything else raises :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            trace = json.load(handle)
+    except OSError as exc:
+        raise ConfigError(f"{os.fspath(path)}: cannot read: {exc}")
+    except ValueError as exc:
+        raise ConfigError(f"{os.fspath(path)}: not a Chrome trace: {exc}")
+    if not isinstance(trace, dict) \
+            or not isinstance(trace.get("traceEvents"), list):
+        raise ConfigError(
+            f"{os.fspath(path)}: not a Chrome trace: no traceEvents list")
+    return trace
+
+
 def attribute(trace: Mapping[str, Any]) -> List[Lane]:
     """Tile each process lane of a :meth:`TraceRecorder.chrome_trace`.
 
@@ -515,13 +541,23 @@ def attribute(trace: Mapping[str, Any]) -> List[Lane]:
     children and minus the kernel time attached to them; a kernel's row
     sums the totals that spans carry under ``args["kernels"]``.  The
     recording process's total is the recorder's wall time (from
-    ``otherData``); any other lane's total is its root spans' time.
+    ``otherData``); any other lane's total is the time its root spans
+    cover.  Root spans that overlap (concurrent asyncio tasks or
+    threads, such as the server's in-flight ``serve.batch`` spans) add
+    one negative ``overlap`` row, the time they count more than once,
+    so ``unattributed`` is the time no span covers.
+
+    Spans carrying a ``request_id`` arg are left out: they are the
+    serving per-request trees, which overlap one another by design and
+    are read by the request view (:mod:`repro.serve.analyze`) instead.
     """
     other = trace.get("otherData", {}) or {}
     labels: Dict[int, str] = {}
     by_pid: Dict[int, List[Mapping[str, Any]]] = {}
     for event in trace.get("traceEvents", ()):
         if event.get("ph") == "X":
+            if "request_id" in (event.get("args") or {}):
+                continue
             by_pid.setdefault(int(event["pid"]), []).append(event)
         elif event.get("name") == "process_name":
             labels[int(event["pid"])] = str(event["args"]["name"])
@@ -535,7 +571,7 @@ def attribute(trace: Mapping[str, Any]) -> List[Lane]:
                     children.get(event["parent_id"], 0.0) + event["dur"] / 1e6
         spans: Dict[str, List[float]] = {}
         kernels: Dict[str, List[float]] = {}
-        roots = 0.0
+        roots: List[Tuple[float, float]] = []
         for event in events:
             duration = event["dur"] / 1e6
             self_s = duration - children.get(event.get("span_id"), 0.0)
@@ -549,15 +585,29 @@ def attribute(trace: Mapping[str, Any]) -> List[Lane]:
             row[0] += 1
             row[1] += self_s
             if event.get("parent_id") not in ids:
-                roots += duration
+                start = event["ts"] / 1e6
+                roots.append((start, start + duration))
+        # roots of concurrent tasks or threads overlap; each span row
+        # counts the shared time, so one negative row takes the excess
+        # back (overlaps under 1 us are timestamp rounding)
+        overlap, overlapping, reach = 0.0, 0, float("-inf")
+        for start, stop in sorted(roots):
+            if start < reach - 1e-6:
+                overlap += min(stop, reach) - start
+                overlapping += 1
+            reach = max(reach, stop)
         main = pid == other.get("pid") and "wall_s" in other
         rows = [("span", name, int(calls), s)
                 for name, (calls, s) in spans.items()]
         rows += [("kernel", name, int(calls), s)
                  for name, (calls, s) in kernels.items()]
+        if overlapping:
+            rows.append(("overlap", "concurrent spans", overlapping,
+                         -overlap))
         rows.sort(key=lambda row: -row[3])
+        covered = sum(stop - start for start, stop in roots) - overlap
         lanes.append(Lane(pid, labels.get(pid, f"pid {pid}"),
-                          float(other["wall_s"]) if main else roots, rows))
+                          float(other["wall_s"]) if main else covered, rows))
     lanes.sort(key=lambda lane: (lane.pid != other.get("pid"), lane.pid))
     return lanes
 

@@ -84,6 +84,29 @@ class TestContextPlumbing:
         # worker ids live in a per-pid block, disjoint from parent ids
         assert record.span_id >= 1_000_000
 
+    def test_worker_recorder_reuse_keeps_ids_counting(self):
+        parent = TraceRecorder()
+        with recording(parent):
+            with span("batch 1"):
+                first = current_trace_context()
+            with span("batch 2"):
+                second = current_trace_context()
+        child = worker_recorder(first)
+        with recording(child):
+            with span("unit 1"):
+                pass
+        assert worker_recorder(second, reuse=child) is child
+        with recording(child):
+            with span("unit 2"):
+                pass
+        one, two = child.spans
+        assert (one.parent_id, two.parent_id) == (
+            first.parent_span_id, second.parent_span_id)
+        assert two.span_id == one.span_id + 1
+        # another trace gets a fresh recorder
+        other = worker_recorder(TraceRecorder().context(), reuse=child)
+        assert other is not child
+
 
 class TestPoolShipsSpans:
     def test_outcomes_carry_worker_spans(self):

@@ -1,4 +1,4 @@
-"""repro analyze: loaders, tail attribution, rendering, and the CLI."""
+"""repro analyze: the request view, tail attribution, rendering, CLI."""
 
 import json
 
@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.errors import ServeError
+from repro.errors import ConfigError, ServeError
 from repro.models.registry import build_model
 from repro.pipeline.results_io import load_manifest
 from repro.serve import save_artifact
 from repro.serve.analyze import (
     RequestRecord,
     analyze_requests,
-    load_chrome_trace,
-    load_flight_dump,
-    load_requests,
     render_analysis,
+    request_records,
 )
 from repro.serve.tracing import RequestTracer
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.trace import TraceRecorder
+from repro.telemetry.trace import TraceRecorder, attribute, read_trace
 
 
 def record(rid, latency, admission=0.5, queue=2.0, infer=5.0,
@@ -120,13 +118,16 @@ class TestRender:
 
 
 class TestLoaders:
+    """Live traces and flight dumps go through the one loader,
+    read_trace, then request_records."""
+
     def test_flight_dump_roundtrip(self, tmp_path):
         tracer = RequestTracer(clock=FakeClock(),
                                registry=MetricsRegistry())
         drive_tracer(tracer, n=3)
-        path = tmp_path / "dump.jsonl"
+        path = tmp_path / "dump.json"
         tracer.flight.dump(path, reason="test")
-        records = load_flight_dump(path)
+        records = request_records(read_trace(path))
         assert [r.request_id for r in records] == ["r0", "r1", "r2"]
         assert records[0].latency_ms == pytest.approx(10.0, abs=0.01)
         assert records[0].ok
@@ -141,51 +142,70 @@ class TestLoaders:
         drive_tracer(tracer, n=3)
         path = tmp_path / "trace.json"
         recorder.to_chrome_trace(path)
-        records = load_chrome_trace(path)
+        records = request_records(read_trace(path))
         assert len(records) == 3
         by_id = {r.request_id: r for r in records}
         assert by_id["r1"].latency_ms == pytest.approx(20.0, abs=0.01)
         assert by_id["r1"].queue_ms == pytest.approx(2.0, abs=0.01)
         assert by_id["r1"].model == "m" and by_id["r1"].outcome == "ok"
 
-    def test_auto_detection_picks_the_right_loader(self, tmp_path):
+    def test_flight_stats_equal_trace_stats(self, tmp_path):
         recorder = TraceRecorder()
         tracer = RequestTracer(recorder=recorder, clock=FakeClock(),
                                registry=MetricsRegistry())
         drive_tracer(tracer, n=2)
-        flight, chrome = tmp_path / "f.jsonl", tmp_path / "t.json"
+        flight, chrome = tmp_path / "f.json", tmp_path / "t.json"
         tracer.flight.dump(flight, reason="test")
         recorder.to_chrome_trace(chrome)
-        assert len(load_requests(flight)) == 2
-        assert len(load_requests(chrome)) == 2
-        report_a = analyze_requests(load_requests(flight))
-        report_b = analyze_requests(load_requests(chrome))
-        assert report_a["stages"]["e2e"]["mean"] == \
-            pytest.approx(report_b["stages"]["e2e"]["mean"], abs=0.05)
+        from_flight = request_records(read_trace(flight))
+        from_trace = request_records(read_trace(chrome))
+        assert len(from_flight) == len(from_trace) == 2
+        # one emitter builds both, so the numbers agree exactly
+        report_a = analyze_requests(from_flight)
+        report_b = analyze_requests(from_trace)
+        assert report_a["stages"] == report_b["stages"]
+        assert report_a["split"] == report_b["split"]
+        assert from_flight == from_trace
+
+    def test_request_trees_stay_out_of_the_lanes(self, tmp_path):
+        tracer = RequestTracer(clock=FakeClock(),
+                               registry=MetricsRegistry())
+        drive_tracer(tracer, n=3)
+        path = tmp_path / "dump.json"
+        tracer.flight.dump(path, reason="test")
+        assert attribute(read_trace(path)) == []
 
     def test_empty_file_raises(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
+        path = tmp_path / "empty.json"
         path.write_text("")
-        with pytest.raises(ServeError, match="empty"):
-            load_requests(path)
+        with pytest.raises(ConfigError, match="not a Chrome trace"):
+            read_trace(path)
 
     def test_bad_flight_header_raises(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"flight": "who-knows-v9"}\n')
-        with pytest.raises(ServeError, match="unknown flight format"):
-            load_flight_dump(path)
+        # the JSONL flight format of older versions is not a Chrome trace
+        path = tmp_path / "old.jsonl"
+        path.write_text('{"flight": "repro-flight-v1"}\n'
+                        '{"request_id": "r0", "latency_ms": 1.0}\n')
+        with pytest.raises(ConfigError, match="not a Chrome trace"):
+            read_trace(path)
 
     def test_bad_record_line_raises_with_location(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"flight": "repro-flight-v1"}\n{not json\n')
-        with pytest.raises(ServeError, match=":2"):
-            load_flight_dump(path)
+        path = tmp_path / "bad.json"
+        path.write_text('{"traceEvents": []}\n{not json\n')
+        with pytest.raises(ConfigError, match="line 2"):
+            read_trace(path)
 
     def test_non_json_chrome_trace_raises(self, tmp_path):
         path = tmp_path / "trace.json"
         path.write_text("<html>")
-        with pytest.raises(ServeError, match="not a chrome trace"):
-            load_chrome_trace(path)
+        with pytest.raises(ConfigError, match="not a Chrome trace"):
+            read_trace(path)
+
+    def test_json_without_events_raises(self, tmp_path):
+        path = tmp_path / "other.json"
+        path.write_text('{"records": []}')
+        with pytest.raises(ConfigError, match="no traceEvents"):
+            read_trace(path)
 
 
 class TestCli:
@@ -193,16 +213,25 @@ class TestCli:
         tracer = RequestTracer(clock=FakeClock(),
                                registry=MetricsRegistry())
         drive_tracer(tracer, n=4)
-        path = tmp_path / "dump.jsonl"
+        path = tmp_path / "dump.json"
         tracer.flight.dump(path, reason="test")
         assert main(["analyze", str(path), "--top", "2"]) == 0
         out = capsys.readouterr().out
         assert "request analysis: 4 requests" in out
         assert "top 2 slowest requests" in out
+        assert "self time" not in out  # a dump holds only request trees
 
     def test_analyze_missing_file_exits(self):
         with pytest.raises(SystemExit, match="repro analyze"):
             main(["analyze", "/nonexistent/nowhere.json"])
+
+    def test_analyze_old_flight_jsonl_is_a_structured_error(self, tmp_path):
+        path = tmp_path / "flight-001-shard_crash.jsonl"
+        path.write_text('{"flight": "repro-flight-v1", "records": 1}\n'
+                        '{"request_id": "r0", "latency_ms": 1.0}\n')
+        with pytest.raises(SystemExit,
+                           match="repro analyze: .*not a Chrome trace"):
+            main(["analyze", str(path)])
 
     def test_loadgen_writes_trace_and_manifest(self, tmp_path, capsys):
         kwargs = dict(num_classes=4, in_channels=3, width=4)
@@ -219,10 +248,14 @@ class TestCli:
                    "--out", str(out)])
         capsys.readouterr()
         assert rc == 0
-        # the chrome trace analyzes end to end
-        records = load_requests(trace_out)
+        # the chrome trace analyzes end to end: requests and lanes
+        records = request_records(read_trace(trace_out))
         assert len(records) == 12
         assert all(r.outcome == "ok" for r in records)
+        assert main(["analyze", str(trace_out)]) == 0
+        text = capsys.readouterr().out
+        assert "request analysis: 12 requests" in text
+        assert "repro main (pid" in text and "self time" in text
         # the manifest pins the observability surface of the run
         manifest = load_manifest(out)
         assert manifest.extra["trace_out"] == str(trace_out)

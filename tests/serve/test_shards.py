@@ -9,6 +9,7 @@ import pytest
 from repro.errors import ServeError
 from repro.parallel import ShardPool
 from repro.telemetry.metrics import MetricsRegistry, default_registry
+from repro.telemetry.trace import attribute, recording, span
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(not HAVE_FORK,
@@ -128,6 +129,38 @@ class TestProcessShards:
         assert default_registry().counter("serve.shard_deaths").value > deaths0
         assert registry.counter("serve.shard_respawns").value == respawns0 + 1
         assert registry.counter("serve.request_retries").value == retries0 + 1
+
+    def test_retried_request_keeps_its_shard_span_under_its_batch(
+            self, tmp_path):
+        sentinel = str(tmp_path / "go")
+        with recording() as recorder:
+            with ShardPool(_make_handler, shards=1, retries=1) as pool:
+                with span("serve.batch") as batch:
+                    ticket = pool.submit({"block_unless": sentinel})
+                assert _wait_until(lambda: pool.kill_shard(0))
+                with open(sentinel, "w", encoding="utf-8") as fh:
+                    fh.write("go")
+                result = pool.result(ticket, timeout=20)
+        assert result.ok and result.attempts == 2
+        [shard_span] = recorder.by_name("serve.shard")
+        assert shard_span.parent_id == batch.span_id
+        assert shard_span.pid != os.getpid()
+        lanes = {lane.pid: lane for lane in attribute(recorder.chrome_trace())}
+        assert lanes[shard_span.pid].label == "shard 0"
+
+    def test_shard_spans_keep_unique_ids_across_batches(self):
+        # one recorder per trace in the shard: ids must not restart
+        # with every unit that carries a new parent span
+        parents = []
+        with recording() as recorder:
+            with ShardPool(_make_handler, shards=1) as pool:
+                for value in range(3):
+                    with span("serve.batch") as batch:
+                        assert pool.request(value, timeout=10).ok
+                    parents.append(batch.span_id)
+        shard_spans = recorder.by_name("serve.shard")
+        assert [s.parent_id for s in shard_spans] == parents
+        assert len({s.span_id for s in shard_spans}) == 3
 
     def test_retries_exhausted_yields_structured_crash(self, tmp_path):
         sentinel = str(tmp_path / "never")

@@ -4,12 +4,12 @@ Unit tests drive :class:`RequestTracer` with a fake clock so every
 timestamp assertion is exact; the end-to-end tests run a real
 :class:`ModelServer` (serial shard execution) under ``recording()`` and
 check the acceptance-level guarantees -- every sampled request's wall
-time is covered by its stage children, and crash/alert events dump the
-flight ring to JSONL.
+time is covered by its stage children, crash/alert events dump the
+flight ring as a Chrome trace, and each shard's batches reach the trace
+on their own lane with kernel rows.
 """
 
 import asyncio
-import json
 import multiprocessing
 import os
 import time
@@ -21,15 +21,21 @@ from repro.errors import ServeError
 from repro.models.registry import build_model
 from repro.parallel.shards import ShardPool
 from repro.serve import ModelServer, ServeConfig, save_artifact
+from repro.serve.analyze import request_records
 from repro.serve.tracing import (
-    FLIGHT_FORMAT,
     LANE_TID_BASE,
     REQUEST_SPAN,
     FlightRecorder,
+    RequestContext,
     RequestTracer,
 )
 from repro.telemetry.metrics import MetricsRegistry, default_registry
-from repro.telemetry.trace import TraceRecorder, recording
+from repro.telemetry.trace import (
+    TraceRecorder,
+    attribute,
+    read_trace,
+    recording,
+)
 
 KW = dict(num_classes=4, in_channels=3, width=4)
 SHAPE = (3, 8, 8)
@@ -110,7 +116,7 @@ class TestStageAccounting:
         assert "queue_ms" not in stages and "batch_ms" not in stages
         assert stages["latency_ms"] == pytest.approx(3.0)
         record = tracer.flight.records()[-1]
-        assert record["outcome"] == "refused"
+        assert record.outcome == "refused"
 
     def test_none_context_is_a_noop(self):
         tracer = make_tracer()
@@ -199,26 +205,28 @@ class TestFlightRecorder:
     def test_ring_keeps_only_last_n(self):
         flight = FlightRecorder(capacity=3)
         for index in range(7):
-            flight.record({"request_id": f"r{index}"})
-        ids = [r["request_id"] for r in flight.records()]
+            flight.record(RequestContext(f"r{index}", "m"))
+        ids = [ctx.request_id for ctx in flight.records()]
         assert ids == ["r4", "r5", "r6"]
 
     def test_capacity_validation(self):
         with pytest.raises(ServeError):
             FlightRecorder(capacity=0)
 
-    def test_dump_writes_header_and_lines(self, tmp_path):
+    def test_dump_writes_a_chrome_trace(self, tmp_path):
         flight = FlightRecorder(capacity=8)
-        flight.record({"request_id": "a", "latency_ms": 1.5})
-        path = tmp_path / "dump.jsonl"
+        flight.record(RequestContext("a", "m", t_admit=1.0, t_done=1.0015,
+                                     ok=True))
+        path = tmp_path / "dump.json"
         count = flight.dump(path, reason="test", slo_ms=250.0)
         assert count == 1
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-        assert header["flight"] == FLIGHT_FORMAT
-        assert header["reason"] == "test"
-        assert header["records"] == 1
-        assert json.loads(lines[1])["request_id"] == "a"
+        trace = read_trace(path)
+        assert trace["otherData"]["reason"] == "test"
+        assert trace["otherData"]["requests"] == 1
+        assert trace["otherData"]["slo_ms"] == 250.0
+        [record] = request_records(trace)
+        assert record.request_id == "a"
+        assert record.latency_ms == pytest.approx(1.5)
 
     def test_dump_flight_latches_per_reason(self, tmp_path):
         registry = MetricsRegistry()
@@ -300,8 +308,8 @@ class TestServerEndToEnd:
 
         records = run(_go())
         assert len(records) == 5
-        assert all(r["outcome"] == "ok" for r in records)
-        stages = records[0]
+        assert all(r.outcome == "ok" for r in records)
+        stages = records[0].stage_ms()
         tiling = stages["admission_ms"] + stages["queue_ms"] + \
             stages["batch_ms"]
         assert tiling == pytest.approx(stages["latency_ms"], abs=0.01)
@@ -339,10 +347,9 @@ class TestServerEndToEnd:
                     await server.infer(input_seed=i)
 
         run(_go())
-        dumps = sorted(tmp_path.glob("flight-*.jsonl"))
+        dumps = sorted(tmp_path.glob("flight-*.json"))
         assert len(dumps) == 1, "one dump per alert reason, latched"
-        header = json.loads(dumps[0].read_text().splitlines()[0])
-        assert header["reason"] == "alert_always"
+        assert read_trace(dumps[0])["otherData"]["reason"] == "alert_always"
 
     @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
     def test_shard_crash_dumps_the_flight_ring(self, artifact, tmp_path):
@@ -364,11 +371,64 @@ class TestServerEndToEnd:
         response = run(_go())
         assert not response.ok
         assert response.error_kind == "crash"
-        dumps = sorted(tmp_path.glob("flight-*shard_crash*.jsonl"))
+        dumps = sorted(tmp_path.glob("flight-*shard_crash*.json"))
         assert len(dumps) == 1
-        lines = dumps[0].read_text().splitlines()
-        outcomes = [json.loads(line)["outcome"] for line in lines[1:]]
+        outcomes = [r.outcome for r in request_records(read_trace(dumps[0]))]
         assert "crash" in outcomes and "ok" in outcomes
+
+
+class TestShardSpans:
+    """One ``serve.shard`` span per batch, on the attribution path."""
+
+    @pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
+    def test_forked_shard_lanes_tile_with_kernel_rows(self, artifact,
+                                                      tmp_path, capsys):
+        from repro.cli import main
+
+        trace_out = tmp_path / "serve.trace.json"
+        assert main(["--trace-out", str(trace_out), "loadgen",
+                     f"m={artifact}", "--requests", "40", "--rate", "300",
+                     "--shards", "2"]) == 0
+        capsys.readouterr()
+        trace = read_trace(trace_out)
+        events = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        batch_ids = {e["span_id"] for e in events
+                     if e["name"] == "serve.batch"}
+        shard_spans = [e for e in events if e["name"] == "serve.shard"]
+        assert len(shard_spans) == len(batch_ids)
+        assert {e["parent_id"] for e in shard_spans} == batch_ids
+        lanes = attribute(trace)
+        for lane in lanes:
+            assert lane.unattributed_s >= 0.0, lane.label
+        shards = [lane for lane in lanes if lane.label.startswith("shard ")]
+        assert sorted(lane.label for lane in shards) == ["shard 0", "shard 1"]
+        for lane in shards:
+            assert abs(lane.unattributed_s) < 1e-6, lane.label
+            assert ("kernel", "conv2d_infer") in \
+                {(kind, name) for kind, name, _, _ in lane.rows}
+
+    def test_serial_fallback_nests_shard_span_under_batch(self, artifact):
+        async def _go():
+            async with ModelServer({"m": artifact},
+                                   config=serial_config()) as server:
+                return await asyncio.gather(*[
+                    server.infer(input_seed=i) for i in range(6)])
+
+        with recording() as recorder:
+            responses = run(_go())
+        assert all(r.ok for r in responses)
+        batches = {s.span_id: s for s in recorder.by_name("serve.batch")}
+        shards = recorder.by_name("serve.shard")
+        assert len(shards) == len(batches) >= 1
+        for shard_span in shards:
+            batch = batches[shard_span.parent_id]
+            assert shard_span.pid == batch.pid == os.getpid()
+            assert shard_span.depth == batch.depth + 1
+            assert batch.start <= shard_span.start
+            assert shard_span.end <= batch.end
+            assert "conv2d_infer" in shard_span.attrs["kernels"]
+        [lane] = attribute(recorder.chrome_trace())
+        assert lane.unattributed_s >= 0.0
 
 
 def _counting_handler():

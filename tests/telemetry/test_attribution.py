@@ -288,6 +288,22 @@ class TestAttribute:
         if worker:
             assert lanes[1].unattributed_s == pytest.approx(0.0, abs=1e-9)
 
+    def test_overlapping_roots_count_once(self):
+        # two concurrent roots [0, 3] and [1, 4] s in a 5 s lane
+        events = [{"name": name, "ph": "X", "pid": 1, "tid": 1,
+                   "ts": start * 1e6, "dur": 3e6, "span_id": span_id,
+                   "parent_id": 0, "args": {}}
+                  for name, start, span_id in (("a", 0.0, 1), ("b", 1.0, 2))]
+        [lane] = attribute({"traceEvents": events,
+                            "otherData": {"pid": 1, "wall_s": 5.0}})
+        rows = {(kind, name): (calls, s) for kind, name, calls, s
+                in lane.rows}
+        assert rows[("span", "a")] == (1, 3.0)
+        assert rows[("span", "b")] == (1, 3.0)
+        assert rows[("overlap", "concurrent spans")] == (1, -2.0)
+        assert lane.total_s == 5.0
+        assert lane.unattributed_s == pytest.approx(1.0)
+
     def test_kernel_rows_match_a_counting_hook(self):
         from repro.models import resnet8_tiny
         from repro.pipeline import TrainingConfig
