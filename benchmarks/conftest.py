@@ -256,7 +256,7 @@ def run_once(benchmark, fn):
 # Benchmark trajectory: every gated benchmark session appends its per-test
 # wall times (plus any metrics tests push via the ``bench_metrics`` fixture)
 # to BENCH_monitor.json through repro.monitor.bench.BenchStore, so
-# ``repro report --bench monitor`` can show drift across sessions.
+# drift across sessions stays on record (``repro info`` lists it).
 
 _BENCH_DURATIONS: Dict[str, float] = {}
 _BENCH_EXTRA: Dict[str, float] = {}

@@ -18,7 +18,7 @@ the behavioural contract); this gate checks the loss stays finite and
 the run really was data-parallel.
 
 Results land in ``BENCH_ddp.json`` via the BenchStore so scaling drift
-across sessions is visible to ``repro report``.  Marked ``slow`` and
+across sessions stays on record (``repro info``).  Marked ``slow`` and
 skipped below 4 cores, where 4 ranks time-slice a smaller number of
 cores and the ratio measures the scheduler, not the runtime.
 """

@@ -5,7 +5,7 @@ probe suite attached (correlation, drift, decode, grad/update, memory,
 throughput, kernel share) and asserts the probed epoch stays under the
 overhead budget.  The per-epoch numbers and the overhead fraction are
 pushed into the session's BENCH_monitor.json entry so the trend is
-tracked across sessions (``repro report --bench monitor``).
+kept across sessions (``repro info`` shows the latest entry).
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ float32 default policy.
 Timing halves are marked ``slow`` (deselect with ``-m "not slow"``)
 and skip on single-core machines, like the backend speedup gate.  Each
 timing session appends its numbers to ``BENCH_precision.json`` via the
-PR-4 BenchStore so drift across sessions is visible to
-``repro report``.
+BenchStore so drift across sessions stays on record
+(``repro info``).
 """
 
 from __future__ import annotations

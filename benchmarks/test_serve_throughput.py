@@ -12,7 +12,8 @@ arrivals, heavy-tailed gaps) through two otherwise-identical servers:
 Same artifact, same worker count, same trace.  The batched server must
 sustain at least **2x** the throughput of the batch-1 server, and its
 p50/p99 latencies land in ``BENCH_serve.json`` via the BenchStore so
-``repro report --bench serve`` tracks drift across sessions.
+drift across sessions stays on record (``repro info`` shows the latest
+entry).
 
 Marked ``slow`` (deselect with ``-m "not slow"``); shard execution is
 in-process serial so the gate measures batching, not fork latency, and

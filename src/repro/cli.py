@@ -8,22 +8,17 @@ Subcommands:
 * ``audit``        -- run the defender's pre-release audit on an attack run.
 * ``monitor``      -- attack run with the in-training probe suite
   (``repro.monitor``), writing a JSONL timeseries.
-* ``report``       -- render a monitor timeseries (or diff two), or a
-  stored benchmark trajectory (``--bench``).
-* ``alerts``       -- replay the alert rules over an existing monitor
-  timeseries (exit 1 when any rule fires).
 * ``serve``        -- batched async HTTP serving of released model
   artifacts (``repro.serve``): deadline coalescing, sharded workers,
   live latency telemetry.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
   against a server (in-process or ``--url``), with replayable traces
   and ``BENCH_serve.json`` trajectories.
-* ``analyze``      -- where a ``--trace-out`` Chrome trace's time went:
-  one self-time table per process lane (spans, kernels,
-  unattributed; each serving shard has its own lane), preceded for
-  serving traces and flight-recorder dumps by the request report
-  (per-stage percentiles, top-K slowest requests, queue-wait vs
-  compute split).
+* ``analyze``      -- explain a finished run: a Chrome trace's or flight
+  dump's request report and per-lane self time (spans, kernels,
+  unattributed); a monitor timeseries' probe table and replayed alert
+  rules (exit 1 when any fires), or the diff of two; a run manifest's
+  run id, then the views of the timeseries and trace it names.
 * ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
@@ -60,10 +55,10 @@ Examples::
     python -m repro.cli audit --rate 20
     python -m repro.cli monitor --epochs 10 --out run.json
     python -m repro.cli --serve-metrics 9109 monitor --alerts --epochs 10
-    python -m repro.cli alerts run.timeseries.jsonl --corr-above 0.25
-    python -m repro.cli report run.timeseries.jsonl
-    python -m repro.cli report malicious.timeseries.jsonl benign.timeseries.jsonl
-    python -m repro.cli report --bench monitor
+    python -m repro.cli analyze run.timeseries.jsonl --corr-above 0.25
+    python -m repro.cli analyze malicious.timeseries.jsonl benign.timeseries.jsonl
+    python -m repro.cli --trace-out run.trace.json monitor --out run.json && \
+        python -m repro.cli analyze run.manifest.json
     python -m repro.cli serve --demo --bits 4 --port 8080 --shards 2
     python -m repro.cli loadgen --url http://127.0.0.1:8080 --requests 500
     python -m repro.cli loadgen --demo --requests 200 --bench-out .
@@ -223,6 +218,7 @@ def _cmd_attack(args) -> int:
         manifest = RunManifest.create(
             seed=args.seed, config=(training, attack, quantization),
             workers=args.workers, dataset=args.dataset,
+            trace_out=args.trace_out,
         )
         save_result(attack_result_to_dict(result), args.out, manifest=manifest)
         print(f"result written to {args.out} (run {manifest.run_id})")
@@ -267,6 +263,7 @@ def _cmd_monitor(args) -> int:
             manifest = RunManifest.create(
                 seed=args.seed, config=(training, attack, quantization),
                 workers=args.workers, dataset=args.dataset,
+                trace_out=args.trace_out,
             )
             save_result(attack_result_to_dict(result), args.out,
                         manifest=manifest, timeseries=ts_path)
@@ -275,47 +272,6 @@ def _cmd_monitor(args) -> int:
         print(engine.summary_table(title=f"alerts ({len(engine.alerts)} fired)"))
     print(f"timeseries written to {ts_path} "
           f"({len(monitor.records)} records)", file=sys.stderr)
-    return 0
-
-
-def _cmd_report(args) -> int:
-    """Render one monitor timeseries, diff two, or show a bench trend."""
-    from repro.monitor import (
-        BenchStore,
-        compare_runs,
-        load_timeseries,
-        render_run,
-        trend_table,
-    )
-    from repro.errors import ConfigError
-
-    if args.bench:
-        store = BenchStore(args.bench_dir)
-        entries = store.entries(args.bench)
-        if not entries:
-            known = store.names()
-            hint = f"; stored: {', '.join(known)}" if known else ""
-            raise SystemExit(f"repro report: no entries for benchmark "
-                             f"{args.bench!r} under {args.bench_dir}{hint}")
-        print(trend_table(entries, name=args.bench))
-        latest = entries[-1].get("metrics", {})
-        regressions = store.check(args.bench, latest,
-                                  threshold=args.threshold)
-        for regression in regressions:
-            print(f"regression: {regression}", file=sys.stderr)
-        return 1 if regressions else 0
-    if not args.timeseries or len(args.timeseries) > 2:
-        raise SystemExit("repro report: give one or two timeseries paths, "
-                         "or --bench NAME")
-    try:
-        runs = [load_timeseries(path) for path in args.timeseries]
-    except (OSError, ConfigError) as exc:
-        raise SystemExit(f"repro report: {exc}")
-    if len(runs) == 1:
-        print(render_run(runs[0], title=f"monitor: {args.timeseries[0]}"))
-    else:
-        print(compare_runs(runs[0], runs[1],
-                           labels=tuple(args.timeseries[:2])))
     return 0
 
 
@@ -478,31 +434,6 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _cmd_alerts(args) -> int:
-    """Replay alert rules over an existing monitor timeseries."""
-    from repro.errors import ConfigError
-    from repro.monitor import AlertEngine, load_timeseries
-    from repro.monitor.alerts import default_rules
-
-    try:
-        records = load_timeseries(args.timeseries)
-    except (OSError, ConfigError) as exc:
-        raise SystemExit(f"repro alerts: {exc}")
-    engine = AlertEngine(default_rules(
-        corr_threshold=args.corr_above,
-        psnr_window=args.psnr_window,
-    ))
-    fired = engine.replay(records)
-    if fired:
-        print(engine.summary_table(
-            title=f"alerts: {args.timeseries} "
-                  f"({len(fired)} fired over {len(records)} records)"))
-    else:
-        print(f"alerts: {args.timeseries}: no alerts over "
-              f"{len(records)} records")
-    return 1 if fired else 0
-
-
 def _demo_artifact(path: str, bits: Optional[int], seed: int) -> str:
     """Materialize a (optionally quantized) demo artifact at ``path``.
 
@@ -544,7 +475,8 @@ def _parse_artifacts(specs, demo: bool, demo_dir: Optional[str],
         path = demo_dir or os.path.join(tempfile.mkdtemp(prefix="repro-serve-"),
                                         "demo")
         print(f"[demo artifact -> {path}]", file=sys.stderr)
-        artifacts.setdefault("demo", _demo_artifact(path, bits, seed))
+        with span("serve.demo_artifact", bits=bits):
+            artifacts.setdefault("demo", _demo_artifact(path, bits, seed))
     return artifacts
 
 
@@ -674,33 +606,112 @@ def _cmd_loadgen(args) -> int:
     return 1 if (report.errors or not report.completed) else 0
 
 
-def _cmd_analyze(args) -> int:
-    """From one parsed trace: the request report when it holds serving
-    requests (a flight dump holds only those), then the self time of
-    every process lane."""
-    from repro.errors import ConfigError, ReproError
-    from repro.serve import analyze_requests, render_analysis, request_records
-    from repro.telemetry import attribute, read_trace, render_lanes
+def _read_artifact(path: str) -> tuple:
+    """``(kind, content)`` of one ``analyze`` path, told apart by its
+    first JSON value because ``--trace-out`` and ``--timeseries`` take
+    any file name: a ``"trace"`` (Chrome trace or flight dump), a
+    ``"timeseries"`` (monitor records) or a ``"manifest"``."""
+    import json
 
-    blocks = []
+    from repro.errors import ConfigError
+    from repro.monitor import load_timeseries
+    from repro.telemetry import read_trace
+
     try:
-        trace = read_trace(args.path)
-        records = request_records(trace)
+        with open(path, "r", encoding="utf-8") as handle:
+            head, _ = json.JSONDecoder().raw_decode(handle.read().lstrip())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc}")
+    except ValueError:
+        head = None
+    if isinstance(head, dict) and "traceEvents" in head:
+        return "trace", read_trace(path)
+    if isinstance(head, dict) and "event" in head:
+        return "timeseries", load_timeseries(path)
+    if isinstance(head, dict) and "run_id" in head:
+        return "manifest", RunManifest.from_dict(head)
+    raise ConfigError(f"{path}: not a Chrome trace or flight dump (JSON "
+                      f"with traceEvents), a run manifest (JSON with "
+                      f"run_id) or a monitor timeseries (JSONL)")
+
+
+def _replay_alerts(path: str, records: list, args) -> tuple:
+    """The default rules replayed over a timeseries: (text, alerts fired)."""
+    from repro.monitor import AlertEngine, default_rules
+
+    engine = AlertEngine(default_rules(corr_threshold=args.corr_above,
+                                       psnr_window=args.psnr_window))
+    fired = engine.replay(records)
+    if not fired:
+        return f"alerts: {path}: no alerts over {len(records)} records\n", 0
+    return engine.summary_table(
+        title=f"alerts: {path} ({len(fired)} fired over "
+              f"{len(records)} records)") + "\n", len(fired)
+
+
+def _explain(path: str, args, manifest: Optional[str] = None) -> tuple:
+    """(text blocks, alerts fired) for every view of one artifact."""
+    from repro.errors import ConfigError
+    from repro.monitor import render_run
+    from repro.serve import analyze_requests, render_analysis, request_records
+    from repro.telemetry import attribute, render_lanes
+
+    kind, content = _read_artifact(path)
+    if kind == "trace":
+        blocks = []
+        records = request_records(content)
         if records:
             blocks.append(render_analysis(
-                analyze_requests(records, top=args.top), source=args.path))
-        lanes = attribute(trace)
+                analyze_requests(records, top=args.top), source=path))
+        lanes = attribute(content)
         if lanes:
-            blocks.append(render_lanes(lanes, source=args.path))
+            blocks.append(render_lanes(lanes, source=path))
         if not blocks:
-            raise ConfigError(f"{args.path}: no spans to analyze")
+            raise ConfigError(f"{path}: no spans to analyze")
+        return ["\n".join(blocks)], 0
+    if kind == "timeseries":
+        alerts, fired = _replay_alerts(path, content, args)
+        return [render_run(content, title=f"monitor: {path}") + "\n",
+                alerts], fired
+    if manifest is not None:
+        raise ConfigError(f"{path}: named by {manifest} but is a manifest")
+    blocks, fired = [f"run {content.run_id}  ({path})\n"], 0
+    for sidecar in (content.timeseries, content.extra.get("trace_out")):
+        if sidecar:
+            more, count = _explain(str(sidecar), args, manifest=path)
+            blocks += more
+            fired += count
+    return blocks, fired
+
+
+def _cmd_analyze(args) -> int:
+    """Every view of one artifact, or the diff of two timeseries with
+    each run's alert replay; exit 1 when a replayed rule fires."""
+    from repro.errors import ConfigError, ReproError
+    from repro.monitor import compare_runs
+
+    paths = [args.path] + ([args.other] if args.other else [])
+    try:
+        if len(paths) == 1:
+            blocks, fired = _explain(args.path, args)
+        else:
+            runs = [_read_artifact(path) for path in paths]
+            if any(kind != "timeseries" for kind, _ in runs):
+                raise ConfigError(f"{' and '.join(paths)}: only two monitor "
+                                  f"timeseries can be diffed")
+            blocks = [compare_runs(runs[0][1], runs[1][1],
+                                   labels=tuple(paths)) + "\n"]
+            replays = [_replay_alerts(path, records, args)
+                       for path, (_, records) in zip(paths, runs)]
+            blocks += [text for text, _ in replays]
+            fired = sum(count for _, count in replays)
     except ReproError as exc:
         raise SystemExit(f"repro analyze: {exc}")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"repro analyze: {args.path}: malformed trace "
-                         f"event: {exc!r}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise SystemExit(f"repro analyze: {' and '.join(paths)}: malformed "
+                         f"trace event or timeseries record: {exc!r}")
     print("\n".join(blocks), end="")
-    return 0
+    return 1 if fired else 0
 
 
 def _cmd_bench_kernels(args) -> int:
@@ -852,29 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "collapse, worker death, disabled probes)")
     monitor.set_defaults(func=_cmd_monitor)
 
-    alerts = sub.add_parser(
-        "alerts", help="replay alert rules over a monitor timeseries")
-    alerts.add_argument("timeseries", metavar="TIMESERIES",
-                        help="timeseries JSONL file to replay")
-    alerts.add_argument("--corr-above", type=float, default=0.25,
-                        help="correlation_leak threshold on corr_abs_mean")
-    alerts.add_argument("--psnr-window", type=int, default=3,
-                        help="psnr_stall window in ticks")
-    alerts.set_defaults(func=_cmd_alerts)
-
-    report = sub.add_parser(
-        "report", help="render a monitor timeseries or benchmark trend")
-    report.add_argument("timeseries", nargs="*", metavar="TIMESERIES",
-                        help="one timeseries JSONL to render, or two to diff")
-    report.add_argument("--bench", metavar="NAME", default=None,
-                        help="render the BENCH_<NAME>.json trajectory instead")
-    report.add_argument("--bench-dir", metavar="DIR", default=".",
-                        help="directory holding BENCH_*.json files")
-    report.add_argument("--threshold", type=float, default=0.2,
-                        help="regression threshold (fraction of baseline) "
-                             "for --bench")
-    report.set_defaults(func=_cmd_report)
-
     benign = sub.add_parser("benign", help="train the benign reference")
     _common(benign)
     benign.set_defaults(func=_cmd_benign)
@@ -998,13 +986,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        help="self time per process lane of a trace, after the tail "
-             "latency of its serving requests")
-    analyze.add_argument("path", metavar="TRACE_OR_DUMP",
-                         help="a --trace-out Chrome trace or a "
-                              "flight-recorder dump")
+        help="explain a finished run from its trace, flight dump, "
+             "monitor timeseries or run manifest")
+    analyze.add_argument("path", metavar="PATH",
+                         help="a --trace-out Chrome trace, a flight-"
+                              "recorder dump, a monitor timeseries or a "
+                              "run manifest (told apart by content)")
+    analyze.add_argument("other", nargs="?", metavar="PATH2", default=None,
+                         help="a second monitor timeseries to diff")
     analyze.add_argument("--top", type=int, default=5,
                          help="slowest requests to list individually")
+    analyze.add_argument("--corr-above", type=float, default=0.25,
+                         help="correlation_leak threshold on corr_abs_mean")
+    analyze.add_argument("--psnr-window", type=int, default=3,
+                         help="psnr_stall window in ticks")
     analyze.set_defaults(func=_cmd_analyze)
 
     info = sub.add_parser("info", help="print versions/platform for bug reports")
@@ -1025,6 +1020,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                level=args.log_level)
     recorder = None
     if args.trace_out:
+        # manifests record it; absolute so it resolves from any cwd
+        args.trace_out = os.path.abspath(args.trace_out)
         recorder = TraceRecorder()
         set_recorder(recorder)
     exporter = None

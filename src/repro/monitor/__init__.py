@@ -16,7 +16,7 @@ Three pieces on top of :mod:`repro.telemetry`:
   events, never fatal to training.
 * **Reports & trends** (:mod:`repro.monitor.report`,
   :mod:`repro.monitor.bench`) -- render a run into tables with ASCII
-  sparklines, diff two runs, and track gated benchmark results across
+  sparklines, diff two runs, and store gated benchmark results across
   sessions in ``BENCH_<name>.json`` with a regression comparator.
 
 Watch an attack imprint appear::
@@ -25,8 +25,8 @@ Watch an attack imprint appear::
     Trainer(model, x, y, config, penalty=penalty, probes=monitor).train()
     print(render_run(monitor.records))
 
-CLI: ``repro monitor`` (train with probes on) and ``repro report``
-(render/diff timeseries, print bench trends).
+CLI: ``repro monitor`` (train with probes on) and ``repro analyze``
+(render or diff timeseries and replay the alert rules over them).
 """
 
 from repro.monitor.core import (
@@ -78,7 +78,6 @@ from repro.monitor.bench import (
     machine_fingerprint,
     machine_info,
     metric_direction,
-    trend_table,
 )
 
 __all__ = [
@@ -93,5 +92,5 @@ __all__ = [
     "MetricRule", "ProbeDisabledRule", "StallRule", "ThresholdRule",
     "default_rules", "serving_rules",
     "BenchStore", "Regression", "detect_regressions", "machine_fingerprint",
-    "machine_info", "metric_direction", "trend_table",
+    "machine_info", "metric_direction",
 ]

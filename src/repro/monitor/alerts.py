@@ -1,7 +1,7 @@
 """Declarative alerting rules evaluated against the monitor's timeseries.
 
 The monitor (PR 4) *observes* -- per-epoch probe records land in a JSONL
-timeseries and get read back after the fact by ``repro report``.  This
+timeseries and get read back after the fact by ``repro analyze``.  This
 module closes the loop in-process: an :class:`AlertEngine` holds a list
 of :class:`AlertRule`\\ s and sees every probe record (and the metrics
 registry, once per epoch) as it is produced.  Rules that trip emit
@@ -21,7 +21,7 @@ Rules come in five shapes:
   relative to its own peak), evaluated at epoch granularity;
 * :class:`ProbeDisabledRule` -- the monitor auto-disabled a probe.
 
-``repro alerts TIMESERIES`` replays record-based rules over an existing
+``repro analyze TIMESERIES`` replays record-based rules over an existing
 timeseries file, so the same rule set works live and forensically.
 """
 

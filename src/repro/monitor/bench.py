@@ -224,32 +224,3 @@ class BenchStore:
                 found.append(entry[len("BENCH_"):-len(".json")])
         return found
 
-
-def trend_table(entries: Sequence[Mapping[str, Any]], name: str = "",
-                width: int = 24) -> str:
-    """Per-metric history table: latest value, median, sparkline."""
-    from repro.telemetry.tables import format_table
-    from repro.viz import sparkline
-
-    metrics: List[str] = []
-    for entry in entries:
-        for key in entry.get("metrics", {}):
-            if key not in metrics:
-                metrics.append(key)
-    rows: List[List[Any]] = []
-    for metric in metrics:
-        values = [float(e["metrics"][metric]) for e in entries
-                  if metric in e.get("metrics", {})]
-        finite = [v for v in values if v == v]
-        rows.append([
-            metric, len(values),
-            f"{values[-1]:.4g}" if values else "n/a",
-            f"{_median(finite):.4g}" if finite else "n/a",
-            metric_direction(metric),
-            sparkline(values, width=width),
-        ])
-    title = f"benchmark trend: {name}" if name else "benchmark trend"
-    return format_table(
-        ["metric", "n", "latest", "median", "better", "history"],
-        rows, title=title,
-    )

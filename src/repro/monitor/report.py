@@ -4,7 +4,7 @@ Turns the JSONL timeseries written by :class:`repro.monitor.Monitor`
 back into something a terminal reader can act on: one row per observed
 field with its trajectory as an ASCII sparkline, and a two-run diff
 (e.g. baseline vs. quantized, malicious vs. benign) aligning final
-values side by side.  Used by ``repro report``.
+values side by side.  Used by ``repro analyze``.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def load_timeseries(path: str) -> List[Dict[str, Any]]:
 
     Keeps ``monitor.probe``, ``monitor.probe_error`` and
     ``monitor.alert`` events (other interleaved events are ignored);
-    malformed lines raise :class:`ConfigError` with the offending line
-    number.
+    a line that is not a JSON object raises :class:`ConfigError` with
+    its line number.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:
@@ -44,6 +44,9 @@ def load_timeseries(path: str) -> List[Dict[str, Any]]:
             except json.JSONDecodeError as exc:
                 raise ConfigError(
                     f"{path}:{number}: not valid JSONL ({exc})") from None
+            if not isinstance(record, dict):
+                raise ConfigError(
+                    f"{path}:{number}: record is not a JSON object")
             event = record.get("event")
             if event == PROBE_EVENT:
                 records.append(record)

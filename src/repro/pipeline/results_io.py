@@ -66,15 +66,16 @@ def save_result(data: Dict, path: PathLike,
     When ``manifest`` is given, it is written alongside the result (see
     :func:`save_manifest`), tying the record to its run id, seed, config
     fingerprint and telemetry snapshot.  ``timeseries`` links the run's
-    monitor timeseries (see :mod:`repro.monitor`) into the manifest so
-    ``repro report`` can find it from the result file alone.
+    monitor timeseries (see :mod:`repro.monitor`) into the manifest, as
+    an absolute path, so ``repro analyze x.manifest.json`` finds it
+    from the manifest alone.
     """
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=2, sort_keys=True)
         handle.write("\n")
     if manifest is not None:
         if timeseries is not None:
-            manifest.timeseries = os.fspath(timeseries)
+            manifest.timeseries = os.path.abspath(timeseries)
         save_manifest(manifest, path)
 
 

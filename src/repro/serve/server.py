@@ -220,12 +220,14 @@ class ModelServer:
                 recorder=get_recorder(), clock=self.clock,
                 slo_ms=self.config.slo_ms,
                 flight_dir=self.config.flight_dir)
-        self._pool = ShardPool(
-            functools.partial(_make_shard_handler, self.config.cache_capacity,
-                              self.config.backend),
-            shards=self.config.shards, retries=self.config.retries,
-            start_method=self.config.start_method,
-        )
+        with span("serve.start", shards=self.config.shards):
+            self._pool = ShardPool(
+                functools.partial(_make_shard_handler,
+                                  self.config.cache_capacity,
+                                  self.config.backend),
+                shards=self.config.shards, retries=self.config.retries,
+                start_method=self.config.start_method,
+            )
         # Dedicated executor for the blocking shard round-trips: sharing
         # the loop's default executor with other blocking work (e.g. an
         # HTTP client driving this very server) can starve dispatch and

@@ -519,7 +519,8 @@ class Lane:
 
 def read_trace(path: os.PathLike) -> Dict[str, Any]:
     """Load a Chrome trace file (a ``--trace-out`` trace or a serving
-    flight dump); anything else raises :class:`ConfigError`."""
+    flight dump); anything else, or an event that is not a JSON object,
+    raises :class:`ConfigError`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             trace = json.load(handle)
@@ -531,6 +532,10 @@ def read_trace(path: os.PathLike) -> Dict[str, Any]:
             or not isinstance(trace.get("traceEvents"), list):
         raise ConfigError(
             f"{os.fspath(path)}: not a Chrome trace: no traceEvents list")
+    for index, event in enumerate(trace["traceEvents"]):
+        if not isinstance(event, dict):
+            raise ConfigError(f"{os.fspath(path)}: traceEvents[{index}] is "
+                              f"not a JSON object")
     return trace
 
 

@@ -4,7 +4,7 @@ Fixed-seed malicious and benign runs over the same would-be encoding
 target.  The correlation probe must separate the two by epoch 2, the
 decode probe's PSNR must grow monotone-ish over the malicious run, and
 a weighted-entropy release tick must show the imprint being erased.
-The timeseries round-trips through ``repro report``.
+The timeseries round-trips through ``repro analyze``.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ class TestReportRendering:
     def test_cli_report_renders_single_run(self, malicious, capsys):
         from repro.cli import main
         _, _, path = malicious
-        assert main(["report", path]) == 0
+        # correlation_leak fires on the malicious run, hence exit 1
+        assert main(["analyze", path]) == 1
         out = capsys.readouterr().out
         assert "corr_abs_mean" in out
         assert any(tick in out for tick in "▁▂▃▄▅▆▇█")
@@ -147,7 +148,7 @@ class TestReportRendering:
         from repro.cli import main
         _, _, mal_path = malicious
         _, ben_path = benign
-        assert main(["report", mal_path, ben_path]) == 0
+        assert main(["analyze", mal_path, ben_path]) == 1
         out = capsys.readouterr().out
         assert "monitor diff" in out
         assert "correlation" in out
@@ -193,7 +194,7 @@ class TestAlertSeparation:
         from repro.cli import main
         _, _, mal_path = malicious
         _, ben_path = benign
-        assert main(["alerts", mal_path]) == 1
+        assert main(["analyze", mal_path]) == 1
         assert "correlation_leak" in capsys.readouterr().out
-        assert main(["alerts", ben_path]) == 0
+        assert main(["analyze", ben_path]) == 0
         assert "no alerts" in capsys.readouterr().out

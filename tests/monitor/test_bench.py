@@ -13,7 +13,6 @@ from repro.monitor import (
     machine_fingerprint,
     machine_info,
     metric_direction,
-    trend_table,
 )
 
 
@@ -128,12 +127,3 @@ class TestBenchStore:
         found = store.check("monitor", {"epoch_s": 1.5})
         assert len(found) == 1 and found[0].metric == "epoch_s"
 
-
-class TestTrendTable:
-    def test_renders_history(self):
-        history = _entries([1.0, 1.2, 0.9, 1.1])
-        out = trend_table(history, name="monitor")
-        assert "benchmark trend: monitor" in out
-        assert "epoch_s" in out
-        assert "lower" in out
-        assert any(tick in out for tick in "▁▂▃▄▅▆▇█")

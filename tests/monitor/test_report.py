@@ -95,3 +95,10 @@ class TestLoadTimeseries:
         path.write_text('{"event": "monitor.probe"}\nnot json\n')
         with pytest.raises(ConfigError, match="bad.jsonl:2"):
             load_timeseries(str(path))
+
+    def test_non_object_record_reports_number(self, tmp_path):
+        path = tmp_path / "list.jsonl"
+        path.write_text('{"event": "monitor.probe"}\n[1, 2]\n')
+        with pytest.raises(ConfigError, match="list.jsonl:2: record is not "
+                                              "a JSON object"):
+            load_timeseries(str(path))

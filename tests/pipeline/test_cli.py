@@ -102,6 +102,12 @@ class TestTelemetryCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["profile"])
 
+    @pytest.mark.parametrize("command", ["report", "alerts"])
+    def test_report_and_alerts_subcommands_are_gone(self, command):
+        # ``repro analyze`` renders, diffs and replays timeseries
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "run.timeseries.jsonl"])
+
     def test_info_smoke(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
@@ -127,6 +133,45 @@ class TestTelemetryCli:
         trace.write_text('{"traceEvents": []}')
         with pytest.raises(SystemExit, match="no spans to analyze"):
             main(["analyze", str(trace)])
+
+    def test_analyze_unrecognised_file_names_the_kinds(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text("not an artifact\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", str(path)])
+        message = str(excinfo.value)
+        assert message.startswith(f"repro analyze: {path}: not ")
+        for kind in ("Chrome trace", "run manifest", "monitor timeseries"):
+            assert kind in message
+
+    def test_analyze_bad_manifest_sidecars_are_structured_errors(
+            self, tmp_path):
+        import json
+        manifest = tmp_path / "run.manifest.json"
+        manifest.write_text(json.dumps(
+            {"run_id": "r1", "extra": {"trace_out": str(manifest)}}))
+        with pytest.raises(SystemExit, match="but is a manifest"):
+            main(["analyze", str(manifest)])
+        manifest.write_text(json.dumps({"run_id": "r1", "extra": 3}))
+        with pytest.raises(SystemExit, match="malformed"):
+            main(["analyze", str(manifest)])
+
+    def test_analyze_manifest_reaches_timeseries_and_trace(self, tmp_path,
+                                                           capsys):
+        trace, out = tmp_path / "run.trace.json", tmp_path / "run.json"
+        assert main(["--trace-out", str(trace), "monitor", "--dataset",
+                     "digits", "--epochs", "1", "--batch-size", "64",
+                     "--decode-images", "1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "run.manifest.json"
+        assert main(["analyze", str(manifest)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("run ")
+        timeseries = tmp_path / "run.timeseries.jsonl"
+        assert f"monitor: {timeseries}" in text
+        assert "corr_abs_mean" in text
+        assert f"alerts: {timeseries}" in text
+        assert "repro main (pid" in text and "self time" in text
 
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         import json

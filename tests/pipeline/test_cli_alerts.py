@@ -1,4 +1,5 @@
-"""CLI observability commands: ``repro alerts``, ``repro info``, ``--serve-metrics``."""
+"""CLI observability commands: alert replay through ``repro analyze``,
+``repro info``, ``--serve-metrics``."""
 
 from __future__ import annotations
 
@@ -32,15 +33,16 @@ def _write_timeseries(path, corr_values):
 
 class TestParser:
     def test_alerts_defaults(self):
-        args = build_parser().parse_args(["alerts", "run.jsonl"])
-        assert args.command == "alerts"
-        assert args.timeseries == "run.jsonl"
+        args = build_parser().parse_args(["analyze", "run.jsonl"])
+        assert args.command == "analyze"
+        assert args.path == "run.jsonl"
+        assert args.other is None
         assert args.corr_above == 0.25
         assert args.psnr_window == 3
 
     def test_alerts_overrides(self):
         args = build_parser().parse_args(
-            ["alerts", "ts.jsonl", "--corr-above", "0.5", "--psnr-window", "5"])
+            ["analyze", "ts.jsonl", "--corr-above", "0.5", "--psnr-window", "5"])
         assert args.corr_above == 0.5
         assert args.psnr_window == 5
 
@@ -58,28 +60,60 @@ class TestAlertsReplay:
     def test_malicious_timeseries_exits_nonzero(self, tmp_path, capsys):
         path = tmp_path / "malicious.jsonl"
         _write_timeseries(path, [0.1, 0.3, 0.5, 0.6])
-        code = main(["alerts", str(path)])
+        code = main(["analyze", str(path)])
         assert code == 1
         out = capsys.readouterr().out
+        assert "corr_abs_mean" in out  # the probe table comes first
         assert "correlation_leak" in out
         assert "critical" in out
 
     def test_benign_timeseries_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "benign.jsonl"
         _write_timeseries(path, [0.05, 0.06, 0.05, 0.07])
-        code = main(["alerts", str(path)])
+        code = main(["analyze", str(path)])
         assert code == 0
-        assert "no alerts" in capsys.readouterr().out
+        assert "no alerts over 4 records" in capsys.readouterr().out
 
     def test_threshold_is_tunable(self, tmp_path):
         path = tmp_path / "ts.jsonl"
         _write_timeseries(path, [0.1, 0.3])
-        assert main(["alerts", str(path), "--corr-above", "0.9"]) == 0
+        assert main(["analyze", str(path), "--corr-above", "0.9"]) == 0
 
     def test_missing_file_errors_cleanly(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
-            main(["alerts", str(tmp_path / "absent.jsonl")])
-        assert "repro alerts" in str(excinfo.value)
+            main(["analyze", str(tmp_path / "absent.jsonl")])
+        assert "repro analyze" in str(excinfo.value)
+        assert "cannot read" in str(excinfo.value)
+
+    def test_diff_exits_nonzero_when_either_run_alerts(self, tmp_path,
+                                                       capsys):
+        mal, ben = tmp_path / "mal.jsonl", tmp_path / "ben.jsonl"
+        _write_timeseries(mal, [0.1, 0.3, 0.5, 0.6])
+        _write_timeseries(ben, [0.05, 0.06, 0.05, 0.07])
+        assert main(["analyze", str(mal), str(ben)]) == 1
+        out = capsys.readouterr().out
+        assert f"monitor diff: {mal} vs {ben}" in out
+        assert "correlation_leak" in out
+        assert f"alerts: {ben}: no alerts over 4 records" in out
+
+    def test_diff_needs_two_timeseries(self, tmp_path):
+        ts = tmp_path / "ts.jsonl"
+        _write_timeseries(ts, [0.1])
+        trace = tmp_path / "t.json"
+        trace.write_text('{"traceEvents": []}')
+        with pytest.raises(SystemExit, match="only two monitor timeseries"):
+            main(["analyze", str(ts), str(trace)])
+
+    def test_bad_record_is_a_structured_error(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        _write_timeseries(path, [0.1])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+        with pytest.raises(SystemExit, match="bad.jsonl:2: record is not"):
+            main(["analyze", str(path)])
+        _write_timeseries(path, ["high"])
+        with pytest.raises(SystemExit, match="malformed .*timeseries record"):
+            main(["analyze", str(path)])
 
 
 class TestInfo:

@@ -207,6 +207,13 @@ class TestLoaders:
         with pytest.raises(ConfigError, match="no traceEvents"):
             read_trace(path)
 
+    def test_non_object_event_raises_with_index(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text('{"traceEvents": [{"ph": "M"}, 3]}')
+        with pytest.raises(ConfigError,
+                           match=r"traceEvents\[1\] is not a JSON object"):
+            read_trace(path)
+
 
 class TestCli:
     def test_analyze_flight_dump(self, tmp_path, capsys):
