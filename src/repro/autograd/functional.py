@@ -81,6 +81,10 @@ class MatMul(Function):
     def forward(self, a, b):
         if a.ndim != 2 or b.ndim != 2:
             raise ShapeError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
+        # a no-grad activation may be a batch-last view (fast's conv
+        # trunk, flattened), and BLAS sums a transposed operand in
+        # another order; rows give the contiguous bytes (no-op if C)
+        a = np.ascontiguousarray(a)
         self.save_for_backward(a, b)
         return _backend.active().matmul(a, b)
 

@@ -121,7 +121,11 @@ class Conv2dFn(Function):
 
 
 def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution over NCHW input with OIHW weights."""
+    """2-D convolution over NCHW input with OIHW weights.
+
+    Without grad the output may be a non-contiguous view: ``fast``
+    returns NCHW-shaped views of batch-last ``(C, H, W, N)`` memory.
+    """
     if not is_grad_enabled():
         x_data = x.data if isinstance(x, Tensor) else np.asarray(x)
         w_data = weight.data if isinstance(weight, Tensor) else np.asarray(weight)

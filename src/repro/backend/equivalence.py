@@ -6,7 +6,13 @@ one kernel on two backends with identical inputs and compares outputs:
 float arrays must agree to ``allclose`` (default rtol 1e-6), integer
 arrays (argmax, cluster indices) must match exactly, and so must every
 output of an :data:`EXACT` kernel, which only moves or selects input
-elements.
+elements or reduces them in a fixed order.
+
+The oracle defines each kernel on C-contiguous operands.  The cases on
+the no-grad path sometimes feed the candidate a batch-last view -- an
+NCHW-shaped transpose of ``(C, H, W, N)`` memory, which is what fast's
+inference kernels return -- and the candidate must still give the
+oracle's answer for the same values laid out contiguously.
 
 This is the contract that lets the fast backend exist at all -- any
 new backend (or new kernel on an existing backend) is expected to pass
@@ -26,11 +32,13 @@ from repro.backend.registry import Backend, get_backend
 RTOL = 1e-6
 ATOL = 1e-9
 
-#: Kernels that move or select input elements without arithmetic: any
-#: backend must reproduce the oracle's outputs exactly, so a mis-ordered
-#: patch column or a wrong pick cannot hide inside a tolerance.
+#: Kernels that move or select input elements without arithmetic, and
+#: the reductions, whose summation order must not depend on the input's
+#: layout: any backend must reproduce the oracle's outputs exactly, so a
+#: mis-ordered patch column, a wrong pick or a reordered sum cannot hide
+#: inside a tolerance.
 EXACT = frozenset({"im2col", "maxpool2d_forward", "maxpool2d_infer",
-                   "broadcast_copy"})
+                   "broadcast_copy", "reduce_sum", "reduce_mean"})
 
 CaseGen = Callable[[np.random.Generator], Tuple[tuple, dict]]
 
@@ -58,6 +66,17 @@ def _conv_geometry(rng: np.random.Generator):
     height = min_size + int(rng.integers(0, 6))
     width = min_size + int(rng.integers(0, 6))
     return batch, channels, height, width, kernel, stride, padding
+
+
+def _activation(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
+    """A normal array of ``shape``; half the time a batch-last view.
+
+    The view holds ``shape[1:] + shape[:1]`` memory with the leading
+    axis moved to the back, as fast's no-grad kernels return it.
+    """
+    if len(shape) > 1 and rng.integers(0, 2):
+        return np.moveaxis(rng.normal(size=shape[1:] + shape[:1]), -1, 0)
+    return rng.normal(size=shape)
 
 
 def _pool_geometry(rng: np.random.Generator):
@@ -114,7 +133,7 @@ def _case_conv2d_backward(rng):
 def _case_conv2d_infer(rng):
     b, c, h, w, k, s, p = _conv_geometry(rng)
     out_channels = int(rng.integers(1, 5))
-    x = rng.normal(size=(b, c, h, w))
+    x = _activation(rng, (b, c, h, w))
     weight = rng.normal(size=(out_channels, c, k, k))
     bias = rng.normal(size=out_channels) if rng.integers(0, 2) else None
     relu = bool(rng.integers(0, 2))
@@ -142,7 +161,7 @@ def _case_maxpool2d_backward(rng):
 @case("maxpool2d_infer")
 def _case_maxpool2d_infer(rng):
     b, c, h, w, k, s = _pool_geometry(rng)
-    x = rng.normal(size=(b, c, h, w))
+    x = _activation(rng, (b, c, h, w))
     return (x, k, s), {}
 
 
@@ -171,13 +190,13 @@ def _case_matmul(rng):
 
 
 def _broadcast_pair(rng):
-    shape = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 4))))
-    a = rng.normal(size=shape)
+    shape = tuple(int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 5))))
+    a = _activation(rng, shape)
     # sometimes broadcast the second operand
     if rng.integers(0, 2) and len(shape) > 1:
         b = rng.normal(size=shape[-1:])
     else:
-        b = rng.normal(size=shape)
+        b = _activation(rng, shape)
     return a, b
 
 
@@ -211,24 +230,28 @@ def _case_div(rng):
 
 @case("relu")
 def _case_relu(rng):
-    shape = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 4))))
-    return (rng.normal(size=shape),), {}
+    shape = tuple(int(rng.integers(1, 6)) for _ in range(int(rng.integers(1, 5))))
+    return (_activation(rng, shape),), {}
+
+
+def _reduce_args(rng):
+    """(a, axis, keepdims): all axes, one axis, or the trailing two
+    (global average pooling's spatial axes at 4-D)."""
+    ndim = int(rng.integers(1, 5))
+    shape = tuple(int(rng.integers(2, 9)) for _ in range(ndim))
+    axis = (None, int(rng.integers(0, ndim)), tuple(range(ndim))[-2:])[
+        int(rng.integers(0, 3))]
+    return _activation(rng, shape), axis, bool(rng.integers(0, 2))
 
 
 @case("reduce_sum")
 def _case_reduce_sum(rng):
-    ndim = int(rng.integers(1, 4))
-    shape = tuple(int(rng.integers(1, 6)) for _ in range(ndim))
-    axis = int(rng.integers(0, ndim)) if rng.integers(0, 2) else None
-    return (rng.normal(size=shape), axis, bool(rng.integers(0, 2))), {}
+    return _reduce_args(rng), {}
 
 
 @case("reduce_mean")
 def _case_reduce_mean(rng):
-    ndim = int(rng.integers(1, 4))
-    shape = tuple(int(rng.integers(1, 6)) for _ in range(ndim))
-    axis = int(rng.integers(0, ndim)) if rng.integers(0, 2) else None
-    return (rng.normal(size=shape), axis, bool(rng.integers(0, 2))), {}
+    return _reduce_args(rng), {}
 
 
 @case("broadcast_copy")
@@ -260,7 +283,7 @@ def _case_batchnorm_stats(rng):
 @case("batchnorm_infer")
 def _case_batchnorm_infer(rng):
     b, c, h, w = (int(rng.integers(1, 5)) for _ in range(4))
-    x = rng.normal(size=(b, c, h, w))
+    x = _activation(rng, (b, c, h, w))
     shape = (1, c, 1, 1)
     mean = rng.normal(size=shape)
     var = np.abs(rng.normal(size=shape)) + 0.1
@@ -332,6 +355,17 @@ def _as_tuple(out: Any) -> Tuple[Any, ...]:
     return out if isinstance(out, tuple) else (out,)
 
 
+def _contiguous(args: tuple, kwargs: dict) -> Tuple[tuple, dict]:
+    """Copies of (args, kwargs) with every ndarray in C order: the layout
+    the oracle is defined on (views of any other layout are the
+    candidate's to handle)."""
+    def canon(value):
+        if isinstance(value, np.ndarray):
+            return np.asarray(value, order="C")
+        return value
+    return tuple(canon(a) for a in args), {k: canon(v) for k, v in kwargs.items()}
+
+
 def compare_outputs(
     kernel_name: str, expected: Any, got: Any, rtol: float = RTOL, atol: float = ATOL
 ) -> None:
@@ -387,7 +421,10 @@ def check_kernel(
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         args, kwargs = gen(rng)
-        expected = oracle_b.kernel(kernel_name)(*args, **kwargs)
+        c_args, c_kwargs = _contiguous(args, kwargs)
+        if candidate_b is oracle_b:  # the oracle only answers for C order
+            args, kwargs = c_args, c_kwargs
+        expected = oracle_b.kernel(kernel_name)(*c_args, **c_kwargs)
         got = candidate_b.kernel(kernel_name)(*args, **kwargs)
         compare_outputs(kernel_name, expected, got, rtol=rtol, atol=atol)
     return trials
@@ -521,10 +558,14 @@ def check_kernel_dtype(
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         args, kwargs = gen(rng)
-        args64, kwargs64 = _cast_floats(args, kwargs, np.dtype(np.float64))
+        args64, kwargs64 = _contiguous(
+            *_cast_floats(args, kwargs, np.dtype(np.float64)))
         args_dt, kwargs_dt = _cast_floats(args, kwargs, dt)
+        c_args_dt, c_kwargs_dt = _contiguous(args_dt, kwargs_dt)
+        if candidate_b is oracle_b:  # the oracle only answers for C order
+            args_dt, kwargs_dt = c_args_dt, c_kwargs_dt
         expected = oracle_b.kernel(kernel_name)(*args64, **kwargs64)
-        expected_same = oracle_b.kernel(kernel_name)(*args_dt, **kwargs_dt)
+        expected_same = oracle_b.kernel(kernel_name)(*c_args_dt, **c_kwargs_dt)
         got = candidate_b.kernel(kernel_name)(*args_dt, **kwargs_dt)
         compare_outputs_cross_dtype(
             kernel_name, expected, expected_same, got, dt, rtol, atol

@@ -22,6 +22,16 @@ What makes it fast:
 * **Fused conv+bias+relu inference** (``conv2d_infer``) adds the bias
   in-place on the matmul output and applies relu with ``out=``,
   skipping two full-tensor allocations per call.
+* **Batch-last inference.**  ``conv2d_infer`` and ``maxpool2d_infer``
+  return NCHW-shaped views over ``(C, H, W, N)`` memory -- the layout
+  the matmul writes and :func:`_gather` reads -- and numpy's
+  elementwise ops (batch norm, relu, the residual add) keep that
+  order, so activations stay batch-last from stem to pool with no
+  transpose copies.  Layout only changes the bytes of a reduction:
+  ``reduce_sum``/``reduce_mean`` reduce a contiguous copy (a no-op on
+  contiguous input), and ``MatMul`` hands BLAS its left operand as
+  rows, so every result equals the contiguous forward's byte for byte.
+  Training kernels never see these views.
 * **Scratch-buffer pools.**  Padded inputs, matmul outputs, and the
   flattened-gradient intermediates of ``conv2d_backward`` are recycled
   through a small (shape, dtype)-keyed pool, avoiding repeated
@@ -241,20 +251,24 @@ def conv2d_infer(
     padding: int,
     relu: bool = False,
 ) -> np.ndarray:
-    """Fused conv+bias+relu: epilogue applied in place on the matmul output."""
+    """Fused conv+bias+relu, returned as an NCHW view of batch-last memory.
+
+    The matmul writes ``(O, out_h * out_w * N)``, which is already the
+    ``(O, out_h, out_w, N)`` layout the next layer's :func:`_gather`
+    reads; the epilogue runs in place on it and the result is that
+    array transposed to NCHW, with no copy.  It escapes, so it is
+    freshly allocated, never pooled.
+    """
     out_channels, _, kh, kw = weight.shape
     cols, out_h, out_w = _gather(x, kh, kw, stride, padding)
-    scratch = _pool.take((out_channels, cols.shape[1]), cols.dtype)
-    out = np.matmul(weight.reshape(out_channels, -1), cols, out=scratch)
+    out = np.empty((out_channels, out_h, out_w, x.shape[0]), dtype=cols.dtype)
+    flat = out.reshape(out_channels, -1)
+    np.matmul(weight.reshape(out_channels, -1), cols, out=flat)
     if bias is not None:
-        out += bias.reshape(-1, 1)
+        flat += bias.reshape(-1, 1)
     if relu:
-        np.maximum(out, 0.0, out=out)
-    result = np.ascontiguousarray(
-        out.reshape(out_channels, out_h, out_w, x.shape[0]).transpose(3, 0, 1, 2)
-    )
-    _pool.give(scratch)
-    return result
+        np.maximum(flat, 0.0, out=flat)
+    return out.transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +293,26 @@ def maxpool2d_forward(
 
 @BACKEND.register()
 def maxpool2d_infer(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    batch, channels, _, _ = x.shape
-    reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-    cols, out_h, out_w = _gather(reshaped, kernel, kernel, stride, 0)
-    out = cols.max(axis=0)
-    return np.ascontiguousarray(
-        out.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
-    ).reshape(batch, channels, out_h, out_w)
+    """Tap-slice max over ``(C, H, W, N)``; an NCHW view of batch-last memory.
+
+    Reads the input batch-last, as :func:`_gather` does, and folds the
+    taps into one fresh ``(C, out_h, out_w, N)`` array with ``maximum``
+    in reference's tap order -- the same pairwise maxima as
+    ``cols.max(axis=0)``, so NaNs and signed zeros come out the same.
+    """
+    _, _, height, width = x.shape
+    out_h = reference.conv_output_size(height, kernel, stride, 0)
+    out_w = reference.conv_output_size(width, kernel, stride, 0)
+    source, s = x.transpose(1, 2, 3, 0), stride
+    out = np.empty((x.shape[1], out_h, out_w, x.shape[0]), dtype=x.dtype)
+    for tap_r in range(kernel):
+        for tap_c in range(kernel):
+            tap = source[:, tap_r:tap_r + s * out_h:s, tap_c:tap_c + s * out_w:s, :]
+            if tap_r == tap_c == 0:
+                np.copyto(out, tap)
+            else:
+                np.maximum(out, tap, out=out)
+    return out.transpose(3, 0, 1, 2)
 
 
 @BACKEND.register()
@@ -331,6 +358,25 @@ def avgpool2d_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return np.ascontiguousarray(
         out.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
     ).reshape(batch, channels, out_h, out_w)
+
+
+# ---------------------------------------------------------------------------
+# Reductions
+# ---------------------------------------------------------------------------
+
+
+# No-grad activations may be batch-last views (see conv2d_infer), and
+# numpy sums a strided view in another order than the contiguous array:
+# the means differ in the last bits.  Reducing a contiguous copy gives
+# reference's bytes for any layout and costs nothing on contiguous input.
+@BACKEND.register()
+def reduce_sum(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    return np.asarray(a, order="C").sum(axis=axis, keepdims=keepdims)
+
+
+@BACKEND.register()
+def reduce_mean(a: np.ndarray, axis, keepdims: bool) -> np.ndarray:
+    return np.asarray(a, order="C").mean(axis=axis, keepdims=keepdims)
 
 
 # ---------------------------------------------------------------------------

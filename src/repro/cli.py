@@ -91,6 +91,7 @@ from repro.datasets import (
     to_grayscale,
     train_test_split,
 )
+from repro.errors import ReproError
 from repro.pipeline import (
     AttackConfig,
     QuantizationConfig,
@@ -159,7 +160,17 @@ def _attack_configs(args) -> tuple:
     training = TrainingConfig(epochs=args.epochs, batch_size=args.batch_size,
                               lr=args.lr, seed=args.seed)
     quantization = QuantizationConfig(bits=args.bits, method=args.method)
+    for config in (training, attack, quantization):
+        config.validate()
     return training, attack, quantization
+
+
+def _checked_configs(args, command: str) -> tuple:
+    """:func:`_attack_configs`, with a bad value ending as one line."""
+    try:
+        return _attack_configs(args)
+    except ReproError as exc:
+        raise SystemExit(f"repro {command}: {exc}")
 
 
 def _attack_experiment(bits: int, rate: float, *, data: tuple,
@@ -202,9 +213,9 @@ def _cmd_attack(args) -> int:
     if len(args.bits) > 1:
         return _cmd_attack_multi(args)
     args.bits = args.bits[0]
+    training, attack, quantization = _checked_configs(args, "attack")
     train, test = _build_dataset(args.dataset, args.data_seed)
     builder = _build_model_builder(args.dataset, train, args.seed)
-    training, attack, quantization = _attack_configs(args)
     result = run_quantized_correlation_attack(
         train, test, builder, training, attack, quantization,
         progress=lambda stage: print(f"[{stage}]", file=sys.stderr),
@@ -231,9 +242,10 @@ def _cmd_monitor(args) -> int:
     from repro.pipeline.results_io import timeseries_path
 
     args.bits = args.bits[0] if isinstance(args.bits, list) else args.bits
+    # before the Monitor creates its timeseries file
+    training, attack, quantization = _checked_configs(args, "monitor")
     train, test = _build_dataset(args.dataset, args.data_seed)
     builder = _build_model_builder(args.dataset, train, args.seed)
-    training, attack, quantization = _attack_configs(args)
     ts_path = args.timeseries
     if ts_path is None:
         ts_path = timeseries_path(args.out) if args.out else "run.timeseries.jsonl"
@@ -687,7 +699,7 @@ def _explain(path: str, args, manifest: Optional[str] = None) -> tuple:
 def _cmd_analyze(args) -> int:
     """Every view of one artifact, or the diff of two timeseries with
     each run's alert replay; exit 1 when a replayed rule fires."""
-    from repro.errors import ConfigError, ReproError
+    from repro.errors import ConfigError
     from repro.monitor import compare_runs
 
     paths = [args.path] + ([args.other] if args.other else [])

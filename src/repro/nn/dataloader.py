@@ -9,6 +9,7 @@ import numpy as np
 
 from repro import precision
 from repro.errors import DatasetError
+from repro.telemetry.trace import span
 
 
 @dataclass
@@ -103,7 +104,9 @@ class DataLoader:
 
     def __iter__(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
         for index in self._batch_indices(self._epoch_order()):
-            yield self._materialize(index)
+            with span("nn.dataloader.wait"):
+                batch = self._materialize(index)
+            yield batch
 
     def shard(self, rank: int, world_size: int) -> "ShardedDataLoader":
         """A view of this loader yielding rank ``rank``'s slice of every
@@ -149,7 +152,8 @@ class ShardedDataLoader:
             n = len(index)
             lo = self.rank * n // self.world_size
             hi = (self.rank + 1) * n // self.world_size
-            inputs, labels = loader._materialize(index[lo:hi])
+            with span("nn.dataloader.wait"):
+                inputs, labels = loader._materialize(index[lo:hi])
             yield ShardBatch(inputs=inputs, labels=labels,
                              global_size=n, offset=lo)
 

@@ -74,8 +74,9 @@ class StepRunner:
 
     def forward_backward(self, x: Tensor, labels: np.ndarray) -> dict:
         """Forward + loss (+ penalty) + backward."""
-        logits = self.model(x)
-        task_loss = self.loss_fn(logits, labels)
+        with span("autograd.forward"):
+            logits = self.model(x)
+            task_loss = self.loss_fn(logits, labels)
         result = {"task_loss": task_loss}
         loss = task_loss
         if self.penalty is not None:

@@ -40,7 +40,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,19 +122,28 @@ class InferenceResponse:
         return record
 
 
-def _make_shard_handler(cache_capacity: int,
-                        backend: str) -> Callable[[Any], Any]:
+def _make_shard_handler(cache_capacity: int, backend: str,
+                        artifact_paths: Sequence[str]) -> Callable[[Any], Any]:
     """Build the per-shard request handler (runs inside the shard).
 
     Module-level so :class:`ShardPool` can ship it under any start
     method; each shard owns its own :class:`ArtifactCache`, so model
     state is loaded at most ``cache_capacity`` times per shard, not per
-    request.  Every batch runs the eager no-grad forward.
+    request.  The first ``cache_capacity`` of ``artifact_paths`` are
+    loaded here, before the shard takes its first batch, so no request
+    waits on a load; one that fails to load is left to the first
+    request naming it, which fails with the usual structured error.
+    Every batch runs the eager no-grad forward.
     """
     from repro import backend as _backend
     from repro.autograd import Tensor, no_grad
 
     cache = ArtifactCache(cache_capacity)
+    for path in artifact_paths[:cache_capacity]:
+        try:
+            cache.get(path)
+        except Exception:  # the request that needs it reports it
+            pass
 
     def handle(payload: Mapping[str, Any]) -> np.ndarray:
         model, _ = cache.get(payload["artifact"])
@@ -224,7 +233,8 @@ class ModelServer:
             self._pool = ShardPool(
                 functools.partial(_make_shard_handler,
                                   self.config.cache_capacity,
-                                  self.config.backend),
+                                  self.config.backend,
+                                  tuple(self._artifacts.values())),
                 shards=self.config.shards, retries=self.config.retries,
                 start_method=self.config.start_method,
             )

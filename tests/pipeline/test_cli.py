@@ -80,6 +80,27 @@ class TestEndToEnd:
         assert data["quantized"] is not None
 
 
+class TestConfigErrors:
+    """A config the attack would reject ends as one line, before any work."""
+
+    def test_attack_bad_config_exits_with_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--dataset", "digits", "--epochs", "1",
+                  "--rate", "0"])
+        assert exc.value.code == (
+            "repro attack: at least one group needs a non-zero rate")
+
+    def test_monitor_bad_config_leaves_no_timeseries(self, tmp_path, capsys):
+        timeseries = tmp_path / "ben.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "--dataset", "digits", "--epochs", "1",
+                  "--rate", "0", "--bits", "2",
+                  "--timeseries", str(timeseries)])
+        assert exc.value.code == (
+            "repro monitor: at least one group needs a non-zero rate")
+        assert not timeseries.exists()
+
+
 class TestTelemetryCli:
     def test_global_flags_default(self):
         args = build_parser().parse_args(["info"])

@@ -236,6 +236,63 @@ class TestStructuredFailures:
             ModelServer({})
 
 
+class TestArtifactPreload:
+    """Shards load their artifacts at start, not inside the first batch."""
+
+    @staticmethod
+    def _spanned_loads(monkeypatch):
+        from repro.serve import artifacts
+        from repro.telemetry.trace import span
+
+        load = artifacts.load_artifact
+
+        def spanned(path, *args, **kwargs):
+            with span("test.load_artifact"):
+                return load(path, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "load_artifact", spanned)
+
+    def test_first_batch_span_has_no_artifact_load(self, artifact, monkeypatch):
+        from repro.telemetry.trace import recording
+
+        path, _ = artifact
+        self._spanned_loads(monkeypatch)
+
+        async def _go():
+            async with ModelServer({"m": path},
+                                   config=serial_config()) as server:
+                return await asyncio.gather(*[
+                    server.infer(input_seed=i) for i in range(4)])
+
+        with recording() as recorder:
+            responses = run(_go())
+        assert all(r.ok for r in responses)
+        [load] = recorder.by_name("test.load_artifact")
+        [start] = recorder.by_name("serve.start")
+        assert start.start <= load.start and load.end <= start.end
+        shards = recorder.by_name("serve.shard")
+        assert shards and min(s.start for s in shards) >= start.end
+
+    def test_load_failure_is_left_to_the_first_request(self, tmp_path):
+        from repro.serve.artifacts import WEIGHTS_FILE
+
+        model = build_model("resnet8_tiny", rng=np.random.default_rng(3), **KW)
+        path = tmp_path / "torn"
+        save_artifact(model, path, "resnet8_tiny", model_kwargs=KW,
+                      input_shape=SHAPE, seed=3)
+        (path / WEIGHTS_FILE).write_bytes(b"not an npz archive")
+
+        async def _go():
+            async with ModelServer({"m": str(path)},
+                                   config=serial_config()) as server:
+                return await server.infer(input_seed=0)
+
+        response = run(asyncio.wait_for(_go(), timeout=30))
+        assert not response.ok
+        assert response.error_kind == "exception"
+        assert "cannot load artifact weights" in response.error
+
+
 class TestDeadlines:
     def test_impossible_deadline_is_flagged_not_dropped(self, artifact):
         path, _ = artifact

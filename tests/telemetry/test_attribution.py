@@ -388,3 +388,31 @@ class TestAttribute:
         assert names[-2:] == ["unattributed", "total"]
         assert set(names[:-2]) == {"s", "matmul"}
         assert lines[-1].rstrip().endswith("100.0%")
+
+
+class TestTrainingLane:
+    def test_traced_benign_run_shows_forward_and_loader_rows(self, tmp_path,
+                                                             capsys):
+        from repro.cli import main
+
+        trace_out = tmp_path / "benign.trace.json"
+        assert main(["--trace-out", str(trace_out), "benign",
+                     "--dataset", "digits", "--epochs", "1",
+                     "--batch-size", "64"]) == 0
+        capsys.readouterr()
+        loaded = trace.read_trace(trace_out)
+        (lane,) = attribute(loaded)
+        calls = {name: n for kind, name, n, _ in lane.rows if kind == "span"}
+        assert calls["autograd.forward"] == calls["trainer.batch"] >= 1
+        assert calls["nn.dataloader.wait"] == calls["trainer.batch"]
+        assert 0.0 <= lane.unattributed_s < lane.total_s
+        # each new span sits inside the step or the epoch it serves, so
+        # no time is counted twice
+        events = [e for e in loaded["traceEvents"] if e["ph"] == "X"]
+        ids = {name: {e["span_id"] for e in events if e["name"] == name}
+               for name in ("trainer.batch", "trainer.epoch")}
+        for event in events:
+            if event["name"] == "autograd.forward":
+                assert event["parent_id"] in ids["trainer.batch"]
+            elif event["name"] == "nn.dataloader.wait":
+                assert event["parent_id"] in ids["trainer.epoch"]
