@@ -10,7 +10,7 @@ Subcommands:
   (``repro.monitor``), writing a JSONL timeseries.
 * ``serve``        -- batched async HTTP serving of released model
   artifacts (``repro.serve``): deadline coalescing, sharded workers,
-  live latency telemetry.
+  live latency telemetry as Prometheus text on ``GET /metrics``.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
   against a server (in-process or ``--url``), with replayable traces
   and ``BENCH_serve.json`` trajectories.
@@ -18,7 +18,8 @@ Subcommands:
   dump's request report and per-lane self time (spans, kernels,
   unattributed); a monitor timeseries' probe table and replayed alert
   rules (exit 1 when any fires), or the diff of two; a run manifest's
-  run id, then the views of the timeseries and trace it names.
+  run id and recorded metrics, then the views of the timeseries and
+  trace it names.
 * ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
@@ -39,8 +40,6 @@ stay inside the serial tolerance bands),
 ``--trace-out PATH`` exports a Chrome-trace file of the run's spans
 (including spans shipped back from worker processes, with kernel time
 on them),
-``--serve-metrics PORT`` serves live Prometheus ``/metrics`` and JSON
-``/health`` on localhost for the duration of the run,
 ``--log-level LEVEL`` controls the structured JSONL event log
 (optionally to ``--log-out PATH``).
 
@@ -54,7 +53,8 @@ Examples::
     python -m repro.cli --trace-out trace.json benign --epochs 15
     python -m repro.cli audit --rate 20
     python -m repro.cli monitor --epochs 10 --out run.json
-    python -m repro.cli --serve-metrics 9109 monitor --alerts --epochs 10
+    python -m repro.cli monitor --alerts --epochs 10 --out run.json && \
+        python -m repro.cli analyze run.manifest.json
     python -m repro.cli analyze run.timeseries.jsonl --corr-above 0.25
     python -m repro.cli analyze malicious.timeseries.jsonl benign.timeseries.jsonl
     python -m repro.cli --trace-out run.trace.json monitor --out run.json && \
@@ -403,9 +403,8 @@ def _cmd_info(args) -> int:
 
     from repro.monitor import BenchStore
     from repro.parallel import cpu_workers
-    from repro.telemetry import active_exporter, format_table
+    from repro.telemetry import format_table
 
-    exporter = active_exporter()
     names = default_registry().names()
     rows = [
         ("repro", __version__),
@@ -420,8 +419,6 @@ def _cmd_info(args) -> int:
         ("cpus", f"{os.cpu_count() or 1} logical core(s)"),
         ("shm", _shm_info_row()),
         ("ddp", _ddp_info_row()),
-        ("exporter", f"serving {exporter.url}" if exporter is not None
-                     else "not running (--serve-metrics PORT)"),
         ("metrics", f"{len(names)} registered"
                     + (": " + ", ".join(names) if names else "")),
     ]
@@ -532,9 +529,8 @@ def _cmd_serve(args) -> int:
                     tag = (f"{quant.get('bits')}-bit" if quant else "float")
                     print(f"serving {key!r} [{meta['fingerprint']}] ({tag}) "
                           f"x{config.shards} shard(s)", file=sys.stderr)
-                print(f"listening on {front.url} "
-                      f"(POST /infer, GET /healthz, GET /models)",
-                      file=sys.stderr)
+                print(f"listening on {front.url} (POST /infer, GET /healthz, "
+                      f"GET /models, GET /metrics)", file=sys.stderr)
                 try:
                     await asyncio.Event().wait()
                 except asyncio.CancelledError:
@@ -666,7 +662,7 @@ def _explain(path: str, args, manifest: Optional[str] = None) -> tuple:
     from repro.errors import ConfigError
     from repro.monitor import render_run
     from repro.serve import analyze_requests, render_analysis, request_records
-    from repro.telemetry import attribute, render_lanes
+    from repro.telemetry import attribute, render_lanes, render_metrics
 
     kind, content = _read_artifact(path)
     if kind == "trace":
@@ -688,6 +684,9 @@ def _explain(path: str, args, manifest: Optional[str] = None) -> tuple:
     if manifest is not None:
         raise ConfigError(f"{path}: named by {manifest} but is a manifest")
     blocks, fired = [f"run {content.run_id}  ({path})\n"], 0
+    if content.telemetry:
+        blocks.append(render_metrics(content.telemetry,
+                                     title=f"metrics: {path}") + "\n")
     for sidecar in (content.timeseries, content.extra.get("trace_out")):
         if sidecar:
             more, count = _explain(str(sidecar), args, manifest=path)
@@ -798,11 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "deterministic all-reduce; default: serial)")
     parser.add_argument("--trace-out", metavar="PATH", default=None,
                         help="write a Chrome-trace JSON of the run's spans")
-    parser.add_argument("--serve-metrics", type=int, metavar="PORT",
-                        default=None,
-                        help="serve live Prometheus /metrics + JSON /health "
-                             "on 127.0.0.1:PORT for the duration of the run "
-                             "(0 picks a free port)")
     parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"],
                         help="structured JSONL event-log threshold")
@@ -1036,16 +1030,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.trace_out = os.path.abspath(args.trace_out)
         recorder = TraceRecorder()
         set_recorder(recorder)
-    exporter = None
-    if args.serve_metrics is not None:
-        from repro.telemetry.export import serve_metrics
-        try:
-            exporter = serve_metrics(port=args.serve_metrics)
-        except OSError as exc:
-            raise SystemExit(f"repro: error: could not bind metrics "
-                             f"exporter on port {args.serve_metrics}: {exc}")
-        print(f"metrics exporter serving {exporter.url}/metrics "
-              f"(+ /health)", file=sys.stderr)
     logger.info("cli.start", command=args.command, argv=list(argv or sys.argv[1:]))
     trace_error = None
     # restored afterwards so in-process callers (tests) are unaffected
@@ -1062,9 +1046,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _backend.set_backend(previous_backend)
         _precision.set_default_dtype(previous_dtype)
         _ddp.set_default_ddp_workers(previous_ddp)
-        if exporter is not None:
-            from repro.telemetry.export import stop_exporter
-            stop_exporter()
         if recorder is not None:
             set_recorder(None)
             try:

@@ -6,11 +6,11 @@ module closes the loop in-process: an :class:`AlertEngine` holds a list
 of :class:`AlertRule`\\ s and sees every probe record (and the metrics
 registry, once per epoch) as it is produced.  Rules that trip emit
 structured :class:`Alert` events to the in-memory list, the
-``monitor.alert`` JSONL stream, the metrics registry / live exporter,
-and any attached loggers -- so a leakage signature (the paper's Eq. 2
-correlation rising out of the benign band), a stalled decode, a
-throughput collapse, or a dead worker surfaces while the run is still
-going.
+``monitor.alert`` JSONL stream, the metrics registry (and so the run
+manifest) and any attached loggers -- so a leakage signature (the
+paper's Eq. 2 correlation rising out of the benign band), a stalled
+decode, a throughput collapse, or a dead worker surfaces while the run
+is still going.
 
 Rules come in five shapes:
 
@@ -454,9 +454,9 @@ class AlertEngine:
     argument; the monitor feeds every probe record (success and error)
     through :meth:`observe` and calls :meth:`observe_registry` once per
     epoch tick.  Fired alerts accumulate on :attr:`alerts`, bump the
-    ``alerts.total`` / ``alerts.<rule>`` counters (visible to the live
-    exporter), update the health heartbeat, and are written as
-    ``monitor.alert`` events to any attached loggers.
+    ``alerts.total`` / ``alerts.<rule>`` counters (recorded in the run
+    manifest), and are written as ``monitor.alert`` events to any
+    attached loggers.
 
     ``clock`` (default ``time.time``) stamps each fired alert's ``ts``;
     tests inject a fake clock so alert timestamps are deterministic.
@@ -523,7 +523,6 @@ class AlertEngine:
 
     # ------------------------------------------------------------- emission
     def _emit(self, alert: Alert) -> None:
-        from repro.telemetry.export import update_health
         from repro.telemetry.metrics import default_registry
 
         if self.clock is not None:
@@ -532,8 +531,6 @@ class AlertEngine:
         registry = default_registry()
         registry.counter("alerts.total").inc()
         registry.counter(f"alerts.{alert.rule}").inc()
-        update_health(last_alert=alert.rule, last_alert_ts=alert.ts,
-                      last_alert_severity=alert.severity)
         for logger in self._loggers:
             level = "error" if alert.severity == "critical" else "warning"
             logger.log(level, ALERT_EVENT, **alert.to_record())

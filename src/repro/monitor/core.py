@@ -187,9 +187,6 @@ class Monitor:
             self._logger.info(PROBE_EVENT, **record)
         if self.alerts is not None:
             self.alerts.observe(record)
-        from repro.telemetry.export import update_health
-        update_health(last_probe=probe.name, last_probe_epoch=ctx.epoch,
-                      last_probe_ts=time.time())
 
     def _record_error(self, probe: Probe, ctx: ProbeContext, scope: str,
                       exc: Exception) -> None:

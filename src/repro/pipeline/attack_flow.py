@@ -137,8 +137,6 @@ def _run_attack_flow(
     logger = get_logger()
 
     def _report(stage: str) -> None:
-        from repro.telemetry.export import update_health
-        update_health(stage=stage)
         logger.debug("attack.stage", stage=stage)
         if progress is not None:
             progress(stage)

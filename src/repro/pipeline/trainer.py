@@ -352,8 +352,6 @@ class Trainer:
         registry.gauge("trainer.last_epoch_s").set(elapsed)
         if elapsed > 0:
             registry.gauge("trainer.images_per_s").set(count / elapsed)
-        from repro.telemetry.export import update_health
-        update_health(epoch=self.history.epochs, epoch_s=elapsed)
         mean_task = total_task / count
         registry.gauge("trainer.task_loss").set(mean_task)
         registry.gauge("trainer.penalty").set(total_penalty / count)

@@ -20,8 +20,8 @@ module and to prove what it is:
 
 :class:`ArtifactCache` keeps loaded artifacts in a bounded LRU keyed by
 that fingerprint; an evicted artifact reloads transparently on the next
-request (``serve.cache_*`` counters make hit rates visible on the live
-``/metrics`` exporter).  Corrupt or tampered artifacts fail loudly with
+request (``serve.cache_*`` counters make hit rates visible on the
+front end's ``GET /metrics``).  Corrupt or tampered artifacts fail loudly with
 :class:`ServeError` -- a serving stack must never run weights it cannot
 verify.
 """

@@ -20,6 +20,11 @@ serving path across a real socket -- no framework, no dependency:
 ``GET /models``
     The served keys with fingerprints and quantization metadata.
 
+``GET /metrics``
+    The process's default metrics registry as Prometheus text
+    (:func:`~repro.telemetry.metrics.prometheus_text`): request
+    counters, latency histograms, shard and cache gauges.
+
 :func:`http_loadgen` is the cross-process twin of
 :func:`repro.serve.loadgen.run_loadgen`: it replays the same trace
 over urllib in executor threads, so one process can drive another
@@ -34,13 +39,14 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.serve.loadgen import LoadReport, TraceEntry, summarize_responses
 from repro.serve.server import InferenceResponse, ModelServer
 from repro.telemetry.events import get_logger
+from repro.telemetry.metrics import default_registry, prometheus_text
 
 __all__ = ["ServeHTTP", "http_loadgen"]
 
@@ -52,6 +58,8 @@ _KIND_STATUS = {"": 200, "refused": 429, "unknown_model": 404,
                 "bad_request": 400, "shutdown": 503}
 
 _MAX_BODY = 16 * 1024 * 1024
+
+_PROMETHEUS_TYPE = "text/plain; version=0.0.4"
 
 
 class ServeHTTP:
@@ -97,9 +105,13 @@ class ServeHTTP:
         except Exception as exc:  # defensive: one bad socket != one crash
             status, body = 500, {"ok": False, "error": repr(exc),
                                  "error_kind": "exception"}
-        payload = json.dumps(body).encode("utf-8")
+        if isinstance(body, str):
+            payload, content_type = body.encode("utf-8"), _PROMETHEUS_TYPE
+        else:
+            payload = json.dumps(body).encode("utf-8")
+            content_type = "application/json"
         head = (f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Status')}\r\n"
-                f"Content-Type: application/json\r\n"
+                f"Content-Type: {content_type}\r\n"
                 f"Content-Length: {len(payload)}\r\n"
                 f"Connection: close\r\n\r\n").encode("ascii")
         try:
@@ -110,8 +122,8 @@ class ServeHTTP:
         finally:
             writer.close()
 
-    async def _respond(self,
-                       reader: asyncio.StreamReader) -> Tuple[int, Dict]:
+    async def _respond(self, reader: asyncio.StreamReader
+                       ) -> Tuple[int, Union[Dict, str]]:
         request_line = (await reader.readline()).decode("latin-1").strip()
         parts = request_line.split()
         if len(parts) < 2:
@@ -139,11 +151,18 @@ class ServeHTTP:
             return (200 if ok else 503), {"ok": ok, **stats}
         if method == "GET" and target == "/models":
             return 200, {"ok": True, "models": self.server.models()}
+        if method == "GET" and target == "/metrics":
+            return 200, prometheus_text(default_registry())
         if method == "POST" and target == "/infer":
             if length > _MAX_BODY:
                 return 400, {"ok": False, "error": "body too large",
                              "error_kind": "bad_request"}
-            raw = await reader.readexactly(length) if length else b"{}"
+            try:
+                raw = await reader.readexactly(length) if length else b"{}"
+            except asyncio.IncompleteReadError:
+                return 400, {"ok": False,
+                             "error": "body shorter than Content-Length",
+                             "error_kind": "bad_request"}
             try:
                 request = json.loads(raw.decode("utf-8"))
                 if not isinstance(request, dict):

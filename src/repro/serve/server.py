@@ -15,7 +15,7 @@ pieces, one per layer of the existing stack:
 * telemetry: per-request ``serve.queue_ms`` / ``serve.infer_ms`` /
   ``serve.latency_ms`` histograms, batch-size distribution, cache and
   shard counters -- all in the default registry, hence live on the
-  PR-6 ``/metrics`` exporter;
+  front end's ``GET /metrics``;
 * alerting: an optional :class:`~repro.monitor.alerts.AlertEngine`
   (see :func:`repro.monitor.alerts.serving_rules`) evaluated after
   every dispatched batch, so a p99 breach or shard death fires while

@@ -5,7 +5,10 @@ paths at near-zero disabled cost:
 
 * :mod:`repro.telemetry.metrics` -- counters / gauges / fixed-bucket
   histograms (:mod:`repro.telemetry.slo`, exactly mergeable across
-  processes) in a process-global :func:`default_registry`.
+  processes) in a process-global :func:`default_registry`, rendered as
+  a table (:func:`render_metrics`, also over a manifest's recorded
+  snapshot) or as Prometheus text (:func:`prometheus_text`, served by
+  ``repro serve`` on ``GET /metrics``).
 * :mod:`repro.telemetry.trace` -- nested wall-time spans via
   ``with span(name):``, exported as JSONL or Chrome trace format.  While
   a recorder is active, backend kernel time rides on the innermost open
@@ -25,6 +28,8 @@ from repro.telemetry.metrics import (
     Gauge,
     MetricsRegistry,
     default_registry,
+    prometheus_text,
+    render_metrics,
 )
 from repro.telemetry.slo import EDGES, SloHistogram
 from repro.telemetry.trace import (
@@ -43,15 +48,6 @@ from repro.telemetry.trace import (
     timed_stage,
     worker_recorder,
 )
-from repro.telemetry.export import (
-    MetricsExporter,
-    active_exporter,
-    health_snapshot,
-    prometheus_text,
-    serve_metrics,
-    stop_exporter,
-    update_health,
-)
 from repro.telemetry.events import (
     EventLogger,
     RunManifest,
@@ -64,13 +60,12 @@ from repro.telemetry.tables import format_records, format_table, percent
 
 __all__ = [
     "Counter", "Gauge", "MetricsRegistry",
-    "default_registry", "SloHistogram", "EDGES",
+    "default_registry", "prometheus_text", "render_metrics",
+    "SloHistogram", "EDGES",
     "SpanRecord", "TraceContext", "TraceRecorder", "span", "recording",
     "get_recorder", "set_recorder", "timed_stage", "current_trace_context",
     "worker_recorder", "Lane", "read_trace", "attribute",
     "render_lanes",
-    "MetricsExporter", "active_exporter", "health_snapshot",
-    "prometheus_text", "serve_metrics", "stop_exporter", "update_health",
     "EventLogger", "RunManifest", "config_fingerprint", "configure_logging",
     "get_logger", "new_run_id",
     "format_records", "format_table", "percent",

@@ -215,14 +215,6 @@ class RunManifest:
                 backend = _backend.active().name
             except Exception:
                 backend = None
-        if "metrics_endpoint" not in extra:
-            try:
-                from repro.telemetry.export import active_exporter
-                exporter = active_exporter()
-                if exporter is not None:
-                    extra["metrics_endpoint"] = exporter.url
-            except Exception:
-                pass
         return cls(
             run_id=run_id if run_id is not None else get_logger().run_id,
             seed=None if seed is None else int(seed),

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.telemetry.slo import SloHistogram
+from repro.telemetry.slo import EDGES, SloHistogram
+from repro.telemetry.tables import format_table
 
 
 class Counter:
@@ -184,20 +186,7 @@ class MetricsRegistry:
 
     def render_table(self, title: str = "metrics") -> str:
         """Aligned plain-text table of the current snapshot."""
-        from repro.pipeline.reporting import format_table
-
-        rows: List[Sequence[Any]] = []
-        for name, value in self.snapshot().items():
-            if isinstance(value, dict):
-                detail = "  ".join(
-                    f"{k}={_compact(v)}" for k, v in value.items()
-                    if k in ("count", "mean", "p50", "p90", "sum")
-                    and not (isinstance(v, float) and math.isnan(v))
-                )
-                rows.append([name, detail])
-            else:
-                rows.append([name, _compact(value)])
-        return format_table(["metric", "value"], rows, title=title)
+        return render_metrics(self.snapshot(), title=title)
 
 
 def _moved(metric: Any) -> bool:
@@ -212,8 +201,8 @@ def flatten(snapshot: Mapping[str, Any]) -> Dict[str, float]:
     """Flatten ``{name: scalar or dict}`` to dotted scalar keys.
 
     Non-scalar fields (a histogram's bucket vector) are skipped: flat
-    snapshots feed alert rules, sweep records and the health endpoint,
-    which expect every value to be a number.
+    snapshots feed alert rules and sweep records, which expect every
+    value to be a number.
     """
     flat: Dict[str, float] = {}
     for name, value in snapshot.items():
@@ -236,12 +225,93 @@ def _compact(value: Any) -> str:
     return str(value)
 
 
+_HISTOGRAM_COLUMNS = ("count", "mean", "p50", "p90", "p99", "sum")
+
+
+def render_metrics(snapshot: Mapping[str, Any], title: str = "metrics") -> str:
+    """Aligned plain-text table of a :meth:`MetricsRegistry.snapshot`.
+
+    Counters and gauges print their value; histograms print their
+    count, mean, p50, p90, p99 and sum (NaN fields left out).  Serves
+    the live registry and a manifest's recorded ``telemetry`` alike.
+    """
+    rows: List[Sequence[Any]] = []
+    for name, value in snapshot.items():
+        if isinstance(value, dict):
+            detail = "  ".join(
+                f"{k}={_compact(value[k])}" for k in _HISTOGRAM_COLUMNS
+                if k in value and not (isinstance(value[k], float)
+                                       and math.isnan(value[k])))
+            rows.append([name, detail])
+        else:
+            rows.append([name, _compact(value)])
+    return format_table(["metric", "value"], rows, title=title)
+
+
+# --------------------------------------------------------------------------
+# Prometheus text exposition
+# --------------------------------------------------------------------------
+
+_NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
+
+
+def _prom_name(name: str) -> str:
+    """``trainer.images_per_s`` -> ``repro_trainer_images_per_s``."""
+    return "repro_" + _NAME_RE.sub("_", name)
+
+
+def _prom_value(value: Any) -> str:
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "+Inf" if value > 0 else "-Inf"
+    return repr(value)
+
+
+def prometheus_text(registry: Optional[MetricsRegistry] = None) -> str:
+    """Render a registry in the Prometheus text exposition format.
+
+    Counters and gauges map directly.  Histograms
+    (:class:`~repro.telemetry.slo.SloHistogram`) render as *native*
+    Prometheus histograms -- cumulative ``_bucket{le="..."}`` series
+    over the fixed layout plus ``_sum``/``_count`` -- so
+    ``histogram_quantile()`` works on them server-side; one with an SLO
+    target also exposes its breach tally as a ``_breaches`` counter.
+    """
+    registry = registry if registry is not None else default_registry()
+    typed = registry.typed_snapshot()
+    lines = []
+    for name, value in typed["counters"].items():
+        prom = _prom_name(name)
+        lines.append(f"# TYPE {prom} counter")
+        lines.append(f"{prom} {_prom_value(value)}")
+    for name, value in typed["gauges"].items():
+        prom = _prom_name(name)
+        lines.append(f"# TYPE {prom} gauge")
+        lines.append(f"{prom} {_prom_value(value)}")
+    for name, snap in typed["histograms"].items():
+        prom = _prom_name(name)
+        lines.append(f"# TYPE {prom} histogram")
+        cumulative = 0
+        for edge, count in zip(EDGES, snap["counts"]):
+            cumulative += int(count)
+            lines.append(f'{prom}_bucket{{le="{edge:g}"}} {cumulative}')
+        lines.append(f'{prom}_bucket{{le="+Inf"}} {int(snap["count"])}')
+        lines.append(f"{prom}_sum {_prom_value(snap['sum'])}")
+        lines.append(f"{prom}_count {_prom_value(snap['count'])}")
+        if "slo" in snap:
+            lines.append(f"# TYPE {prom}_breaches counter")
+            lines.append(f"{prom}_breaches {_prom_value(snap['breaches'])}")
+    return "\n".join(lines) + "\n"
+
+
 _default_registry = MetricsRegistry()
 
 
 def _renew_lock() -> None:
-    # a thread of the parent (the exporter, a serving thread) may hold the
-    # lock at fork time; the child has no such thread to release it
+    # a thread of the parent (a serving thread) may hold the lock at fork
+    # time; the child has no such thread to release it
     _default_registry._lock = threading.Lock()
 
 

@@ -229,17 +229,18 @@ class TestAlertEngine:
         with pytest.raises(ConfigError):
             AlertEngine([object()])
 
-    def test_update_health_on_emit(self):
-        from repro.telemetry.export import health_snapshot, reset_health
+    def test_counts_alerts_on_emit(self):
+        from repro.telemetry.metrics import default_registry
 
-        reset_health()
+        registry = default_registry()
+        before = registry.flat_snapshot()
         engine = AlertEngine([
             ThresholdRule("leak", field="v", above=0.0),
         ])
         engine.observe(record(v=1.0))
-        health = health_snapshot()
-        assert health["last_alert"] == "leak"
-        reset_health()
+        after = registry.flat_snapshot()
+        for name in ("alerts.total", "alerts.leak"):
+            assert after[name] == before.get(name, 0.0) + 1.0
 
 
 class _AlwaysRaises(Probe):

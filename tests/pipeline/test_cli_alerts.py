@@ -1,5 +1,5 @@
-"""CLI observability commands: alert replay through ``repro analyze``,
-``repro info``, ``--serve-metrics``."""
+"""CLI observability commands: alert replay and manifest metrics through
+``repro analyze``, ``repro info``."""
 
 from __future__ import annotations
 
@@ -9,15 +9,14 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.monitor.core import PROBE_EVENT
-from repro.telemetry.export import active_exporter, reset_health, stop_exporter
-from repro.telemetry.metrics import default_registry
+from repro.pipeline.results_io import save_result
+from repro.telemetry.events import RunManifest
+from repro.telemetry.metrics import MetricsRegistry, default_registry
 
 
 @pytest.fixture(autouse=True)
 def _clean_state():
     yield
-    stop_exporter()
-    reset_health()
     default_registry().clear()
 
 
@@ -45,11 +44,6 @@ class TestParser:
             ["analyze", "ts.jsonl", "--corr-above", "0.5", "--psnr-window", "5"])
         assert args.corr_above == 0.5
         assert args.psnr_window == 5
-
-    def test_serve_metrics_global_flag(self):
-        args = build_parser().parse_args(["--serve-metrics", "9109", "info"])
-        assert args.serve_metrics == 9109
-        assert build_parser().parse_args(["info"]).serve_metrics is None
 
     def test_monitor_alerts_flag(self):
         args = build_parser().parse_args(["monitor", "--alerts"])
@@ -121,9 +115,9 @@ class TestInfo:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro info" in out
-        for key in ("backend", "dtype", "workers", "exporter", "metrics"):
+        for key in ("backend", "dtype", "workers", "metrics"):
             assert key in out
-        assert "not running (--serve-metrics PORT)" in out
+        assert "exporter" not in out
 
     def test_bench_rows(self, tmp_path, capsys):
         from repro.monitor import BenchStore
@@ -136,10 +130,71 @@ class TestInfo:
         assert "epoch_s=1.25" in out
 
 
-class TestServeMetrics:
-    def test_serve_metrics_runs_and_stops_with_command(self, capsys):
-        assert main(["--serve-metrics", "0", "info"]) == 0
-        captured = capsys.readouterr()
-        assert "metrics exporter serving" in captured.err
-        assert "serving http://" in captured.out  # info table sees it live
-        assert active_exporter() is None  # stopped on the way out
+def _row(text, metric):
+    """The value cell of ``metric``'s row in a rendered metrics table."""
+    for line in text.splitlines():
+        name, _, value = line.partition("|")
+        if name.strip() == metric:
+            return value.strip()
+    raise AssertionError(f"no {metric!r} row in:\n{text}")
+
+
+class TestAnalyzeMetrics:
+    def test_attack_manifest_prints_its_registry_snapshot(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "r.json"
+        assert main(["attack", "--dataset", "digits", "--epochs", "1",
+                     "--bits", "3", "--rate", "20", "--batch-size", "64",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "r.manifest.json"
+        telemetry = json.loads(manifest.read_text())["telemetry"]
+        assert main(["analyze", str(manifest)]) == 0
+        text = capsys.readouterr().out
+        assert text.startswith("run ")
+        assert f"metrics: {manifest}" in text
+        training = _row(text, "attack.training_s")
+        assert "count=1" in training and "p50=" in training
+        assert "p99=" in training
+        for name, value in telemetry.items():
+            cell = _row(text, name)
+            if isinstance(value, dict):
+                assert f"count={value['count']}" in cell
+            else:
+                assert cell
+
+    def test_manifest_prints_pool_liveness_metrics(self, tmp_path, capsys):
+        registry = MetricsRegistry()
+        registry.gauge("pool.workers_alive").set(4.0)
+        registry.counter("pool.worker_crashes").inc(1)
+        manifest = RunManifest.create(seed=1, telemetry=registry.snapshot())
+        save_result({}, tmp_path / "pool.json", manifest=manifest)
+        assert main(["analyze", str(tmp_path / "pool.manifest.json")]) == 0
+        text = capsys.readouterr().out
+        assert _row(text, "pool.workers_alive") == "4"
+        assert _row(text, "pool.worker_crashes") == "1"
+
+    def test_manifest_with_a_metrics_endpoint_still_renders(self, tmp_path,
+                                                            capsys):
+        registry = MetricsRegistry()
+        registry.histogram("trainer.epoch_s").observe(1.5)
+        manifest = tmp_path / "old.manifest.json"
+        manifest.write_text(json.dumps({
+            "run_id": "r0", "seed": 7, "telemetry": registry.snapshot(),
+            "extra": {"metrics_endpoint": "http://127.0.0.1:9109"}}))
+        assert main(["analyze", str(manifest)]) == 0
+        text = capsys.readouterr().out
+        assert "run r0" in text
+        assert "count=1" in _row(text, "trainer.epoch_s")
+
+    def test_empty_telemetry_prints_no_metrics_table(self, tmp_path, capsys):
+        # the shape ``repro serve --manifest-out`` writes
+        manifest = RunManifest.create(seed=0, telemetry={}, artifacts=["m"],
+                                      trace_out=None, flight_dir=None,
+                                      slo_ms=None)
+        save_result({"command": "serve", "run_id": manifest.run_id},
+                    tmp_path / "serve.json", manifest=manifest)
+        path = tmp_path / "serve.manifest.json"
+        assert main(["analyze", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert text == f"run {manifest.run_id}  ({path})\n"

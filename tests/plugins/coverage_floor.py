@@ -61,7 +61,6 @@ TARGET_FILES = (
     "src/repro/monitor/bench.py",
     "src/repro/monitor/alerts.py",
     "src/repro/telemetry/trace.py",
-    "src/repro/telemetry/export.py",
     "src/repro/precision.py",
     "src/repro/autograd/planner.py",
     "src/repro/autograd/function.py",

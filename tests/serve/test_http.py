@@ -1,4 +1,4 @@
-"""HTTP front end: routing, status mapping, cross-socket loadgen."""
+"""HTTP front end: routing, status mapping, metrics, cross-socket loadgen."""
 
 import asyncio
 import contextlib
@@ -22,6 +22,7 @@ from repro.serve import (
     http_loadgen,
     save_artifact,
 )
+from repro.telemetry.metrics import default_registry, prometheus_text
 
 KW = dict(num_classes=4, in_channels=3, width=4)
 SHAPE = (3, 8, 8)
@@ -52,6 +53,25 @@ def _fetch(loop, url, body=None, method=None):
             return exc.code, json.loads(exc.read().decode())
 
     return loop.run_in_executor(None, _do)
+
+
+def _get_text(loop, url):
+    """GET from an executor thread; returns (status, content type, text)."""
+
+    def _do():
+        try:
+            with urllib.request.urlopen(url, timeout=15) as reply:
+                return (reply.status, reply.headers["Content-Type"],
+                        reply.read().decode())
+        except urllib.error.HTTPError as exc:
+            return exc.code, exc.headers["Content-Type"], exc.read().decode()
+
+    return loop.run_in_executor(None, _do)
+
+
+def _status_and_json(raw):
+    status_line, _, rest = raw.partition(b"\r\n")
+    return status_line, json.loads(rest.split(b"\r\n\r\n", 1)[1])
 
 
 async def _with_front(path, fn, **config_kwargs):
@@ -135,10 +155,51 @@ class TestRoutes:
             return raw
 
         raw = asyncio.run(_with_front(artifact, _go))
-        status_line, _, rest = raw.partition(b"\r\n")
+        status_line, body = _status_and_json(raw)
         assert b" 400 " in status_line, status_line
-        body = json.loads(rest.split(b"\r\n\r\n", 1)[1])
         assert body["error_kind"] == "bad_request"
+
+    def test_truncated_body_is_400(self, artifact):
+        async def _go(loop, front):
+            reader, writer = await asyncio.open_connection(front.host,
+                                                           front.port)
+            writer.write(b"POST /infer HTTP/1.1\r\n"
+                         b"Content-Length: 100\r\n\r\n"
+                         b'{"input')
+            writer.write_eof()  # 7 of the 100 promised bytes, then EOF
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            return raw
+
+        status_line, body = _status_and_json(
+            asyncio.run(_with_front(artifact, _go)))
+        assert b" 400 " in status_line, status_line
+        assert body["error_kind"] == "bad_request"
+        assert body["error"] == "body shorter than Content-Length"
+
+
+class TestMetricsRoute:
+    def test_metrics_after_infer_is_the_registry_as_prometheus_text(
+            self, artifact):
+        async def _go(loop, front):
+            infer = await _fetch(loop, front.url + "/infer",
+                                 {"input_seed": 5})
+            metrics = await _get_text(loop, front.url + "/metrics")
+            expected = prometheus_text(default_registry())
+            unknown = await _get_text(loop, front.url + "/metrics/nope")
+            return infer, metrics, expected, unknown
+
+        infer, metrics, expected, unknown = asyncio.run(
+            _with_front(artifact, _go))
+        assert infer[0] == 200
+        status, content_type, text = metrics
+        assert status == 200
+        assert content_type == "text/plain; version=0.0.4"
+        assert "# TYPE repro_serve_requests counter" in text
+        assert text == expected
+        assert unknown[0] == 404
+        assert json.loads(unknown[2])["error_kind"] == "bad_request"
 
 
 class TestHTTPLoadgen:

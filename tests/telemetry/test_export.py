@@ -1,37 +1,25 @@
-"""Live exporter: Prometheus rendering, HTTP endpoints, health heartbeat."""
+"""Prometheus text export of a metrics registry, and its HTTP exporter:
+``repro serve``'s front end on ``GET /metrics`` and ``GET /healthz``."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigError
-from repro.telemetry.export import (
-    MetricsExporter,
-    active_exporter,
-    health_snapshot,
+from repro.models.registry import build_model
+from repro.serve import ModelServer, ServeConfig, ServeHTTP, save_artifact
+from repro.telemetry.metrics import (
+    MetricsRegistry,
+    default_registry,
     prometheus_text,
-    reset_health,
-    serve_metrics,
-    stop_exporter,
-    update_health,
 )
-from repro.telemetry.metrics import MetricsRegistry
 
-
-@pytest.fixture(autouse=True)
-def _clean_exporter_state():
-    yield
-    stop_exporter()
-    reset_health()
-
-
-def _get(url: str) -> tuple:
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return response.status, response.read().decode("utf-8")
+KW = dict(num_classes=4, in_channels=3, width=4)
 
 
 class TestPrometheusText:
@@ -67,84 +55,60 @@ class TestPrometheusText:
         assert prometheus_text(MetricsRegistry()) == "\n"
 
 
-class TestHealth:
-    def test_update_and_snapshot(self):
-        update_health(epoch=3, stage="training")
-        snap = health_snapshot()
-        assert snap["epoch"] == 3
-        assert snap["stage"] == "training"
-        reset_health()
-        assert health_snapshot() == {}
+@pytest.fixture(scope="module")
+def artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("export") / "released"
+    model = build_model("resnet8_tiny", rng=np.random.default_rng(17), **KW)
+    save_artifact(model, path, "resnet8_tiny", model_kwargs=KW,
+                  input_shape=(3, 8, 8), seed=17)
+    return str(path)
+
+
+def _get(url):
+    """Blocking GET; returns (status, content type, body) on any status."""
+    try:
+        with urllib.request.urlopen(url, timeout=15) as reply:
+            return (reply.status, reply.headers["Content-Type"],
+                    reply.read().decode())
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.headers["Content-Type"], exc.read().decode()
+
+
+def _get_all(path, routes):
+    """Start a one-shard server + HTTP front end, GET each route in turn."""
+
+    async def _go():
+        config = ServeConfig(start_method="spawn")
+        async with ModelServer({"m": path}, config=config) as server:
+            async with ServeHTTP(server) as front:
+                loop = asyncio.get_event_loop()
+                return [await loop.run_in_executor(None, _get,
+                                                   front.url + route)
+                        for route in routes]
+
+    return asyncio.run(_go())
 
 
 class TestExporterHTTP:
-    def test_serves_metrics_and_health(self):
-        registry = MetricsRegistry()
-        registry.counter("hits").inc(3)
-        update_health(epoch=5)
-        with MetricsExporter(port=0, registry=registry) as exporter:
-            assert exporter.port > 0
-            status, body = _get(exporter.url + "/metrics")
-            assert status == 200
-            assert "repro_hits 3.0" in body
-            status, body = _get(exporter.url + "/health")
-            assert status == 200
-            payload = json.loads(body)
-            assert payload["status"] == "ok"
-            assert payload["epoch"] == 5
-            assert "run_id" in payload and "uptime_s" in payload
-            assert payload["workers_alive"] == 0
+    def test_serves_metrics_and_health(self, artifact):
+        hits = default_registry().counter("export.hits")
+        hits.inc(3)
+        (m_status, m_type, metrics), (h_status, h_type, health) = _get_all(
+            artifact, ["/metrics", "/healthz"])
+        assert m_status == 200
+        assert m_type == "text/plain; version=0.0.4"
+        assert "# TYPE repro_export_hits counter" in metrics
+        assert f"repro_export_hits {hits.value}" in metrics
+        assert h_status == 200
+        assert h_type == "application/json"
+        payload = json.loads(health)
+        assert payload["ok"] is True
+        assert payload["running"] is True
+        assert payload["shards_alive"] == payload["shards"] == 1
+        assert payload["models"] == ["m"]
 
-    def test_health_reflects_pool_liveness_metrics(self):
-        registry = MetricsRegistry()
-        registry.gauge("pool.workers_alive").set(4.0)
-        registry.counter("pool.worker_crashes").inc(1)
-        with MetricsExporter(port=0, registry=registry) as exporter:
-            _, body = _get(exporter.url + "/health")
-            payload = json.loads(body)
-            assert payload["workers_alive"] == 4
-            assert payload["worker_crashes"] == 1
-
-    def test_unknown_route_is_404(self):
-        with MetricsExporter(port=0) as exporter:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                _get(exporter.url + "/nope")
-            assert excinfo.value.code == 404
-
-    def test_port_validation(self):
-        with pytest.raises(ConfigError):
-            MetricsExporter(port=70000)
-
-
-class TestSingleton:
-    def test_serve_metrics_is_idempotent(self):
-        first = serve_metrics(port=0)
-        second = serve_metrics(port=0)
-        assert first is second
-        assert active_exporter() is first
-        stop_exporter()
-        assert active_exporter() is None
-
-    def test_manifest_records_endpoint(self):
-        from repro.telemetry.events import RunManifest
-
-        exporter = serve_metrics(port=0)
-        manifest = RunManifest.create(seed=1)
-        assert manifest.extra["metrics_endpoint"] == exporter.url
-        stop_exporter()
-        manifest = RunManifest.create(seed=1)
-        assert "metrics_endpoint" not in manifest.extra
-
-
-class TestInjectedClock:
-    def test_uptime_is_deterministic_with_a_fake_clock(self):
-        now = [1_000.0]
-        with MetricsExporter(port=0, registry=MetricsRegistry(),
-                             clock=lambda: now[0]) as exporter:
-            assert exporter.started_at == 1_000.0
-            now[0] = 1_042.5
-            _, body = _get(exporter.url + "/health")
-            assert json.loads(body)["uptime_s"] == pytest.approx(42.5)
-            now[0] = 1_100.0
-            _, body = _get(exporter.url + "/health")
-            assert json.loads(body)["uptime_s"] == pytest.approx(100.0)
+    def test_unknown_route_is_404(self, artifact):
+        [(status, content_type, body)] = _get_all(artifact, ["/nope"])
+        assert status == 404
+        assert content_type == "application/json"
+        assert json.loads(body)["error_kind"] == "bad_request"

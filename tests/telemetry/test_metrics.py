@@ -11,6 +11,7 @@ from repro.telemetry.metrics import (
     Gauge,
     MetricsRegistry,
     default_registry,
+    render_metrics,
 )
 from repro.telemetry.slo import SloHistogram
 
@@ -121,6 +122,19 @@ class TestRegistry:
         table = reg.render_table()
         assert "calls" in table
         assert "step_s" in table
+
+    def test_render_metrics_over_a_recorded_snapshot(self):
+        reg = MetricsRegistry()
+        reg.counter("calls").inc(3)
+        for value in (0.1, 0.2, 0.3):
+            reg.histogram("step_s").observe(value)
+        snapshot = json.loads(json.dumps(reg.snapshot()))  # manifest trip
+        table = render_metrics(snapshot)
+        assert table == reg.render_table()
+        row = next(line for line in table.splitlines()
+                   if line.startswith("step_s"))
+        for field in ("count=3", "mean=", "p50=", "p90=", "p99=", "sum="):
+            assert field in row
 
     def test_default_registry_is_a_singleton(self):
         assert default_registry() is default_registry()

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry.export import prometheus_text
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, prometheus_text
 from repro.telemetry.slo import EDGES, SloHistogram
 
 
