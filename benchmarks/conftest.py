@@ -15,8 +15,6 @@ trade-off band as the paper's sweep.
 
 from __future__ import annotations
 
-import os
-import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -251,52 +249,3 @@ def run_once(benchmark, fn):
     """Measure ``fn`` exactly once (experiments are not micro-benchmarks)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
-
-# --------------------------------------------------------------------------
-# Benchmark trajectory: every gated benchmark session appends its per-test
-# wall times (plus any metrics tests push via the ``bench_metrics`` fixture)
-# to BENCH_monitor.json through repro.monitor.bench.BenchStore, so
-# drift across sessions stays on record (``repro info`` lists it).
-
-_BENCH_DURATIONS: Dict[str, float] = {}
-_BENCH_EXTRA: Dict[str, float] = {}
-
-
-@pytest.fixture(scope="session")
-def bench_metrics() -> Dict[str, float]:
-    """Named metrics merged into this session's BENCH_monitor.json entry."""
-    return _BENCH_EXTRA
-
-
-def _metric_name(nodeid: str) -> str:
-    """``benchmarks/test_x.py::test_y[p]`` -> ``y_p_s`` (lower-better)."""
-    test = nodeid.rsplit("::", 1)[-1]
-    if test.startswith("test_"):
-        test = test[len("test_"):]
-    return re.sub(r"[^A-Za-z0-9]+", "_", test).strip("_") + "_s"
-
-
-def pytest_runtest_logreport(report):
-    if (report.when == "call" and report.passed
-            and report.nodeid.startswith("benchmarks")):
-        _BENCH_DURATIONS[_metric_name(report.nodeid)] = report.duration
-
-
-def pytest_sessionfinish(session, exitstatus):
-    metrics = {**_BENCH_DURATIONS, **_BENCH_EXTRA}
-    if not metrics:
-        return
-    from repro.monitor import BenchStore
-
-    root = os.environ.get("REPRO_BENCH_DIR") or str(session.config.rootpath)
-    store = BenchStore(root)
-    try:
-        store.append("monitor", metrics, exitstatus=int(exitstatus))
-    except OSError as exc:
-        print(f"\n[bench] could not write {store.path('monitor')}: {exc}")
-        return
-    print(f"\n[bench] {len(metrics)} metrics appended to "
-          f"{store.path('monitor')}")
-    regressions = store.check("monitor", metrics)
-    for regression in regressions:
-        print(f"[bench] regression: {regression}")

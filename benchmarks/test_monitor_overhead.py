@@ -3,9 +3,8 @@
 Times the same attack-training epoch with and without the full default
 probe suite attached (correlation, drift, decode, grad/update, memory,
 throughput, kernel share) and asserts the probed epoch stays under the
-overhead budget.  The per-epoch numbers and the overhead fraction are
-pushed into the session's BENCH_monitor.json entry so the trend is
-kept across sessions (``repro info`` shows the latest entry).
+overhead budget.  The gate bounds the relative cost only; where an
+epoch's time goes is read from a traced run (``repro analyze``).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ pytestmark = pytest.mark.slow
 # made training ~1.5x faster while the probe suite stays pinned to
 # float64 metrics by design (repro.precision.METRICS_DTYPE), so the
 # same absolute probe cost is a larger fraction than under the old
-# float64 compute path (where the budget was 7%).  Absolute probe cost
-# drift is still caught by the BENCH_monitor.json trend comparator.
+# float64 compute path (where the budget was 7%).  A drift in absolute
+# probe cost that stays inside the budget is not caught here.
 OVERHEAD_BUDGET = 0.15
 
 
@@ -68,7 +67,7 @@ def _best_epoch_seconds(trainer: Trainer, repeats: int = 3) -> float:
     return best
 
 
-def test_monitor_probe_overhead(bench_metrics):
+def test_monitor_probe_overhead():
     model, batch, labels, groups, payload, mean, std, penalty = _attack_setup()
     config = TrainingConfig(epochs=1, batch_size=32, lr=0.05, seed=0)
 
@@ -83,9 +82,6 @@ def test_monitor_probe_overhead(bench_metrics):
     probed_s = _best_epoch_seconds(probed)
 
     overhead = probed_s / bare_s - 1.0
-    bench_metrics["monitor_bare_epoch_s"] = bare_s
-    bench_metrics["monitor_probed_epoch_s"] = probed_s
-    bench_metrics["monitor_overhead_frac"] = max(0.0, overhead)
 
     assert monitor.probe_records(scope="epoch"), "probes never fired"
     assert not monitor.errors(), f"probe errors: {monitor.errors()}"

@@ -4,14 +4,12 @@ Times the same monitored attack-training epoch with and without the
 live observability stack on top of it -- the default alert-rule engine
 evaluating every probe record, counting each alert it fires into the
 metrics registry -- and asserts the stack adds under the overhead
-budget.  Per-epoch numbers and the overhead fraction are appended to
-BENCH_observability.json so the trend is tracked across sessions
-(``repro info`` surfaces the latest entry).
+budget.  The numbers are in the failure message; the gate writes no
+file.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -42,7 +40,7 @@ def _monitored_trainer(alerts=None):
     return trainer, monitor
 
 
-def test_observability_stack_overhead(request):
+def test_observability_stack_overhead():
     trainer, monitor = _monitored_trainer()
     trainer.train_epoch()  # warm-up: first-touch allocations stay untimed
     monitored_s = _best_epoch_seconds(trainer)
@@ -53,19 +51,6 @@ def test_observability_stack_overhead(request):
     observed_s = _best_epoch_seconds(observed_trainer)
 
     overhead = observed_s / monitored_s - 1.0
-    metrics = {
-        "monitored_epoch_s": monitored_s,
-        "observed_epoch_s": observed_s,
-        "observability_overhead_frac": max(0.0, overhead),
-    }
-
-    from repro.monitor import BenchStore
-    root = os.environ.get("REPRO_BENCH_DIR") or str(request.config.rootpath)
-    store = BenchStore(root)
-    try:
-        store.append("observability", metrics)
-    except OSError as exc:
-        pytest.skip(f"could not write {store.path('observability')}: {exc}")
 
     # the stack actually observed something while training ran
     assert observed_monitor.probe_records(scope="epoch")

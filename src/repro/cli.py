@@ -12,15 +12,13 @@ Subcommands:
   artifacts (``repro.serve``): deadline coalescing, sharded workers,
   live latency telemetry as Prometheus text on ``GET /metrics``.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
-  against a server (in-process or ``--url``), with replayable traces
-  and ``BENCH_serve.json`` trajectories.
+  against a server (in-process or ``--url``), with replayable traces.
 * ``analyze``      -- explain a finished run: a Chrome trace's or flight
   dump's request report and per-lane self time (spans, kernels,
   unattributed); a monitor timeseries' probe table and replayed alert
   rules (exit 1 when any fires), or the diff of two; a run manifest's
   run id and recorded metrics, then the views of the timeseries and
   trace it names.
-* ``bench-kernels`` -- per-kernel reference-vs-fast timing table.
 * ``info``         -- versions, platform, backends and registered metrics.
 
 Global flags (before the subcommand): ``--backend {reference,fast}``
@@ -61,17 +59,18 @@ Examples::
         python -m repro.cli analyze run.manifest.json
     python -m repro.cli serve --demo --bits 4 --port 8080 --shards 2
     python -m repro.cli loadgen --url http://127.0.0.1:8080 --requests 500
-    python -m repro.cli loadgen --demo --requests 200 --bench-out .
     python -m repro.cli --trace-out serve.trace.json loadgen --demo --requests 200
     python -m repro.cli analyze serve.trace.json --top 10
     python -m repro.cli --trace-out t.json attack --epochs 1 && \
         python -m repro.cli analyze t.json
-    python -m repro.cli bench-kernels --repeats 20 --csv kernels.csv
+    python -m repro.cli --backend fast --dtype float64 --trace-out f64.json \
+        benign --dataset digits --epochs 1 && python -m repro.cli analyze f64.json
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -401,7 +400,6 @@ def _cmd_info(args) -> int:
 
     from repro.version import __version__
 
-    from repro.monitor import BenchStore
     from repro.parallel import cpu_workers
     from repro.telemetry import format_table
 
@@ -431,14 +429,6 @@ def _cmd_info(args) -> int:
                      f"{rate:.1%} hit rate over {int(lookups)} lookups "
                      f"({int(flat.get('serve.cache_evictions', 0.0))} "
                      f"evictions)"))
-    store = BenchStore(args.bench_dir)
-    for name in store.names():
-        entries = store.entries(name)
-        latest = entries[-1]
-        metrics = ", ".join(f"{k}={v:g}" for k, v in
-                            sorted(latest.get("metrics", {}).items()))
-        rows.append((f"bench:{name}",
-                     f"{len(entries)} entries; latest {metrics}"))
     print(format_table(("key", "value"), rows, title="repro info"))
     return 0
 
@@ -467,9 +457,13 @@ def _demo_artifact(path: str, bits: Optional[int], seed: int) -> str:
     return path
 
 
+@contextlib.contextmanager
 def _parse_artifacts(specs, demo: bool, demo_dir: Optional[str],
-                     bits: Optional[int], seed: int) -> dict:
-    import os
+                     bits: Optional[int], seed: int):
+    """``{key: path}`` of the ARTIFACT specs plus the ``--demo`` one; a
+    demo artifact built in a temp dir is removed when the block ends,
+    by error or interrupt too."""
+    import shutil
     import tempfile
 
     artifacts = {}
@@ -480,13 +474,18 @@ def _parse_artifacts(specs, demo: bool, demo_dir: Optional[str],
             path = spec
             key = os.path.basename(os.path.normpath(spec)) or "default"
         artifacts[key] = path
-    if demo:
-        path = demo_dir or os.path.join(tempfile.mkdtemp(prefix="repro-serve-"),
-                                        "demo")
-        print(f"[demo artifact -> {path}]", file=sys.stderr)
-        with span("serve.demo_artifact", bits=bits):
-            artifacts.setdefault("demo", _demo_artifact(path, bits, seed))
-    return artifacts
+    temp = (tempfile.mkdtemp(prefix="repro-serve-")
+            if demo and demo_dir is None else None)
+    try:
+        if demo:
+            path = demo_dir or os.path.join(temp, "demo")
+            print(f"[demo artifact -> {path}]", file=sys.stderr)
+            with span("serve.demo_artifact", bits=bits):
+                artifacts.setdefault("demo", _demo_artifact(path, bits, seed))
+        yield artifacts
+    finally:
+        if temp is not None:
+            shutil.rmtree(temp, ignore_errors=True)
 
 
 def _cmd_serve(args) -> int:
@@ -496,11 +495,6 @@ def _cmd_serve(args) -> int:
     from repro.monitor.alerts import AlertEngine, serving_rules
     from repro.serve import ModelServer, ServeConfig, ServeHTTP
 
-    artifacts = _parse_artifacts(args.artifact, args.demo, args.demo_dir,
-                                 args.bits, args.seed)
-    if not artifacts:
-        raise SystemExit("repro serve: give ARTIFACT dirs (KEY=PATH or PATH) "
-                         "or --demo")
     config = ServeConfig(
         max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
         queue_capacity=args.queue_capacity, shards=args.shards,
@@ -509,18 +503,8 @@ def _cmd_serve(args) -> int:
     engine = None
     if args.alerts:
         engine = AlertEngine(serving_rules(p99_budget_ms=args.p99_budget_ms))
-    if args.manifest_out:
-        manifest = RunManifest.create(
-            seed=args.seed, config=config, telemetry={},
-            artifacts=sorted(artifacts),
-            trace_out=args.trace_out, flight_dir=args.flight_dir,
-            slo_ms=args.slo_ms)
-        save_result({"command": "serve", "run_id": manifest.run_id},
-                    args.manifest_out, manifest=manifest)
-        print(f"manifest written beside {args.manifest_out} "
-              f"(run {manifest.run_id})", file=sys.stderr)
 
-    async def _run() -> None:
+    async def _run(artifacts) -> None:
         async with ModelServer(artifacts, config, alerts=engine) as server:
             async with ServeHTTP(server, host=args.host,
                                  port=args.port) as front:
@@ -536,10 +520,25 @@ def _cmd_serve(args) -> int:
                 except asyncio.CancelledError:
                     pass
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:
-        print("repro serve: shutting down", file=sys.stderr)
+    with _parse_artifacts(args.artifact, args.demo, args.demo_dir,
+                          args.bits, args.seed) as artifacts:
+        if not artifacts:
+            raise SystemExit("repro serve: give ARTIFACT dirs (KEY=PATH or "
+                             "PATH) or --demo")
+        if args.manifest_out:
+            manifest = RunManifest.create(
+                seed=args.seed, config=config, telemetry={},
+                artifacts=sorted(artifacts),
+                trace_out=args.trace_out, flight_dir=args.flight_dir,
+                slo_ms=args.slo_ms)
+            save_result({"command": "serve", "run_id": manifest.run_id},
+                        args.manifest_out, manifest=manifest)
+            print(f"manifest written beside {args.manifest_out} "
+                  f"(run {manifest.run_id})", file=sys.stderr)
+        try:
+            asyncio.run(_run(artifacts))
+        except KeyboardInterrupt:
+            print("repro serve: shutting down", file=sys.stderr)
     if engine is not None and engine.alerts:
         print(engine.summary_table(
             title=f"serve alerts ({len(engine.alerts)} fired)"))
@@ -563,7 +562,10 @@ def _cmd_loadgen(args) -> int:
     )
 
     if args.replay:
-        trace = load_trace(args.replay)
+        try:
+            trace = load_trace(args.replay)
+        except ReproError as exc:
+            raise SystemExit(f"repro loadgen: {exc}")
         config = None
         print(f"[replaying {len(trace)} requests from {args.replay}]",
               file=sys.stderr)
@@ -579,29 +581,24 @@ def _cmd_loadgen(args) -> int:
         report = asyncio.run(http_loadgen(args.url, trace,
                                           time_scale=args.time_scale))
     else:
-        artifacts = _parse_artifacts(args.artifact, args.demo, None,
-                                     args.bits, args.seed)
-        if not artifacts:
-            raise SystemExit("repro loadgen: give --url, ARTIFACT dirs, "
-                             "or --demo")
         serve_config = ServeConfig(
             max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
             shards=args.shards, backend=args.backend,
             default_deadline_ms=args.deadline_ms,
             slo_ms=args.slo_ms, flight_dir=args.flight_dir)
 
-        async def _run():
+        async def _run(artifacts):
             async with ModelServer(artifacts, serve_config) as server:
                 return await run_loadgen(server, trace,
                                          time_scale=args.time_scale)
 
-        report = asyncio.run(_run())
+        with _parse_artifacts(args.artifact, args.demo, None,
+                              args.bits, args.seed) as artifacts:
+            if not artifacts:
+                raise SystemExit("repro loadgen: give --url, ARTIFACT dirs, "
+                                 "or --demo")
+            report = asyncio.run(_run(artifacts))
     print(report.to_table())
-    if args.bench_out:
-        from repro.monitor import BenchStore
-        store = BenchStore(args.bench_out)
-        store.append("serve", report.metrics())
-        print(f"trajectory appended to {store.path('serve')}", file=sys.stderr)
     if args.out:
         import dataclasses
         manifest = RunManifest.create(
@@ -725,54 +722,6 @@ def _cmd_analyze(args) -> int:
     return 1 if fired else 0
 
 
-def _cmd_bench_kernels(args) -> int:
-    """Per-kernel reference-vs-fast timing table."""
-    from repro.backend.bench import bench_kernels
-    from repro.telemetry import format_records
-
-    from repro.errors import ConfigError
-    try:
-        records = bench_kernels(kernels=args.kernels or None,
-                                repeats=args.repeats, seed=args.seed,
-                                dtype=args.dtype)
-    except ConfigError as exc:
-        raise SystemExit(f"repro bench-kernels: {exc}")
-    dtype_suffix = f", {args.dtype}" if args.dtype else ""
-    print(format_records(
-        records,
-        title=f"kernel micro-benchmark (best of {args.repeats}{dtype_suffix})",
-    ))
-    overridden = [r for r in records if r["overridden"]]
-    mean_speedup = None
-    if overridden:
-        mean_speedup = float(np.mean([r["speedup"] for r in overridden]))
-        print(f"\nmean speedup over {len(overridden)} overridden kernels: "
-              f"{mean_speedup:.2f}x")
-    vs64 = [r["vs_float64"] for r in records if "vs_float64" in r]
-    mean_vs64 = None
-    if vs64:
-        mean_vs64 = float(np.mean(vs64))
-        print(f"mean {args.dtype}-vs-float64 speedup on the fast backend: "
-              f"{mean_vs64:.2f}x")
-    if args.bench_out:
-        from repro.monitor import BenchStore
-        metrics = {}
-        if mean_speedup is not None:
-            metrics[f"mean_speedup_{args.dtype or 'float64'}"] = round(
-                mean_speedup, 4)
-        if mean_vs64 is not None:
-            metrics[f"mean_vs_float64_{args.dtype}"] = round(mean_vs64, 4)
-        if metrics:
-            store = BenchStore(args.bench_out)
-            store.append("precision", metrics)
-            print(f"trajectory appended to {store.path('precision')}")
-    if args.csv:
-        from repro.pipeline.sweep import SweepResult
-        SweepResult(records=records).to_csv(args.csv)
-        print(f"records written to {args.csv}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DAC'20 compressed-model data-stealing reproduction"
@@ -880,21 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--method", default="target_correlated")
     audit.set_defaults(func=_cmd_audit)
 
-    bench = sub.add_parser("bench-kernels",
-                           help="per-kernel reference-vs-fast timing table")
-    bench.add_argument("kernels", nargs="*",
-                       help="kernel names to benchmark (default: all)")
-    bench.add_argument("--repeats", type=int, default=10,
-                       help="timing repetitions per kernel (best-of)")
-    bench.add_argument("--seed", type=int, default=0,
-                       help="seed for the benchmark inputs")
-    bench.add_argument("--bench-out", metavar="DIR", default=None,
-                       help="append the mean speedups to DIR/BENCH_precision.json "
-                            "(trajectory across sessions)")
-    bench.add_argument("--csv", metavar="PATH", default=None,
-                       help="export the records as CSV")
-    bench.set_defaults(func=_cmd_bench_kernels)
-
     serve = sub.add_parser(
         "serve", help="serve released model artifacts over HTTP")
     serve.add_argument("artifact", nargs="*", metavar="ARTIFACT",
@@ -977,9 +911,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shards for the in-process server")
     loadgen.add_argument("--max-batch", type=int, default=16)
     loadgen.add_argument("--max-wait-ms", type=float, default=4.0)
-    loadgen.add_argument("--bench-out", metavar="DIR", default=None,
-                         help="append p50/p99/throughput to "
-                              "DIR/BENCH_serve.json")
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="write the load report + run manifest "
                               "(recording --trace-out) as JSON")
@@ -1009,8 +940,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.set_defaults(func=_cmd_analyze)
 
     info = sub.add_parser("info", help="print versions/platform for bug reports")
-    info.add_argument("--bench-dir", metavar="DIR", default=".",
-                      help="directory scanned for BENCH_*.json trajectories")
     info.set_defaults(func=_cmd_info)
     return parser
 

@@ -1,4 +1,4 @@
-"""In-training observability: leakage probes, run timeseries, bench trends.
+"""In-training observability: leakage probes, run timeseries, alerts.
 
 Three pieces on top of :mod:`repro.telemetry`:
 
@@ -14,10 +14,9 @@ Three pieces on top of :mod:`repro.telemetry`:
   structured JSONL timeseries keyed to the run manifest's run id.
   Probe failures are isolated: recorded as ``monitor.probe_error``
   events, never fatal to training.
-* **Reports & trends** (:mod:`repro.monitor.report`,
-  :mod:`repro.monitor.bench`) -- render a run into tables with ASCII
-  sparklines, diff two runs, and store gated benchmark results across
-  sessions in ``BENCH_<name>.json`` with a regression comparator.
+* **Reports** (:mod:`repro.monitor.report`) -- render a run into
+  tables with ASCII sparklines and diff two runs;
+  :mod:`repro.monitor.bench` fingerprints the machine a benchmark ran on.
 
 Watch an attack imprint appear::
 
@@ -71,14 +70,7 @@ from repro.monitor.report import (
     render_run,
     series,
 )
-from repro.monitor.bench import (
-    BenchStore,
-    Regression,
-    detect_regressions,
-    machine_fingerprint,
-    machine_info,
-    metric_direction,
-)
+from repro.monitor.bench import machine_fingerprint, machine_info
 
 __all__ = [
     "Monitor", "as_monitor", "default_probes", "PROBE_EVENT", "ERROR_EVENT",
@@ -91,6 +83,5 @@ __all__ = [
     "ALERT_EVENT", "Alert", "AlertEngine", "AlertRule", "DriftRule",
     "MetricRule", "ProbeDisabledRule", "StallRule", "ThresholdRule",
     "default_rules", "serving_rules",
-    "BenchStore", "Regression", "detect_regressions", "machine_fingerprint",
-    "machine_info", "metric_direction",
+    "machine_fingerprint", "machine_info",
 ]

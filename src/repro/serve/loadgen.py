@@ -19,7 +19,7 @@ entry carries an ``input_seed``, so the full request stream (timing
 :class:`~repro.serve.server.ModelServer` (or any object with an async
 ``infer``), keeps the open-loop contract with one task per arrival,
 and folds the structured responses into a :class:`LoadReport`
-(p50/p99, throughput, refusals) ready for ``BENCH_serve.json``.
+(p50/p99, throughput, refusals).
 """
 
 from __future__ import annotations
@@ -142,23 +142,45 @@ def trace_to_jsonl(trace: Sequence[TraceEntry],
     return "\n".join(lines) + "\n"
 
 
-def trace_from_jsonl(text: str) -> Trace:
-    lines = [line for line in text.splitlines() if line.strip()]
+def _trace_record(where: str, line: str) -> Dict[str, Any]:
+    try:
+        record = json.loads(line)
+    except ValueError as exc:
+        raise ServeError(f"{where}: not JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise ServeError(f"{where}: not a JSON object")
+    return record
+
+
+def trace_from_jsonl(text: str, source: str = "<trace>") -> Trace:
+    """Parse :func:`trace_to_jsonl` output; a malformed line raises
+    :class:`ServeError` naming ``source:line``."""
+    lines = [(number, line) for number, line
+             in enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
-        raise ServeError("empty loadgen trace")
-    header = json.loads(lines[0])
+        raise ServeError(f"{source}: empty loadgen trace")
+    number, line = lines[0]
+    header = _trace_record(f"{source}:{number}", line)
     if header.get("trace") != "repro-loadgen-v1":
-        raise ServeError(
-            f"not a loadgen trace (header {header.get('trace')!r})")
+        raise ServeError(f"{source}:{number}: not a loadgen trace "
+                         f"(header {header.get('trace')!r})")
     entries = Trace()
     entries.config = header.get("config")
-    for line in lines[1:]:
-        record = json.loads(line)
-        entries.append(TraceEntry(
-            index=int(record["index"]), arrival_s=float(record["arrival_s"]),
-            input_seed=int(record["input_seed"]),
-            deadline_ms=float(record["deadline_ms"]),
-            model=record.get("model")))
+    for number, line in lines[1:]:
+        where = f"{source}:{number}"
+        record = _trace_record(where, line)
+        try:
+            entries.append(TraceEntry(
+                index=int(record["index"]),
+                arrival_s=float(record["arrival_s"]),
+                input_seed=int(record["input_seed"]),
+                deadline_ms=float(record["deadline_ms"]),
+                model=record.get("model")))
+        except KeyError as exc:
+            raise ServeError(f"{where}: trace entry has no "
+                             f"{exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise ServeError(f"{where}: bad trace entry: {exc}") from None
     return entries
 
 
@@ -169,14 +191,18 @@ def save_trace(trace: Sequence[TraceEntry], path: str,
 
 
 def load_trace(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as handle:
-        return trace_from_jsonl(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ServeError(f"{path}: cannot read loadgen trace: {exc}") from None
+    return trace_from_jsonl(text, source=path)
 
 
 # ------------------------------------------------------------------- running
 @dataclass
 class LoadReport:
-    """What one load run did to the server, ready for the bench store."""
+    """What one load run did to the server."""
 
     sent: int = 0
     completed: int = 0
@@ -191,17 +217,6 @@ class LoadReport:
     mean_batch: float = 0.0
     throughput_rps: float = 0.0
     error_kinds: Dict[str, int] = field(default_factory=dict)
-
-    def metrics(self) -> Dict[str, float]:
-        """Flat numeric dict for ``BenchStore.append``."""
-        return {
-            "throughput_rps": round(self.throughput_rps, 3),
-            "latency_p50_ms": round(self.p50_ms, 3),
-            "latency_p99_ms": round(self.p99_ms, 3),
-            "mean_batch": round(self.mean_batch, 3),
-            "completed_frac": round(self.completed / self.sent, 4)
-            if self.sent else 0.0,
-        }
 
     def to_table(self) -> str:
         rows = [

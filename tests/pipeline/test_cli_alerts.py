@@ -119,16 +119,6 @@ class TestInfo:
             assert key in out
         assert "exporter" not in out
 
-    def test_bench_rows(self, tmp_path, capsys):
-        from repro.monitor import BenchStore
-
-        BenchStore(tmp_path).append("smoke", {"epoch_s": 1.25}, run_id="r1")
-        assert main(["info", "--bench-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "bench:smoke" in out
-        assert "1 entries" in out
-        assert "epoch_s=1.25" in out
-
 
 def _row(text, metric):
     """The value cell of ``metric``'s row in a rendered metrics table."""

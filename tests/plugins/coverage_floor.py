@@ -52,7 +52,6 @@ TARGET_FILES = (
     "src/repro/backend/reference.py",
     "src/repro/backend/fast.py",
     "src/repro/backend/equivalence.py",
-    "src/repro/backend/bench.py",
     "src/repro/monitor/__init__.py",
     "src/repro/monitor/core.py",
     "src/repro/monitor/probes.py",

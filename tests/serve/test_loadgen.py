@@ -1,6 +1,8 @@
 """Load generator: deterministic traces, open-loop replay, robust reports."""
 
 import asyncio
+import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -128,14 +130,6 @@ class TestReport:
         assert report.throughput_rps == pytest.approx(2.0)
         assert report.mean_batch == pytest.approx(2.0)
 
-    def test_metrics_dict_is_bench_ready(self):
-        report = summarize_responses([_response()], duration_s=1.0)
-        metrics = report.metrics()
-        assert set(metrics) == {"throughput_rps", "latency_p50_ms",
-                                "latency_p99_ms", "mean_batch",
-                                "completed_frac"}
-        assert all(isinstance(v, float) for v in metrics.values())
-
     def test_table_renders(self):
         report = summarize_responses(
             [_response(), _response(ok=False, kind="refused")], 1.0)
@@ -198,3 +192,63 @@ class TestRunLoadgen:
         assert report.sent == 5
         assert report.errors == 5
         assert report.error_kinds == {"lost": 5}
+
+
+class TestCli:
+    """``repro loadgen`` at its command-line surface."""
+
+    def _trace_file(self, tmp_path, bad_line):
+        path = tmp_path / "bad.jsonl"
+        config = LoadGenConfig(seed=3, n_requests=2)
+        lines = trace_to_jsonl(generate_trace(config), config).splitlines()
+        lines.insert(2, bad_line)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def _replay_error(self, path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--demo", "--replay", str(path)])
+        message = str(exc.value)
+        assert message.startswith("repro loadgen: ")
+        assert "\n" not in message
+        return message
+
+    def test_replay_missing_file_is_a_structured_error(self, tmp_path):
+        path = tmp_path / "absent.jsonl"
+        message = self._replay_error(path)
+        assert f"{path}: cannot read loadgen trace" in message
+
+    def test_replay_non_json_line_names_path_and_line(self, tmp_path):
+        path = self._trace_file(tmp_path, "{not json")
+        assert f"{path}:3: not JSON" in self._replay_error(path)
+
+    def test_replay_entry_without_arrival_names_path_and_line(self,
+                                                              tmp_path):
+        path = self._trace_file(tmp_path, json.dumps(
+            {"index": 9, "input_seed": 1, "deadline_ms": 10.0}))
+        assert f"{path}:3: trace entry has no 'arrival_s'" in \
+            self._replay_error(path)
+
+    def test_demo_temp_dir_is_removed(self, tmp_path, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert main(["loadgen", "--demo", "--bits", "4", "--requests", "4",
+                     "--rate", "400"]) == 0
+        assert "completed" in capsys.readouterr().out
+        assert not list(tmp_path.glob("repro-serve-*"))
+
+    def test_demo_temp_dir_is_removed_on_error(self, tmp_path, monkeypatch):
+        import repro.serve
+        from repro.cli import main
+
+        async def _boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(repro.serve, "run_loadgen", _boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["loadgen", "--demo", "--requests", "4"])
+        assert not list(tmp_path.glob("repro-serve-*"))
