@@ -1,14 +1,14 @@
 """Per-request observability overhead gate for the serving path.
 
-The request tracer rides every request: a context object, four clock
-stamps, SLO histogram observations, a flight-ring append, and (with a
-recorder active) a five-span tree per request.  All of that must stay
-in the noise next to real inference work: this gate replays the same
-open-loop trace through two otherwise-identical servers -- tracing off
-vs. the full stack on (request spans into a live recorder + SLO
-histograms + flight ring) -- and asserts the observed throughput drop
-stays under the budget.  The pairs' overheads are printed with
-``-s``; the gate writes no file.
+Every request carries one record (its stage stamps, the stage
+histogram observations, a flight-ring append); with a trace recorder
+active it also emits a five-span tree.  The record is always kept, so
+what a server can switch off is the span sink: this gate replays the
+same open-loop trace through two otherwise-identical servers -- no
+recorder active vs. request spans into a live recorder plus a flight
+dump directory -- and asserts the observed throughput drop stays under
+the budget.  The pairs' overheads are printed with ``-s``; the gate
+writes no file.
 
 Marked ``slow``; shard execution is in-process serial so the gate
 measures tracing overhead, not fork latency.
@@ -36,13 +36,13 @@ pytestmark = pytest.mark.slow
 
 KW = dict(num_classes=6, in_channels=3, width=8)
 #: CIFAR-sized inputs (the paper's serving artifacts): per-request
-#: compute is then ~2 ms, so the tracer's ~25 us/request cost is
+#: compute is then ~2 ms, so the span tree's per-request cost is
 #: measured against realistic work, not against a toy forward pass.
 SHAPE = (3, 32, 32)
 N_REQUESTS = 250
 SEED = 91
 
-#: Tracing may cost at most this fraction of baseline throughput.
+#: Request spans may cost at most this fraction of baseline throughput.
 OVERHEAD_BUDGET = 0.05
 #: Best-of-N runs per side: the gate compares capability, not jitter.
 REPEATS = 3
@@ -64,16 +64,16 @@ def _trace():
 
 
 def _run(path, trace, traced, flight_dir=None):
+    """One loadgen run; ``traced`` runs it under an active recorder."""
     config = ServeConfig(start_method="spawn", shards=1, max_batch=16,
                          max_wait_ms=4.0, queue_capacity=2 * N_REQUESTS,
-                         trace_requests=traced,
                          flight_dir=flight_dir)
 
     async def _go():
         async with ModelServer({"m": path}, config=config) as server:
             # time_scale=0: every arrival is immediate, so the run
             # measures pure request-path throughput with no open-loop
-            # sleeps -- the quantity tracing could actually slow down
+            # sleeps -- the quantity spans could actually slow down
             return await run_loadgen(server, trace, time_scale=0.0)
 
     if traced:
@@ -89,10 +89,11 @@ class TestServingObservabilityOverhead:
         trace = _trace()
         _run(artifact, trace, traced=True,
              flight_dir=str(tmp_path))  # warm-up: caches, BLAS init
-        # adjacent off/on pairs, gated on the *best* pair: ambient CPU
-        # contention in CI swings single runs by several percent in
-        # both directions, so the gate asks whether the traced server
-        # can match the baseline, not whether every sample does
+        # adjacent off/on pairs (off: no recorder active), gated on the
+        # *best* pair: ambient CPU contention in CI swings single runs
+        # by several percent in both directions, so the gate asks
+        # whether the traced server can match the baseline, not
+        # whether every sample does
         pairs = []
         for _ in range(REPEATS):
             off = _run(artifact, trace, traced=False)
@@ -112,6 +113,6 @@ class TestServingObservabilityOverhead:
               f"budget {OVERHEAD_BUDGET:.0%})")
 
         assert overhead < OVERHEAD_BUDGET, (
-            f"per-request tracing costs {overhead:.1%} of serving "
+            f"per-request spans cost {overhead:.1%} of serving "
             f"throughput (off {baseline:.0f} rps, on {observed:.0f} rps); "
             f"budget {OVERHEAD_BUDGET:.0%}")

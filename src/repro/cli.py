@@ -515,10 +515,9 @@ def _cmd_serve(args) -> int:
                           f"x{config.shards} shard(s)", file=sys.stderr)
                 print(f"listening on {front.url} (POST /infer, GET /healthz, "
                       f"GET /models, GET /metrics)", file=sys.stderr)
-                try:
-                    await asyncio.Event().wait()
-                except asyncio.CancelledError:
-                    pass
+                # SIGINT cancels this wait; asyncio.run turns the
+                # cancellation into KeyboardInterrupt once the servers close
+                await asyncio.Event().wait()
 
     with _parse_artifacts(args.artifact, args.demo, args.demo_dir,
                           args.bits, args.seed) as artifacts:
@@ -864,9 +863,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--p99-budget-ms", type=float, default=250.0,
                        help="latency budget for the serve_p99_breach rule")
     serve.add_argument("--slo-ms", type=float, default=250.0,
-                       help="per-request latency SLO; responses above it "
-                            "count as breaches on serve.slo.latency_ms "
-                            "(the latency_slo burn-rate rule)")
+                       help="per-request latency SLO, admission to "
+                            "response; requests above it count as breaches "
+                            "on serve.latency_ms (the latency_slo "
+                            "burn-rate rule)")
     serve.add_argument("--flight-dir", metavar="DIR", default=None,
                        help="where the flight recorder dumps its last-N-"
                             "requests Chrome trace when an alert fires "

@@ -351,8 +351,8 @@ class BurnRateRule(AlertRule):
     fires) or too numb (lifetime ratios dilute a fresh regression).
     The standard fix is burn-rate alerting: watch the ratio of *recent*
     bad events to *recent* total events.  ``bad`` and ``total`` are
-    cumulative flat-snapshot keys (``serve.slo.latency_ms.breaches`` /
-    ``serve.slo.latency_ms.count``); each registry evaluation appends
+    cumulative flat-snapshot keys (``serve.latency_ms.breaches`` /
+    ``serve.latency_ms.count``); each registry evaluation appends
     one observation, and the rule fires when, over the trailing
     ``window`` evaluations,
 
@@ -608,7 +608,7 @@ def serving_rules(p99_budget_ms: float = 250.0,
       retry budget, timeouts, handler exceptions) exceeded budget;
     * ``serve_refusals`` -- admission refused more requests than the
       back-pressure budget allows: the queue cap is being hit;
-    * ``latency_slo`` -- burn-rate rule on the SLO histogram: more than
+    * ``latency_slo`` -- burn-rate rule on ``serve.latency_ms``: more than
       ``slo_burn_budget`` of recent requests breached the per-request
       latency target (critical; also trips a flight-recorder dump);
     * ``queue_saturation`` -- burn-rate rule on admission: more than
@@ -624,8 +624,8 @@ def serving_rules(p99_budget_ms: float = 250.0,
                    above=error_budget, severity="critical"),
         MetricRule("serve_refusals", metric="serve.refused",
                    above=refusal_budget),
-        BurnRateRule("latency_slo", bad="serve.slo.latency_ms.breaches",
-                     total="serve.slo.latency_ms.count",
+        BurnRateRule("latency_slo", bad="serve.latency_ms.breaches",
+                     total="serve.latency_ms.count",
                      budget=slo_burn_budget, window=burn_window,
                      min_events=burn_min_events, severity="critical"),
         BurnRateRule("queue_saturation", bad="serve.refused",

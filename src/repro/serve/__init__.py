@@ -15,9 +15,10 @@ is that serving stack, end to end:
   with byte-replayable traces;
 * :mod:`repro.serve.http` -- a stdlib HTTP/1.1 face for cross-process
   runs (``repro serve`` / ``repro loadgen``);
-* :mod:`repro.serve.tracing` -- per-request span trees, SLO
-  histograms, and the flight-recorder ring whose dumps are Chrome
-  traces (:class:`RequestTracer`);
+* :mod:`repro.serve.tracing` -- the per-request record
+  (:class:`RequestContext`) and what it feeds: span trees, the
+  ``serve.*_ms`` stage histograms, and the flight-recorder ring whose
+  dumps are Chrome traces (:class:`RequestTracer`);
 * :mod:`repro.serve.analyze` -- the request view of a trace or flight
   dump: tail-latency attribution, printed by ``repro analyze`` next to
   the lane tables, where each shard has its own lane.

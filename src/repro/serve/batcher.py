@@ -42,7 +42,7 @@ class QueuedRequest:
     """One admitted request waiting for a batch slot.
 
     ``context`` is an opaque caller slot (the async server parks the
-    response future there); the batcher never touches it.
+    request's record there); the batcher never touches it.
     """
 
     request_id: str

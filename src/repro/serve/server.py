@@ -12,10 +12,14 @@ pieces, one per layer of the existing stack:
   worker processes, each holding an :class:`~repro.serve.artifacts
   .ArtifactCache` and running inference through the PR-3 ``fast``
   backend (fused conv+bias+relu / batchnorm inference paths);
-* telemetry: per-request ``serve.queue_ms`` / ``serve.infer_ms`` /
-  ``serve.latency_ms`` histograms, batch-size distribution, cache and
-  shard counters -- all in the default registry, hence live on the
-  front end's ``GET /metrics``;
+* accounting: one :class:`~repro.serve.tracing.RequestContext` per
+  request, minted at admission, carries every stage stamp; one finish
+  path closes it for every outcome -- counts the outcome, observes the
+  ``serve.{admission,queue,infer,latency}_ms`` histograms, appends to
+  the flight ring, emits the span tree when a recorder is active, and
+  resolves the response from the record.  These, the batch-size
+  distribution and the cache and shard counters all live in the
+  default registry, hence on the front end's ``GET /metrics``;
 * alerting: an optional :class:`~repro.monitor.alerts.AlertEngine`
   (see :func:`repro.monitor.alerts.serving_rules`) evaluated after
   every dispatched batch, so a p99 breach or shard death fires while
@@ -37,6 +41,7 @@ import concurrent.futures
 import contextvars
 import itertools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -69,11 +74,8 @@ class ServeConfig:
     cache_capacity: int = 2
     request_timeout_s: float = 30.0
     start_method: Optional[str] = None  # ShardPool default (fork or serial)
-    trace_requests: bool = True  # per-request observability: stage spans
-    #   (when a recorder is active), serve.slo.* histograms, and the
-    #   flight-recorder ring (repro.serve.tracing)
     slo_ms: float = 250.0  # end-to-end latency target; responses above
-    #   it count as serve.slo.latency_ms breaches (latency_slo rule)
+    #   it count as serve.latency_ms breaches (latency_slo rule)
     flight_dir: Optional[str] = None  # where alert/crash-triggered
     #   flight dumps land as Chrome traces; None disables dumping to disk
 
@@ -174,6 +176,9 @@ class ModelServer:
             evaluated against the metrics registry after every batch.
         clock: monotonic time source (injectable for tests).
 
+    The trace recorder active at construction is the span sink for the
+    server's whole lifetime (the CLI installs it before commands run).
+
     Usage::
 
         async with ModelServer({"released": "artifacts/q4"}) as server:
@@ -210,7 +215,9 @@ class ModelServer:
             for key in self._artifacts
         }
         self._ids = itertools.count()
-        self._tracer: Optional[RequestTracer] = None
+        self._tracer = RequestTracer(
+            recorder=get_recorder(), clock=clock, slo_ms=self.config.slo_ms,
+            flight_dir=self.config.flight_dir)
         self._pool: Optional[ShardPool] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop_task: Optional[asyncio.Task] = None
@@ -222,13 +229,6 @@ class ModelServer:
     async def start(self) -> "ModelServer":
         if self._running:
             return self
-        if self.config.trace_requests:
-            # the recorder active *now* is the span sink for the whole
-            # server lifetime (the CLI installs it before commands run)
-            self._tracer = RequestTracer(
-                recorder=get_recorder(), clock=self.clock,
-                slo_ms=self.config.slo_ms,
-                flight_dir=self.config.flight_dir)
         with span("serve.start", shards=self.config.shards):
             self._pool = ShardPool(
                 functools.partial(_make_shard_handler,
@@ -260,8 +260,8 @@ class ModelServer:
         # refuse everything still queued, structured
         for key, batcher in self._batchers.items():
             for request in batcher.drain():
-                self._finish_error(request, key, "server shutting down",
-                                   "shutdown")
+                self._finish(request.context, "shutdown",
+                             "server shutting down")
         if self._inflight:
             await asyncio.gather(*list(self._inflight),
                                  return_exceptions=True)
@@ -287,14 +287,12 @@ class ModelServer:
         return self._pool
 
     @property
-    def tracer(self) -> Optional[RequestTracer]:
-        """The per-request tracer (None before start or when disabled)."""
+    def tracer(self) -> RequestTracer:
+        """The per-request record keeper."""
         return self._tracer
 
     def flight_records(self) -> List[RequestContext]:
         """The flight recorder's current ring (oldest first)."""
-        if self._tracer is None:
-            return []
         return self._tracer.flight.records()
 
     def models(self) -> Dict[str, Dict[str, Any]]:
@@ -352,48 +350,40 @@ class ModelServer:
         registry.counter("serve.requests").inc()
         key = model or self.default_model
         rid = request_id if request_id is not None else f"r{next(self._ids)}"
-        tracer = self._tracer
-        ctx = tracer.admit(rid, key) if tracer is not None else None
+        ctx = self._tracer.admit(rid, key)
         if not self._running:
-            return self._error_response(rid, key, "server is not running",
-                                        "shutdown", ctx=ctx)
+            return self._finish(ctx, "shutdown", "server is not running")
         if key not in self._artifacts:
-            registry.counter("serve.errors").inc()
-            return self._error_response(
-                rid, key, f"unknown model {key!r} "
-                          f"(served: {', '.join(sorted(self._artifacts))})",
-                "unknown_model", ctx=ctx)
+            return self._finish(
+                ctx, "unknown_model", f"unknown model {key!r} "
+                f"(served: {', '.join(sorted(self._artifacts))})")
         try:
+            deadline_ms = _request_number(
+                "deadline_ms", self.config.default_deadline_ms
+                if deadline_ms is None else deadline_ms, float)
             if inputs is None:
                 if input_seed is None:
                     raise ServeError("request needs inputs or input_seed")
-                inputs = self.synthesize_input(input_seed, key)
+                inputs = self.synthesize_input(
+                    _request_number("input_seed", input_seed, int), key)
             else:
                 inputs = self._normalize_inputs(np.asarray(inputs), key)
         except ServeError as exc:
-            registry.counter("serve.errors").inc()
-            return self._error_response(rid, key, str(exc), "bad_request",
-                                        ctx=ctx)
-        if ctx is not None:
-            ctx.input_shape = tuple(inputs.shape)
+            return self._finish(ctx, "bad_request", str(exc))
+        ctx.input_shape = tuple(inputs.shape)
         now = self.clock()
-        deadline_ms = (self.config.default_deadline_ms
-                       if deadline_ms is None else float(deadline_ms))
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+        ctx.deadline = now + deadline_ms / 1e3
         try:
-            self._batchers[key].submit(
-                rid, inputs, deadline=now + deadline_ms / 1e3, now=now,
-                context=(future, ctx))
+            self._batchers[key].submit(rid, inputs, deadline=ctx.deadline,
+                                       now=now, context=ctx)
         except ServeError as exc:
-            registry.counter("serve.refused").inc()
-            return self._error_response(rid, key, str(exc), "refused",
-                                        ctx=ctx)
-        if tracer is not None:
-            tracer.mark_submitted(ctx)
+            return self._finish(ctx, "refused", str(exc))
+        ctx.t_submit = now
+        ctx.future = asyncio.get_event_loop().create_future()
         registry.gauge("serve.queue_depth").set(
             float(sum(len(b) for b in self._batchers.values())))
         self._wake.set()
-        return await future
+        return await ctx.future
 
     def _normalize_inputs(self, inputs: np.ndarray, key: str) -> np.ndarray:
         """Validate explicit inputs against the artifact's recorded shape.
@@ -418,16 +408,6 @@ class ModelServer:
                 f"inputs shape {tuple(inputs.shape)} does not match "
                 f"artifact input_shape {expected}")
         return inputs
-
-    def _error_response(self, rid: str, key: str, error: str, kind: str,
-                        ctx: Optional[RequestContext] = None,
-                        ) -> InferenceResponse:
-        if self._tracer is not None and ctx is not None:
-            self._tracer.finish(ctx, ok=False, error_kind=kind)
-        return InferenceResponse(
-            request_id=rid, ok=False, model=key,
-            fingerprint=self._meta.get(key, {}).get("fingerprint", ""),
-            error=error, error_kind=kind)
 
     # ------------------------------------------------------------- dispatch
     async def _dispatch_loop(self) -> None:
@@ -458,26 +438,18 @@ class ModelServer:
         try:
             await self._run_batch_inner(key, batch)
         except Exception as exc:
-            registry = default_registry()
-            registry.counter("serve.errors").inc(float(len(batch)))
             for request in batch:
-                self._finish_error(request, key,
-                                   f"batch dispatch failed: {exc!r}",
-                                   "exception", batch_size=len(batch))
+                if request.context.t_done is None:
+                    self._finish(request.context, "exception",
+                                 f"batch dispatch failed: {exc!r}")
 
     async def _run_batch_inner(self, key: str,
                                batch: List[QueuedRequest]) -> None:
         registry = default_registry()
         dispatched_at = self.clock()
-        tracer = self._tracer
-        if tracer is not None:
-            for request in batch:
-                tracer.mark_dispatched(self._request_ctx(request),
-                                       batch_size=len(batch))
-        registry.gauge("serve.batch_occupancy").set(
-            len(batch) / float(self.config.max_batch))
-        registry.gauge("serve.coalesce_wait_ms").set(
-            (dispatched_at - batch[0].enqueued_at) * 1e3)
+        for request in batch:
+            request.context.t_dispatch = dispatched_at
+            request.context.batch_size = len(batch)
         sizes = [len(r.payload) for r in batch]
         stacked = np.concatenate([r.payload for r in batch], axis=0) \
             if len(batch) > 1 else batch[0].payload
@@ -492,88 +464,81 @@ class ModelServer:
                 self._executor, contextvars.copy_context().run,
                 self._pool.request, payload, None,
                 self.config.request_timeout_s)
-        infer_ms = (self.clock() - dispatched_at) * 1e3
+        infer_s = self.clock() - dispatched_at
         registry.histogram("serve.batch_size").observe(float(len(batch)))
-        registry.histogram("serve.infer_ms").observe(infer_ms)
         if result.ok:
             outputs = np.asarray(result.value)
             offsets = np.cumsum([0] + sizes)
             for request, start, stop in zip(batch, offsets[:-1], offsets[1:]):
-                self._finish_ok(request, key, outputs[start:stop],
-                                dispatched_at, infer_ms, len(batch),
-                                result.shard)
+                request.context.shard = result.shard
+                request.context.infer_s = infer_s
+                self._finish(request.context, outputs=outputs[start:stop])
         else:
-            registry.counter("serve.errors").inc(float(len(batch)))
-            if result.error_kind == "timeout":
-                registry.counter("serve.timeouts").inc(float(len(batch)))
             for request in batch:
-                self._finish_error(request, key, result.error,
-                                   result.error_kind or "exception",
-                                   shard=result.shard, batch_size=len(batch),
-                                   infer_s=result.duration_s)
-            if tracer is not None and result.error_kind == "crash":
-                tracer.dump_flight("shard_crash")
+                request.context.shard = result.shard
+                request.context.infer_s = result.duration_s
+                self._finish(request.context,
+                             result.error_kind or "exception", result.error)
+            if result.error_kind == "crash":
+                self._tracer.dump_flight("shard_crash")
         if self.alerts is not None:
             try:
                 fired = self.alerts.observe_registry(registry, epoch=None)
-                if fired and tracer is not None:
-                    tracer.dump_flight(f"alert_{fired[0].rule}")
+                if fired:
+                    self._tracer.dump_flight(f"alert_{fired[0].rule}")
             except Exception:
                 pass  # alerting must never take the serving path down
 
     # ------------------------------------------------------------ responses
-    def _finish_ok(self, request: QueuedRequest, key: str,
-                   outputs: np.ndarray, dispatched_at: float,
-                   infer_ms: float, batch_size: int, shard: int) -> None:
+    def _finish(self, ctx: RequestContext, kind: str = "", error: str = "",
+                outputs: Optional[np.ndarray] = None) -> InferenceResponse:
+        """The one exit of every request, run once per request.
+
+        ``kind`` is the ``error_kind`` ("" for ok).  Stamps ``t_done``,
+        observes the stage histograms, appends to the flight ring and
+        emits the span tree (:meth:`RequestTracer.finish`); counts the
+        outcome -- ``serve.responses`` (ok; ``serve.deadline_missed``
+        too when past its deadline), ``serve.refused``, or
+        ``serve.errors`` for every other kind but ``shutdown``
+        (``serve.timeouts`` too for a timeout); then resolves the
+        response future from the record.
+        """
+        ctx.ok, ctx.error_kind = not kind, kind
+        stages = self._tracer.finish(ctx)
+        missed = ctx.t_done > ctx.deadline
         registry = default_registry()
-        now = self.clock()
-        queue_ms = (dispatched_at - request.enqueued_at) * 1e3
-        latency_ms = (now - request.enqueued_at) * 1e3
-        missed = now > request.deadline
-        registry.counter("serve.responses").inc()
-        registry.histogram("serve.queue_ms").observe(queue_ms)
-        registry.histogram("serve.latency_ms").observe(latency_ms)
-        if missed:
-            registry.counter("serve.deadline_missed").inc()
-        if self._tracer is not None:
-            self._tracer.finish(self._request_ctx(request), ok=True,
-                                shard=shard, batch_size=batch_size,
-                                infer_s=infer_ms / 1e3)
-        self._set_future(request, InferenceResponse(
-            request_id=request.request_id, ok=True, model=key,
-            fingerprint=self._meta[key].get("fingerprint", ""),
-            outputs=outputs, shard=shard, batch_size=batch_size,
-            queue_ms=queue_ms, infer_ms=infer_ms, latency_ms=latency_ms,
-            deadline_missed=missed))
-
-    def _finish_error(self, request: QueuedRequest, key: str, error: str,
-                      kind: str, shard: int = -1,
-                      batch_size: int = 0, infer_s: float = 0.0) -> None:
-        latency_ms = (self.clock() - request.enqueued_at) * 1e3
-        if self._tracer is not None:
-            self._tracer.finish(self._request_ctx(request), ok=False,
-                                error_kind=kind, shard=shard,
-                                batch_size=batch_size, infer_s=infer_s)
-        self._set_future(request, InferenceResponse(
-            request_id=request.request_id, ok=False, model=key,
-            fingerprint=self._meta.get(key, {}).get("fingerprint", ""),
-            error=error, error_kind=kind, shard=shard,
-            batch_size=batch_size, latency_ms=latency_ms,
-            deadline_missed=self.clock() > request.deadline))
-
-    @staticmethod
-    def _request_ctx(request: QueuedRequest) -> Optional[RequestContext]:
-        """The RequestContext riding the batcher's opaque context slot."""
-        context = request.context
-        if isinstance(context, tuple) and len(context) == 2:
-            return context[1]
-        return None
-
-    @staticmethod
-    def _set_future(request: QueuedRequest,
-                    response: InferenceResponse) -> None:
-        future = request.context
-        if isinstance(future, tuple):
-            future = future[0]
+        if ctx.ok:
+            registry.counter("serve.responses").inc()
+            if missed:
+                registry.counter("serve.deadline_missed").inc()
+        elif kind == "refused":
+            registry.counter("serve.refused").inc()
+        elif kind != "shutdown":
+            registry.counter("serve.errors").inc()
+            if kind == "timeout":
+                registry.counter("serve.timeouts").inc()
+        response = InferenceResponse(
+            request_id=ctx.request_id, ok=ctx.ok, model=ctx.model,
+            fingerprint=self._meta.get(ctx.model, {}).get("fingerprint", ""),
+            outputs=outputs, error=error, error_kind=kind, shard=ctx.shard,
+            batch_size=ctx.batch_size,
+            queue_ms=stages.get("queue_ms", 0.0),
+            infer_ms=stages.get("infer_ms", 0.0),
+            latency_ms=stages["latency_ms"], deadline_missed=missed)
+        future, ctx.future = ctx.future, None
         if future is not None and not future.done():
             future.set_result(response)
+        return response
+
+
+def _request_number(name: str, value: Any,
+                    cast: Callable[[Any], Any]) -> Any:
+    """``cast(value)`` of one request field; a ServeError (so a
+    ``bad_request`` response) when that is no number or is negative."""
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not number >= 0:  # NaN fails too
+        raise ServeError(f"{name} must be a number >= 0, got {value!r}")
+    return number

@@ -1,29 +1,30 @@
-"""Per-request tracing, SLO accounting, and the flight recorder.
+"""Per-request records, stage histograms, and the flight recorder.
 
-The server's metrics make the serving path observable in *aggregate*
-(throughput counters, latency histograms).  This module makes
-individual requests observable: every admitted request carries a
-:class:`RequestContext` from admission through
-:class:`~repro.serve.batcher.DeadlineBatcher` coalescing,
-:class:`~repro.parallel.shards.ShardPool` dispatch, and the shard's
-eager forward, and on completion the :class:`RequestTracer`
+:class:`~repro.serve.server.ModelServer` mints one
+:class:`RequestContext` per request at admission and keeps every stage
+stamp on it: the admission read, the batcher's ``enqueued_at``, the
+batch's ``dispatched_at`` and the finish read.  The record rides the
+:class:`~repro.serve.batcher.DeadlineBatcher` through coalescing and
+:class:`~repro.parallel.shards.ShardPool` dispatch, and on the server's
+one finish path the :class:`RequestTracer`
 
-* emits one **span tree** per request into the active
-  :class:`~repro.telemetry.trace.TraceRecorder` -- a ``serve.request``
-  parent with contiguous ``admission`` / ``queue`` / ``batch`` children
-  (plus an ``infer`` grandchild for the shard round-trip), each request
-  on its own Chrome-trace lane so overlapping requests stay readable;
-* observes per-stage latency into **SLO histograms**
-  (``serve.slo.{admission,queue,infer,latency}_ms``,
+* observes per-stage latency into one histogram family
+  (``serve.{admission,queue,infer,latency}_ms``,
   :class:`~repro.telemetry.slo.SloHistogram`) whose bucket vectors
   merge exactly across shard workers and whose ``latency_ms`` target
   feeds the ``latency_slo`` burn-rate alert rule;
-* keeps the request's context in the bounded in-memory **flight
-  recorder**, a ring of the last :data:`FLIGHT_CAPACITY` requests that
+* keeps the record in the bounded in-memory **flight recorder**, a
+  ring of the last :data:`FLIGHT_CAPACITY` requests that
   :meth:`RequestTracer.dump_flight` renders, when an alert fires or a
-  shard crashes, as a Chrome trace of the same span trees
-  (:func:`emit_request` builds both) -- the post-mortem
-  ``repro analyze`` reads like any other trace.
+  shard crashes, as a Chrome trace -- the post-mortem ``repro
+  analyze`` reads like any other trace;
+* emits one **span tree** per request into the active
+  :class:`~repro.telemetry.trace.TraceRecorder`, when there is one -- a
+  ``serve.request`` parent with contiguous ``admission`` / ``queue`` /
+  ``batch`` children (plus an ``infer`` grandchild for the shard
+  round-trip), each request on its own Chrome-trace lane so
+  overlapping requests stay readable; :func:`emit_request` builds the
+  trees of live traces and flight dumps alike.
 
 Everything here is clock-injected: the tracer converts the server's
 (possibly fake) clock into the recorder's timebase with a one-time
@@ -35,11 +36,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import os
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.metrics import MetricsRegistry, default_registry
@@ -65,9 +67,9 @@ class RequestContext:
 
     Timestamps are in the server's clock domain (``t_*`` fields,
     seconds); a stage that never happened stays ``None`` (a refused
-    request has no dispatch stamp).  The context rides the batcher's
-    opaque ``context`` slot next to the response future, so it crosses
-    the coalescing queue without the batcher knowing about tracing.
+    request has no dispatch stamp).  The context is what rides the
+    batcher's opaque ``context`` slot; ``future`` is the response
+    future the server resolves from it, dropped once resolved.
     """
 
     request_id: str
@@ -78,11 +80,13 @@ class RequestContext:
     t_submit: Optional[float] = None
     t_dispatch: Optional[float] = None
     t_done: Optional[float] = None
+    deadline: float = math.inf
     batch_size: int = 0
     shard: int = -1
     ok: bool = False
     error_kind: str = ""
     infer_s: float = 0.0
+    future: Any = field(default=None, repr=False, compare=False)
 
     @property
     def outcome(self) -> str:
@@ -208,18 +212,19 @@ class FlightRecorder:
 
 
 class RequestTracer:
-    """Stage observer for the serving path: spans + SLOs + flight ring.
+    """Record keeper of the serving path: stage histograms, flight ring,
+    span trees.
 
     Args:
         recorder: the span sink; ``None`` (no ``--trace-out``) skips
-            span emission but keeps SLO histograms and the flight ring.
-        clock: the *server's* monotonic clock (injectable).  Stage
-            stamps are taken with it; at construction the tracer
-            measures the offset between this clock and the recorder's
-            ``perf_counter`` origin, so emitted spans land on the
-            recorder timeline even under a simulated clock.
-        slo_ms: end-to-end latency target; responses above it count as
-            breaches on ``serve.slo.latency_ms`` (the burn-rate rule's
+            span emission but keeps the histograms and the flight ring.
+        clock: the *server's* monotonic clock (injectable).  At
+            construction the tracer measures the offset between this
+            clock and the recorder's ``perf_counter`` origin, so emitted
+            spans land on the recorder timeline even under a simulated
+            clock.
+        slo_ms: end-to-end latency target; requests above it count as
+            breaches on ``serve.latency_ms`` (the burn-rate rule's
             numerator).
         flight_dir: where :meth:`dump_flight` writes its Chrome-trace
             dumps (:data:`FLIGHT_CAPACITY` requests at most); with
@@ -253,15 +258,15 @@ class RequestTracer:
         self._next_lane = 0
         self._dumped_reasons: set = set()
         self._dump_seq = 0
-        # SLO histograms are created eagerly so a zero-traffic snapshot
-        # still shows the serving SLO surface (and its target); the
+        # the histograms are created eagerly so a zero-traffic snapshot
+        # still shows the serving surface (and its latency target); the
         # references are cached because finish() is on every request's
         # path and the registry accessor takes a lock per lookup
-        self._slo_latency = self.registry.histogram("serve.slo.latency_ms",
-                                                    slo=self.slo_ms)
-        self._slo_stages = {
-            f"{stage}_ms": self.registry.histogram(f"serve.slo.{stage}_ms")
-            for stage in ("admission", "queue", "infer")
+        self._histograms = {
+            f"{stage}_ms": self.registry.histogram(
+                f"serve.{stage}_ms",
+                slo=self.slo_ms if stage == "latency" else None)
+            for stage in ("admission", "queue", "infer", "latency")
         }
 
     # ----------------------------------------------------------------- lanes
@@ -277,52 +282,29 @@ class RequestTracer:
         with self._lock:
             heapq.heappush(self._free_lanes, lane)
 
-    # ----------------------------------------------------------- stage hooks
-    def admit(self, request_id: str, model: str,
-              input_shape: Tuple[int, ...] = ()) -> RequestContext:
-        """Mint the per-request context at the admission boundary."""
+    # --------------------------------------------------------------- records
+    def admit(self, request_id: str, model: str) -> RequestContext:
+        """Mint the request's record; ``t_admit`` is this clock read."""
         return RequestContext(
             request_id=str(request_id), model=str(model),
             lane=self._acquire_lane() if self.recorder is not None else -1,
-            input_shape=tuple(int(d) for d in input_shape),
             t_admit=self.clock(),
         )
 
-    def mark_submitted(self, ctx: Optional[RequestContext]) -> None:
-        """The request entered the batcher queue."""
-        if ctx is not None:
-            ctx.t_submit = self.clock()
-
-    def mark_dispatched(self, ctx: Optional[RequestContext],
-                        batch_size: int = 0) -> None:
-        """The request left the queue inside a dispatched batch."""
-        if ctx is not None:
-            ctx.t_dispatch = self.clock()
-            ctx.batch_size = int(batch_size)
-
-    def finish(self, ctx: Optional[RequestContext], ok: bool,
-               error_kind: str = "", shard: int = -1,
-               batch_size: Optional[int] = None,
-               infer_s: float = 0.0) -> None:
-        """Close the request: spans, SLO observations, flight record."""
-        if ctx is None or ctx.t_done is not None:
-            return
+    def finish(self, ctx: RequestContext) -> Dict[str, float]:
+        """Close the record: stamp ``t_done``, observe the stage
+        histograms, append to the flight ring, emit the span tree.
+        Returns :meth:`RequestContext.stage_ms`."""
         ctx.t_done = self.clock()
-        ctx.ok = bool(ok)
-        ctx.error_kind = str(error_kind)
-        ctx.shard = int(shard)
-        if batch_size is not None:
-            ctx.batch_size = int(batch_size)
-        ctx.infer_s = float(infer_s)
         stages = ctx.stage_ms()
-        for key, histogram in self._slo_stages.items():
+        for key, histogram in self._histograms.items():
             if key in stages:
                 histogram.observe(stages[key])
-        self._slo_latency.observe(stages["latency_ms"])
         self.flight.record(ctx)
         if self.recorder is not None:
             emit_request(self.recorder, ctx, self._offset)
             self._release_lane(ctx.lane)
+        return stages
 
     # ------------------------------------------------------ flight dump path
     def dump_flight(self, reason: str,

@@ -52,7 +52,7 @@ class SloHistogram:
     """Mergeable fixed-bucket histogram with SLO breach counting.
 
     Args:
-        name: metric name (``serve.slo.latency_ms``).
+        name: metric name (``serve.latency_ms``).
         slo: optional target in the same unit as observations; values
             strictly above it count as breaches.
     """

@@ -503,18 +503,17 @@ class Lane:
     """Self-time rows of one process lane.
 
     ``rows`` are ``(kind, name, calls, seconds)`` with kind ``"span"``,
-    ``"kernel"`` or ``"overlap"``; together with :attr:`unattributed_s`
-    they sum to ``total_s`` exactly.
+    ``"kernel"`` or ``"overlap"``; together with ``unattributed_s``, the
+    part of ``total_s`` no root span covers, they sum to ``total_s``
+    (up to float rounding).  A lane whose total is its roots' coverage
+    has ``unattributed_s == 0.0`` exactly.
     """
 
     pid: int
     label: str
     total_s: float
     rows: List[Tuple[str, str, int, float]]
-
-    @property
-    def unattributed_s(self) -> float:
-        return self.total_s - sum(row[3] for row in self.rows)
+    unattributed_s: float = 0.0
 
 
 def read_trace(path: os.PathLike) -> Dict[str, Any]:
@@ -611,8 +610,9 @@ def attribute(trace: Mapping[str, Any]) -> List[Lane]:
                          -overlap))
         rows.sort(key=lambda row: -row[3])
         covered = sum(stop - start for start, stop in roots) - overlap
-        lanes.append(Lane(pid, labels.get(pid, f"pid {pid}"),
-                          float(other["wall_s"]) if main else covered, rows))
+        total = float(other["wall_s"]) if main else covered
+        lanes.append(Lane(pid, labels.get(pid, f"pid {pid}"), total, rows,
+                          total - covered))
     lanes.sort(key=lambda lane: (lane.pid != other.get("pid"), lane.pid))
     return lanes
 

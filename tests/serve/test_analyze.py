@@ -44,14 +44,15 @@ class FakeClock:
 def drive_tracer(tracer, n=4):
     """Run n requests with latencies 10, 20, 30, ... ms through a tracer."""
     for index in range(n):
-        ctx = tracer.admit(f"r{index}", "m", input_shape=(1, 3, 8, 8))
+        ctx = tracer.admit(f"r{index}", "m")
+        ctx.input_shape = (1, 3, 8, 8)
         tracer.clock.advance(0.001)
-        tracer.mark_submitted(ctx)
+        ctx.t_submit = tracer.clock()
         tracer.clock.advance(0.002)
-        tracer.mark_dispatched(ctx, batch_size=2)
+        ctx.t_dispatch, ctx.batch_size = tracer.clock(), 2
         tracer.clock.advance(0.010 * (index + 1) - 0.003)
-        tracer.finish(ctx, ok=True, shard=0,
-                      infer_s=0.004 * (index + 1))
+        ctx.ok, ctx.shard, ctx.infer_s = True, 0, 0.004 * (index + 1)
+        tracer.finish(ctx)
 
 
 class TestAnalyzeRequests:

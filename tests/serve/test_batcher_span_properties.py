@@ -65,13 +65,13 @@ def _simulate(plan, max_batch, max_wait_s, service_s):
     def _service(batches):
         for batch in batches:
             for request in batch:
-                tracer.mark_dispatched(request.context,
-                                       batch_size=len(batch))
+                request.context.t_dispatch = clock.now
+                request.context.batch_size = len(batch)
             clock.now += service_s
             for request in batch:
-                tracer.finish(request.context, ok=True, shard=0,
-                              batch_size=len(batch),
-                              infer_s=service_s / 2)
+                ctx = request.context
+                ctx.ok, ctx.shard, ctx.infer_s = True, 0, service_s / 2
+                tracer.finish(ctx)
 
     def _wake_until(horizon):
         while True:
@@ -86,10 +86,10 @@ def _simulate(plan, max_batch, max_wait_s, service_s):
         _wake_until(arrival)
         clock.now = arrival
         ctx = tracer.admit(f"r{index}", "m")
-        batcher.submit(f"r{index}", payload=index,
-                       deadline=clock.now + slack, now=clock.now,
-                       context=ctx)
-        tracer.mark_submitted(ctx)
+        request = batcher.submit(f"r{index}", payload=index,
+                                 deadline=clock.now + slack, now=clock.now,
+                                 context=ctx)
+        ctx.t_submit = request.enqueued_at
         _service(batcher.pop_due(clock.now))
     _wake_until(None)
     assert len(batcher) == 0

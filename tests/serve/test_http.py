@@ -4,7 +4,12 @@ import asyncio
 import contextlib
 import http.server
 import json
+import os
+import queue
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -12,6 +17,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+import repro
 from repro.models.registry import build_model
 from repro.serve import (
     LoadGenConfig,
@@ -125,6 +131,18 @@ class TestRoutes:
         assert unknown[1]["error_kind"] == "unknown_model"
         assert bad[0] == 400 and bad[1]["error_kind"] == "bad_request"
         assert route[0] == 404
+
+    def test_bad_request_fields_are_400(self, artifact):
+        bodies = [{"input_seed": "abc"}, {"input_seed": -1},
+                  {"input_seed": 1, "deadline_ms": "x"}]
+
+        async def _go(loop, front):
+            return [await _fetch(loop, front.url + "/infer", body)
+                    for body in bodies]
+
+        for status, body in asyncio.run(_with_front(artifact, _go)):
+            assert status == 400
+            assert body["error_kind"] == "bad_request", body
 
     def test_malformed_json_body_is_400(self, artifact):
         async def _go(loop, front):
@@ -296,3 +314,35 @@ class TestHTTPLoadgenErrorPaths:
                                               timeout_s=5.0))
         assert report.completed == 0
         assert report.error_kinds == {"lost": 3}
+
+
+class TestServeCommand:
+    def test_sigint_prints_the_shutdown_line_and_cleans_up(self, tmp_path):
+        env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep
+                   .join([os.path.dirname(os.path.dirname(repro.__file__)),
+                          os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--demo",
+             "--bits", "4", "--port", "0"],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            env=env)
+        lines: "queue.Queue[str]" = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stderr],
+            daemon=True)
+        reader.start()
+        try:
+            seen = []
+            while not any("listening on" in line for line in seen):
+                seen.append(lines.get(timeout=60))
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        reader.join(timeout=10)
+        while not lines.empty():
+            seen.append(lines.get())
+        assert "repro serve: shutting down\n" in seen, "".join(seen)
+        assert list(tmp_path.glob("repro-serve-*")) == []

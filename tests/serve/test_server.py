@@ -309,6 +309,92 @@ class TestDeadlines:
         assert response.deadline_missed
 
 
+class TestOneFinishPath:
+    """Every request, whatever its outcome, closes its record once."""
+
+    COUNTERS = ("serve.requests", "serve.responses", "serve.refused",
+                "serve.errors", "serve.timeouts", "serve.deadline_missed")
+
+    def test_every_outcome_is_counted_observed_and_recorded_once(
+            self, artifact):
+        from repro.telemetry.trace import recording
+
+        path, _ = artifact
+        registry = default_registry()
+        latency = registry.histogram("serve.latency_ms")
+        before = {name: registry.counter(name).value
+                  for name in self.COUNTERS}
+        count0 = latency.count
+        # capacity 1 + a long coalescing window: a second request is
+        # refused while the first waits in the queue
+        config = serial_config(queue_capacity=1, max_wait_ms=200.0)
+
+        async def _go():
+            server = ModelServer({"m": path}, config=config)
+            await server.start()
+            queued = asyncio.ensure_future(server.infer(input_seed=0))
+            await asyncio.sleep(0)
+            got = {"refused": [await server.infer(input_seed=1)],
+                   "unknown_model": [await server.infer(model="nope",
+                                                        input_seed=0)],
+                   "bad_request": [
+                       await server.infer(),
+                       await server.infer(input_seed="abc"),
+                       await server.infer(input_seed=-1),
+                       await server.infer(input_seed=1, deadline_ms="x")]}
+            got["ok"] = [await queued,
+                         await server.infer(input_seed=2, deadline_ms=0.5)]
+            drained = asyncio.ensure_future(server.infer(input_seed=3))
+            await asyncio.sleep(0)
+            await server.close()
+            got["shutdown"] = [await drained,
+                               await server.infer(input_seed=4)]
+            return server, got
+
+        with recording():
+            server, got = run(_go())
+        for kind, responses in got.items():
+            for response in responses:
+                assert response.error_kind == ("" if kind == "ok" else kind)
+        calls = sum(len(responses) for responses in got.values())
+        assert calls == 10
+        assert latency.count == count0 + calls
+        assert len(server.flight_records()) == calls
+        tracer = server.tracer
+        assert sorted(tracer._free_lanes) == list(range(tracer._next_lane))
+        moved = {name: registry.counter(name).value - before[name]
+                 for name in self.COUNTERS}
+        assert moved == {"serve.requests": calls, "serve.responses": 2,
+                         "serve.refused": 1, "serve.errors": 5,
+                         "serve.timeouts": 0, "serve.deadline_missed": 1}
+
+    def test_ok_response_latency_is_the_records_latency(self, artifact):
+        from repro.serve.tracing import REQUEST_SPAN
+        from repro.telemetry.trace import recording
+
+        path, _ = artifact
+        latency = default_registry().histogram("serve.latency_ms")
+
+        async def _go():
+            async with ModelServer({"m": path},
+                                   config=serial_config()) as server:
+                total = latency.total
+                response = await server.infer(input_seed=0)
+                return (response, latency.total - total,
+                        server.flight_records()[-1])
+
+        with recording() as recorder:
+            response, observed, record = run(_go())
+        assert response.ok
+        assert response.latency_ms == (record.t_done - record.t_admit) * 1e3
+        assert response.queue_ms == \
+            (record.t_dispatch - record.t_submit) * 1e3
+        assert observed == pytest.approx(response.latency_ms, rel=1e-9)
+        [root] = recorder.by_name(REQUEST_SPAN)
+        assert root.duration * 1e3 == pytest.approx(response.latency_ms,
+                                                    rel=1e-9)
+
+
 class TestTelemetryAndAlerts:
     def test_request_path_metrics_populate(self, artifact):
         path, _ = artifact

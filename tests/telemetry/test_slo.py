@@ -161,15 +161,15 @@ class TestMerge:
 class TestRegistryIntegration:
     def test_typed_snapshot_roundtrip_across_registries(self):
         source = MetricsRegistry()
-        hist = source.histogram("serve.slo.latency_ms", slo=100.0)
+        hist = source.histogram("serve.latency_ms", slo=100.0)
         for value in (10.0, 150.0, 30.0):
             hist.observe(value)
         shipped = source.typed_snapshot()
-        assert "serve.slo.latency_ms" in shipped["histograms"]
+        assert "serve.latency_ms" in shipped["histograms"]
 
         parent = MetricsRegistry()
         parent.merge_typed(shipped)
-        merged = parent.histogram("serve.slo.latency_ms")
+        merged = parent.histogram("serve.latency_ms")
         assert merged.slo == 100.0   # the target ships with the snapshot
         assert merged.count == 3
         assert merged.breaches == 1
@@ -194,16 +194,16 @@ class TestRegistryIntegration:
 class TestPrometheusRendering:
     def test_native_histogram_series(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("serve.slo.latency_ms", slo=50.0)
+        hist = registry.histogram("serve.latency_ms", slo=50.0)
         for value in (1.0, 10.0, 100.0):
             hist.observe(value)
         text = prometheus_text(registry)
-        assert "# TYPE repro_serve_slo_latency_ms histogram" in text
-        assert 'repro_serve_slo_latency_ms_bucket{le="+Inf"} 3' in text
-        assert "repro_serve_slo_latency_ms_count 3" in text
-        assert "repro_serve_slo_latency_ms_breaches 1.0" in text
+        assert "# TYPE repro_serve_latency_ms histogram" in text
+        assert 'repro_serve_latency_ms_bucket{le="+Inf"} 3' in text
+        assert "repro_serve_latency_ms_count 3" in text
+        assert "repro_serve_latency_ms_breaches 1.0" in text
         # bucket series are cumulative: the last finite bucket holds all
         lines = [l for l in text.splitlines()
-                 if l.startswith("repro_serve_slo_latency_ms_bucket")]
+                 if l.startswith("repro_serve_latency_ms_bucket")]
         counts = [int(l.rsplit(" ", 1)[1]) for l in lines]
         assert counts == sorted(counts)
