@@ -224,21 +224,6 @@ class Softplus(Function):
         return (grad / (1.0 + np.exp(-a)),)
 
 
-class Gelu(Function):
-    """Gaussian error linear unit (exact erf form)."""
-
-    def forward(self, a):
-        from scipy.special import erf
-        cdf = 0.5 * (1.0 + erf(a / np.sqrt(2.0)))
-        self.save_for_backward(a, cdf)
-        return a * cdf
-
-    def backward(self, grad):
-        a, cdf = self.saved
-        pdf = np.exp(-0.5 * a * a) / np.sqrt(2.0 * np.pi)
-        return (grad * (cdf + a * pdf),)
-
-
 class Silu(Function):
     """x * sigmoid(x) (a.k.a. swish)."""
 
@@ -482,7 +467,6 @@ def sigmoid(a) -> Tensor: return Sigmoid.apply(a)
 def relu(a) -> Tensor: return ReLU.apply(a)
 def leaky_relu(a, slope: float = 0.01) -> Tensor: return LeakyReLU.apply(a, slope=slope)
 def softplus(a) -> Tensor: return Softplus.apply(a)
-def gelu(a) -> Tensor: return Gelu.apply(a)
 def silu(a) -> Tensor: return Silu.apply(a)
 def clip(a, low: float, high: float) -> Tensor: return Clip.apply(a, low=low, high=high)
 
@@ -571,7 +555,7 @@ from repro.autograd.ops_nn import (  # noqa: E402
 __all__ = [
     "add", "sub", "mul", "div", "maximum", "matmul", "neg", "pow", "exp",
     "log", "sqrt", "abs", "tanh", "sigmoid", "relu", "leaky_relu", "clip",
-    "softplus", "gelu", "silu",
+    "softplus", "silu",
     "sum", "mean", "max", "min", "var", "reshape", "transpose", "flatten",
     "getitem", "concat", "where", "stack", "pad2d",
     "conv2d", "max_pool2d", "avg_pool2d",

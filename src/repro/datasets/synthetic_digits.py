@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.datasets.base import ImageDataset
 from repro.errors import DatasetError
+from repro.metrics.ssim import gaussian_filter
 
 # Each digit: list of strokes in a unit square; a stroke is either
 # ("line", (x0, y0), (x1, y1)) or ("arc", (cx, cy), r, a0_deg, a1_deg).

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.datasets.base import ImageDataset
+from repro.metrics.distribution import ks_statistic
 from repro.models.introspect import parameter_vector
 from repro.nn.module import Module
 
@@ -55,8 +55,7 @@ def weight_distribution_anomaly(
 
     weights = _standardise(parameter_vector(model, list(names) if names else None))
     ref = _standardise(parameter_vector(reference, list(names) if names else None))
-    statistic, _ = stats.ks_2samp(weights, ref)
-    return float(statistic)
+    return ks_statistic(weights, ref)
 
 
 def correlation_scan(

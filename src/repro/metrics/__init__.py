@@ -9,17 +9,17 @@
 """
 
 from repro.metrics.mape import batch_mape, count_below_threshold, mape
-from repro.metrics.ssim import batch_ssim, count_above_threshold, ssim
+from repro.metrics.ssim import batch_ssim, count_above_threshold, gaussian_filter, ssim
 from repro.metrics.psnr import batch_psnr, psnr
 from repro.metrics.accuracy import evaluate_accuracy, predict_classes
 from repro.metrics.recognizability import recognizable_count, recognizable_mask
-from repro.metrics.distribution import histogram_overlap, ks_distance
+from repro.metrics.distribution import histogram_overlap, ks_distance, ks_statistic
 
 __all__ = [
     "mape", "batch_mape", "count_below_threshold",
-    "ssim", "batch_ssim", "count_above_threshold",
+    "ssim", "batch_ssim", "count_above_threshold", "gaussian_filter",
     "psnr", "batch_psnr",
     "evaluate_accuracy", "predict_classes",
     "recognizable_count", "recognizable_mask",
-    "histogram_overlap", "ks_distance",
+    "histogram_overlap", "ks_distance", "ks_statistic",
 ]

@@ -54,7 +54,7 @@ class QuantizationResult:
 
 
 class Quantizer:
-    """Base quantizer: subclasses implement :meth:`quantize_vector`.
+    """Base quantizer: subclasses implement :meth:`_quantize`.
 
     Args:
         levels: number of quantization clusters ``l`` (bit width is
@@ -73,14 +73,27 @@ class Quantizer:
         self.levels = int(levels)
         self.scope = scope
 
-    # ------------------------------------------------------------ABSTRACT
     def quantize_vector(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Quantize one flat weight vector.
 
         Returns:
             (codebook, assignment): representative values (<= levels)
             and per-weight integer cluster indices.
+
+        Raises:
+            QuantizationError: a weight is NaN or infinite (no codebook
+                or assignment is defined for it).
         """
+        weights = np.asarray(weights)
+        bad = weights.size - int(np.isfinite(weights).sum())
+        if bad:
+            raise QuantizationError(f"cannot quantize non-finite weights: {bad} "
+                                    f"of {weights.size} are NaN or infinite")
+        return self._quantize(weights)
+
+    # ------------------------------------------------------------ABSTRACT
+    def _quantize(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`quantize_vector` of a finite weight vector."""
         raise NotImplementedError
 
     # -------------------------------------------------------------- MODEL

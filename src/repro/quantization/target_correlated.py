@@ -63,7 +63,7 @@ class TargetCorrelatedQuantizer(Quantizer):
         self.flip = bool(flip)
         self.histogram = histogram[::-1].copy() if self.flip else histogram
 
-    def quantize_vector(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _quantize(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         count = weights.size
         if count < self.levels:
             raise QuantizationError(

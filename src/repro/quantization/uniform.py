@@ -18,7 +18,7 @@ from repro.quantization.base import Quantizer
 class UniformQuantizer(Quantizer):
     """Evenly spaced representatives between the min and max weight."""
 
-    def quantize_vector(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _quantize(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         low, high = float(weights.min()), float(weights.max())
         if high - low < 1e-12:
             return np.array([low]), np.zeros(weights.size, dtype=np.int64)
@@ -36,7 +36,7 @@ class KMeansQuantizer(Quantizer):
         super().__init__(levels, scope)
         self.iterations = int(iterations)
 
-    def quantize_vector(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _quantize(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         low, high = float(weights.min()), float(weights.max())
         if high - low < 1e-12:
             return np.array([low]), np.zeros(weights.size, dtype=np.int64)

@@ -44,7 +44,7 @@ def weighted_entropy(importance_mass: np.ndarray) -> float:
 class WeightedEntropyQuantizer(Quantizer):
     """Equal-importance-mass clustering over the sorted weight list."""
 
-    def quantize_vector(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _quantize(self, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         with timed_stage("quant.weighted_entropy.cluster", weights=weights.size):
             order = np.argsort(weights, kind="stable")
             sorted_weights = weights[order]

@@ -101,10 +101,17 @@ class MetricsRegistry:
                   slo: Optional[float] = None) -> SloHistogram:
         """Fixed-bucket :class:`~repro.telemetry.slo.SloHistogram`.
 
-        ``slo`` (a breach target in the observations' unit) applies only
-        on first creation, as with every accessor here.
+        ``slo`` (a breach target in the observations' unit) is the
+        histogram's target from this call on: a later caller with another
+        target (a second server in the process) gets its own, and only
+        the observations after it are judged against it.  ``breaches``
+        keeps counting, so a burn-rate rule over its deltas stays valid.
+        A lookup without ``slo`` leaves the target alone.
         """
-        return self._get_or_create(name, SloHistogram, slo)
+        histogram = self._get_or_create(name, SloHistogram, slo)
+        if slo is not None:
+            histogram.slo = float(slo)
+        return histogram
 
     def timer(self, name: str) -> SloHistogram:
         """Alias of :meth:`histogram`, kept for ``perfbench/workloads.py``."""
@@ -167,7 +174,10 @@ class MetricsRegistry:
         # an empty metric here whose NaN fields pollute later snapshots
         for name, value in typed.get("histograms", {}).items():
             if int(value.get("count", 0)) > 0:
-                self.histogram(name, slo=value.get("slo")).merge_snapshot(value)
+                # a snapshot's target applies on creation only: a late
+                # worker snapshot must not undo a newer target here
+                self._get_or_create(name, SloHistogram, value.get("slo")) \
+                    .merge_snapshot(value)
 
     def flat_snapshot(self) -> Dict[str, float]:
         """:meth:`snapshot` through :func:`flatten`: dotted scalar keys."""

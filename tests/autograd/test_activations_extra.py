@@ -1,4 +1,4 @@
-"""Softplus / GELU / SiLU activations."""
+"""Softplus / SiLU activations."""
 
 import numpy as np
 
@@ -24,24 +24,6 @@ class TestSoftplus:
     def test_positive_everywhere(self):
         out = F.softplus(Tensor(RNG.standard_normal(20)))
         assert np.all(out.data > 0)
-
-
-class TestGelu:
-    def test_zero_at_zero(self):
-        assert F.gelu(Tensor([0.0])).data[0] == 0.0
-
-    def test_approaches_identity_for_large_positive(self):
-        assert np.isclose(F.gelu(Tensor([10.0])).data[0], 10.0, atol=1e-6)
-
-    def test_approaches_zero_for_large_negative(self):
-        assert np.isclose(F.gelu(Tensor([-10.0])).data[0], 0.0, atol=1e-6)
-
-    def test_gradient(self):
-        grad_check(lambda a: F.sum(F.gelu(a)), [RNG.standard_normal(6)], rtol=1e-3)
-
-    def test_known_value(self):
-        # gelu(1) = 1 * Phi(1) ~ 0.8413
-        assert np.isclose(F.gelu(Tensor([1.0])).data[0], 0.8413, atol=1e-3)
 
 
 class TestSilu:

@@ -100,6 +100,20 @@ class TestStageAccounting:
         assert registry.histogram("serve.infer_ms").total == \
             pytest.approx(10.0)
 
+    def test_later_tracer_gets_its_own_latency_target(self):
+        # a second server in one process must not inherit the first
+        # one's breach threshold from the shared registry
+        registry = MetricsRegistry()
+        make_tracer(registry=registry, slo_ms=10.0)
+        tracer = make_tracer(registry=registry, slo_ms=500.0)
+        latency = registry.histogram("serve.latency_ms")
+        assert latency.slo == 500.0
+        finish_one(tracer, gaps=(0.001, 0.004, 0.020))  # 25 ms
+        assert latency.breaches == 0
+        finish_one(make_tracer(registry=registry, slo_ms=10.0), rid="r1",
+                   gaps=(0.001, 0.004, 0.020))
+        assert (latency.slo, latency.breaches) == (10.0, 1)
+
     def test_admission_failure_has_no_queue_stage(self):
         tracer = make_tracer()
         ctx = tracer.admit("r0", "m")

@@ -175,6 +175,18 @@ class TestRegistryIntegration:
         assert merged.breaches == 1
         assert merged.counts == hist.counts
 
+    def test_later_target_applies_but_merges_keep_it(self):
+        registry = MetricsRegistry()
+        registry.histogram("serve.latency_ms", slo=10.0).observe(20.0)
+        hist = registry.histogram("serve.latency_ms", slo=500.0)
+        hist.observe(20.0)
+        assert (hist.slo, hist.breaches) == (500.0, 1)
+        assert registry.histogram("serve.latency_ms").slo == 500.0
+        worker = MetricsRegistry()
+        worker.histogram("serve.latency_ms", slo=10.0).observe(1.0)
+        registry.merge_typed(worker.typed_snapshot())
+        assert (hist.slo, hist.count) == (500.0, 3)
+
     def test_accessor_kind_collision_raises(self):
         registry = MetricsRegistry()
         registry.histogram("x")

@@ -45,13 +45,15 @@ class TestNaNPropagation:
             trainer.train()
 
     def test_quantizer_with_nan_weights(self):
-        # NaN weights produce NaN codebooks rather than silently clamping;
-        # validate() still passes structure, but downstream training
-        # raises -- verify the quantizer at least doesn't crash cryptically.
-        from repro.quantization import UniformQuantizer
-        weights = np.array([1.0, np.nan, 2.0])
-        codebook, assignment = UniformQuantizer(levels=2).quantize_vector(weights)
-        assert assignment.shape == weights.shape
+        # a NaN weight has no cluster: every quantizer refuses it with a
+        # structured error instead of a garbage assignment
+        from repro.quantization import (KMeansQuantizer, UniformQuantizer,
+                                        WeightedEntropyQuantizer)
+        for weights in (np.array([1.0, np.nan, 2.0]), np.array([1.0, np.inf, 2.0])):
+            for quantizer in (UniformQuantizer(levels=2), KMeansQuantizer(levels=2),
+                              WeightedEntropyQuantizer(levels=2)):
+                with pytest.raises(QuantizationError, match="non-finite"):
+                    quantizer.quantize_vector(weights)
 
 
 class TestMisusedAPIs:
