@@ -56,6 +56,8 @@ def main() -> None:
 
     sweep = Sweep({"rate": [5.0, 20.0], "bits": [4, 3]}, experiment)
     print(f"running {len(sweep)} experiments ...")
+    # progress fires per point as it is submitted, in grid order; a
+    # failed point comes back as a record with "error"/"error_kind"
     result = sweep.run(progress=lambda p: print(f"  {p}"))
     print()
     print(result.to_table(title="rate x bits sweep (quantized attack model)"))

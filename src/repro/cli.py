@@ -28,8 +28,8 @@ fuses inference and batch-norm kernels, ``reference`` is the bit-exact
 oracle); every training step and forward runs eagerly on it,
 ``--dtype {float32,float64}`` sets the compute-precision
 policy (``repro.precision``; float32 is the training default, float64
-restores the bit-exact wide path), ``--workers N`` fans sweep points
-and multi-bitwidth attack arms across worker processes
+restores the bit-exact wide path), ``--workers N`` fans the points of
+``sweep`` and multi-bitwidth ``attack`` across worker processes
 (``repro.parallel``; results are identical to a serial run),
 ``--ddp-workers N`` shards every training run across N data-parallel
 ranks sharing tensors through ``multiprocessing.shared_memory`` with a
@@ -72,6 +72,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import os
 import sys
 from typing import Optional, Sequence
@@ -175,18 +176,16 @@ def _checked_configs(args, command: str) -> tuple:
 def _attack_experiment(bits: int, rate: float, *, data: tuple,
                        dataset: str = "cifar", seed: int = 7,
                        epochs: int = 15, batch_size: int = 32,
-                       lr: float = 0.08, method: str = "target_correlated",
-                       backend: Optional[str] = None, rng=None) -> dict:
+                       lr: float = 0.08,
+                       method: str = "target_correlated") -> dict:
     """One full attack run reduced to a flat metrics record.
 
     Module-level (and partial-friendly) so ``repro sweep`` and the
     multi-bitwidth ``repro attack`` can bind it once and run it in
-    forked worker processes; ``backend`` is a name the worker resolves
-    against its own registry.  ``data`` is the ``(train, test)`` pair of
+    forked worker processes.  ``data`` is the ``(train, test)`` pair of
     ``dataset``, built once by the caller before the workers fork.
-    ``rng`` is accepted for ``Sweep(seed=...)``
-    compatibility but unused: every stage is already seeded explicitly,
-    which is what makes parallel and serial records identical.
+    Every stage is seeded explicitly, which is what makes parallel and
+    serial records identical.
     """
     ns = argparse.Namespace(dataset=dataset, rate=rate, epochs=epochs,
                             batch_size=batch_size, lr=lr, seed=seed,
@@ -195,8 +194,7 @@ def _attack_experiment(bits: int, rate: float, *, data: tuple,
     builder = _build_model_builder(dataset, train, seed)
     training, attack, quantization = _attack_configs(ns)
     result = run_quantized_correlation_attack(
-        train, test, builder, training, attack, quantization,
-        backend=backend)
+        train, test, builder, training, attack, quantization)
     quant = result.quantized
     return {
         "accuracy": round(result.uncompressed.accuracy, 6),
@@ -210,7 +208,11 @@ def _attack_experiment(bits: int, rate: float, *, data: tuple,
 
 def _cmd_attack(args) -> int:
     if len(args.bits) > 1:
-        return _cmd_attack_multi(args)
+        if args.out:
+            raise SystemExit("repro attack: --out takes a single --bits "
+                             "(use repro sweep --csv)")
+        return _cmd_sweep(argparse.Namespace(
+            **vars(args), rates=[args.rate], csv=None, point_timeout=None))
     args.bits = args.bits[0]
     training, attack, quantization = _checked_configs(args, "attack")
     train, test = _build_dataset(args.dataset, args.data_seed)
@@ -286,35 +288,18 @@ def _cmd_monitor(args) -> int:
     return 0
 
 
-def _cmd_attack_multi(args) -> int:
-    """Several bitwidths in one invocation: independent arms, optionally
-    fanned across ``--workers`` processes."""
-    from repro.pipeline import run_baseline_suite
-
-    data = _build_dataset(args.dataset, args.data_seed)
-    arms = {
-        f"{bits}-bit": functools.partial(
-            _attack_experiment, bits, args.rate, data=data,
-            dataset=args.dataset, seed=args.seed, epochs=args.epochs,
-            batch_size=args.batch_size, lr=args.lr, method=args.method,
-            backend=args.backend,
-        )
-        for bits in args.bits
-    }
-    suite = run_baseline_suite(arms, parallel=args.workers)
-    print(suite.to_table(title=f"attack arms ({args.dataset}, "
-                               f"rate {args.rate:g})"))
-    failed = suite.failures()
-    for record in failed.records:
-        print(f"arm {record['arm']} failed "
-              f"({record['error_kind']}): {record['error']}", file=sys.stderr)
-    return 1 if len(failed) else 0
-
-
 def _cmd_sweep(args) -> int:
-    """Cartesian bits x rate grid of attack runs via pipeline.sweep."""
+    """Cartesian bits x rate grid of attack runs via pipeline.sweep; the
+    multi-bit ``repro attack`` runs here too, as a one-rate grid."""
     from repro.pipeline.sweep import Sweep
 
+    # every point's configs and the timeout, before the dataset is built
+    for bits, rate in itertools.product(args.bits, args.rates):
+        _checked_configs(argparse.Namespace(**{**vars(args), "bits": bits,
+                                               "rate": rate}), args.command)
+    if args.point_timeout is not None and args.point_timeout <= 0:
+        raise SystemExit(f"repro {args.command}: --point-timeout must be "
+                         f"positive, got {args.point_timeout:g}")
     experiment = functools.partial(
         _attack_experiment,
         data=_build_dataset(args.dataset, args.data_seed),
@@ -737,8 +722,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "bit-exact wide path; metrics always "
                              "accumulate in float64)")
     parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for sweep points / attack "
-                             "arms (default: serial; results are identical)")
+                        help="worker processes for the points of sweep and "
+                             "multi-bit attack (default: serial; results "
+                             "are identical)")
     parser.add_argument("--ddp-workers", type=int, default=None, metavar="N",
                         help="data-parallel training ranks per run "
                              "(repro.parallel.ddp: shared-memory tensors, "
@@ -768,8 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--rate", type=float, default=20.0,
                         help="correlation rate for the deep layer group")
     attack.add_argument("--bits", type=int, nargs="+", default=[4],
-                        help="bitwidth(s); several values run as "
-                             "independent arms (see --workers)")
+                        help="bitwidth(s); several values run as a sweep "
+                             "at --rate (see --workers)")
     attack.add_argument("--method", default="target_correlated",
                         choices=["target_correlated", "weighted_entropy",
                                  "uniform", "kmeans"])

@@ -27,11 +27,11 @@ Six pieces:
   gradient slabs through an arena, with a deterministic tree-structured
   all-reduce (``Trainer(ddp_workers=N)``, the CLI's ``--ddp-workers``).
 
-Consumers: ``pipeline.sweep`` (``Sweep.run(parallel=N)``),
-``pipeline.baselines`` (:func:`run_baseline_suite`),
-``autograd.grad_check`` (parallel finite-difference probes),
-``repro.serve`` (:class:`~repro.serve.server.ModelServer` dispatch),
-and the CLI's global ``--workers`` flag.
+Consumers: ``pipeline.sweep`` (``Sweep.run(parallel=N)``, the one
+:class:`WorkerPool` user, behind ``repro sweep`` and multi-bit
+``repro attack`` with the CLI's global ``--workers`` flag),
+``repro.serve`` (:class:`~repro.serve.server.ModelServer` dispatch on a
+:class:`ShardPool`) and ``pipeline.trainer`` (``Trainer(ddp_workers=N)``).
 """
 
 from repro.parallel.arena import ArenaSpec, SharedTensorArena, cleanup_stale_segments

@@ -2,9 +2,9 @@
 
 :class:`WorkerPool` runs a list of :class:`Task`\\ s across worker
 processes and returns one :class:`TaskOutcome` per task, in task order.
-It is built for experiment fan-out (sweep points, baseline arms,
-finite-difference probes), so its failure model is per-task, never
-pool-wide:
+It is built for experiment fan-out (the points of
+:meth:`repro.pipeline.sweep.Sweep.run`), so its failure model is
+per-task, never pool-wide:
 
 * a task that **raises** produces an ``error_kind="exception"`` outcome
   and its siblings keep running;
@@ -16,10 +16,9 @@ pool-wide:
 
 Workers fork (see :mod:`repro.parallel.worker`): task functions and
 arguments travel by memory inheritance, never by pickling.  When
-``max_workers <= 1``, the platform cannot fork, or another start method
-is asked for, the pool runs the tasks in-process, serially, with
-identical outcome semantics (timeouts cannot preempt in-process and are
-ignored there).
+``max_workers <= 1`` or the platform cannot fork, the pool runs the
+tasks in-process, serially, with identical outcome semantics (timeouts
+cannot preempt in-process and are ignored there).
 
 Each worker resets its process-local :func:`repro.telemetry.metrics
 .default_registry` before a task and ships the metrics the task moved
@@ -144,15 +143,14 @@ class WorkerPool:
             retried -- they are deterministic).
         chunk_size: tasks handed to a worker per process fork; defaults
             to ``ceil(n / (workers * 4))`` for load balancing.
-        start_method: ``None`` or ``"fork"`` fork workers where the
-            platform can; any other valid start method runs serially.
+
+    Workers fork where the platform can; elsewhere the pool runs serially.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  timeout: Optional[float] = None,
                  retries: int = 1,
-                 chunk_size: Optional[int] = None,
-                 start_method: Optional[str] = None) -> None:
+                 chunk_size: Optional[int] = None) -> None:
         if timeout is not None and timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {timeout}")
         if retries < 0:
@@ -163,20 +161,14 @@ class WorkerPool:
         self.timeout = timeout
         self.retries = int(retries)
         self.chunk_size = chunk_size
-        self.start_method = "fork" if uses_fork(start_method, ConfigError) else None
-
-    # ------------------------------------------------------------- API
-    def map(self, fn: Callable[..., Any],
-            kwargs_list: Sequence[Mapping[str, Any]]) -> List[TaskOutcome]:
-        """Run ``fn(**kwargs)`` for each kwargs mapping."""
-        return self.run([Task(fn, kwargs=kw) for kw in kwargs_list])
+        self.forks = uses_fork(None, ConfigError)
 
     def run(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
         """Execute every task; outcomes are returned in task order."""
         tasks = list(tasks)
         if not tasks:
             return []
-        if self.max_workers <= 1 or self.start_method is None:
+        if self.max_workers <= 1 or not self.forks:
             return [_outcome(execute(_run_task, Unit(index, task)), 1)
                     for index, task in enumerate(tasks)]
         return self._run_pooled(tasks)

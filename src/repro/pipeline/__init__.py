@@ -17,7 +17,6 @@ from repro.pipeline.baselines import (
     make_quantizer,
     original_correlation_attack,
     quantize_and_finetune,
-    run_baseline_suite,
     train_benign,
 )
 from repro.pipeline.evaluation import AttackEvaluation, evaluate_attack
@@ -38,7 +37,6 @@ __all__ = [
     "Trainer", "TrainHistory",
     "AttackFlowResult", "run_quantized_correlation_attack",
     "train_benign", "original_correlation_attack", "quantize_and_finetune",
-    "run_baseline_suite",
     "make_quantizer", "AttackEvaluation", "evaluate_attack", "format_table",
     "format_records",
     "evaluation_to_dict", "attack_result_to_dict", "save_result", "load_result",

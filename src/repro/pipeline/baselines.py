@@ -5,7 +5,7 @@ quantize-with-any-method -- the comparison arms of Tables I/III/IV.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,45 +83,6 @@ def quantize_model_for_attack(
         return result
     quantizer = make_quantizer(config, target_images=target_images, flip=flip)
     return quantizer.quantize_model(model)
-
-
-def run_baseline_suite(
-    arms: Mapping[str, Callable[[], Mapping[str, Any]]],
-    parallel: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-) -> "SweepResult":
-    """Evaluate named baseline arms, optionally across worker processes.
-
-    Each arm is a zero-argument callable returning a metrics mapping
-    (e.g. a benign training run, the original uniform attack, or one
-    quantization method) -- the comparison columns of Tables I/III/IV.
-    The result is a :class:`~repro.pipeline.sweep.SweepResult` with one
-    record per arm, ``{"arm": name, **metrics}``; a raising, crashing
-    or timed-out arm becomes a failure record (``error`` /
-    ``error_kind`` keys) instead of aborting its siblings.
-
-    ``parallel=None`` or ``<= 1`` runs in-process; larger values fan
-    out through :class:`repro.parallel.WorkerPool` (records come back
-    in arm order either way).
-    """
-    from repro.parallel.pool import Task, WorkerPool
-    from repro.pipeline.sweep import ERROR_KEY, SweepResult
-
-    names = list(arms)
-    pool = WorkerPool(max_workers=parallel or 1, timeout=timeout,
-                      retries=retries)
-    outcomes = pool.run([Task(arms[name]) for name in names])
-    result = SweepResult()
-    for name, outcome in zip(names, outcomes):
-        record: dict = {"arm": name}
-        if outcome.ok:
-            record.update(outcome.value)
-        else:
-            record[ERROR_KEY] = outcome.error
-            record["error_kind"] = outcome.error_kind
-        result.records.append(record)
-    return result
 
 
 @dataclass

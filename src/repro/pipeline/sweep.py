@@ -20,7 +20,6 @@ import csv
 import itertools
 import numbers
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.errors import ConfigError
 from repro.pipeline.reporting import format_records
-from repro.telemetry.metrics import default_registry, flatten
+from repro.telemetry.metrics import flatten
 from repro.telemetry.trace import span
 
 #: Key marking a sweep record as a failed point.
@@ -118,7 +117,7 @@ def _run_point(experiment: Callable[..., Mapping[str, Any]],
                seed_seq: Optional[np.random.SeedSequence],
                index: int,
                backend: Optional[str] = None) -> Dict[str, Any]:
-    """Execute one grid point (a pooled task, or inline).
+    """Execute one grid point (a pool task, forked or in-process).
 
     ``backend`` is threaded by *name* and resolved against the worker's
     own backend registry.
@@ -141,12 +140,12 @@ class Sweep:
     the result is ``{**params, **metrics}``.
 
     With ``telemetry=True`` each record additionally carries its
-    wall-clock ``duration_s`` and a flattened metrics snapshot under
-    ``tm.*`` keys, so a sweep export doubles as a per-point cost trace.
-    Serial runs snapshot the cumulative default registry after each
-    point; pooled runs attach the worker's per-point snapshot (see
-    ``repro.parallel``).  Each point also runs inside a ``sweep.point``
-    span for Chrome-trace export.
+    wall-clock ``duration_s``; pooled points also carry the worker's
+    per-point metrics snapshot, flattened under ``tm.*`` keys (see
+    ``repro.parallel``), so a sweep export doubles as a per-point cost
+    trace.  In-process points carry no ``tm.*``: their metrics land in
+    the parent's registry directly.  Each point also runs inside a
+    ``sweep.point`` span for Chrome-trace export.
     """
 
     def __init__(self, grid: Mapping[str, Sequence[Any]],
@@ -165,46 +164,44 @@ class Sweep:
         return count
 
     def run(self, progress: Callable[[Dict[str, Any]], None] = None,
-            parallel: Optional[int] = None,
+            parallel: int = 1,
             seed: Optional[int] = None,
             timeout: Optional[float] = None,
             retries: int = 1,
             backend: Optional[str] = None) -> SweepResult:
         """Run every grid point and collect records.
 
+        A point whose experiment raises, crashes or times out becomes a
+        failure record (``error`` / ``error_kind`` keys, params kept);
+        ``run`` never raises for a failed point.
+
         Args:
             progress: per-point callback receiving the point's params
                 (called at submission time, in grid order).
-            parallel: ``None`` keeps the legacy in-line path where an
-                experiment exception propagates.  Any integer routes
-                through :class:`repro.parallel.WorkerPool` semantics --
-                failed points become failure records -- with ``<= 1``
-                executing in-process and ``> 1`` fanning out across
-                processes.  Serial and parallel runs produce identical
-                records (``telemetry=True`` keys excepted: durations
-                and snapshots are execution-dependent by nature).
+            parallel: worker processes of the
+                :class:`repro.parallel.WorkerPool`; ``<= 1`` runs the
+                points in-process, in grid order.  Serial and parallel
+                runs produce identical records (``telemetry=True`` keys
+                excepted: durations and snapshots are
+                execution-dependent by nature).
             seed: when given, point ``i`` receives an extra ``rng``
                 kwarg, a ``numpy`` Generator derived via
                 ``SeedSequence(seed).spawn`` by grid index -- identical
                 regardless of scheduling.
             timeout / retries: per-point budget and crash retry bound,
-                forwarded to the pool (ignored when ``parallel`` is
-                ``None``).
+                forwarded to the pool (a timeout cannot preempt an
+                in-process point).
             backend: kernel backend name scoped around every point --
                 threaded by name into worker processes, which resolve
                 it against their own registry.
         """
+        from repro.parallel.pool import Task, WorkerPool
+
         points = list(expand_grid(self.grid))
         seeds: List[Optional[np.random.SeedSequence]] = [None] * len(points)
         if seed is not None:
             from repro.parallel.seeding import spawn_sequences
             seeds = list(spawn_sequences(seed, len(points)))
-
-        if parallel is None:
-            with span("sweep", points=len(points), parallel=0):
-                return self._run_inline(points, seeds, progress, backend)
-
-        from repro.parallel.pool import Task, WorkerPool
         for params in points:
             if progress is not None:
                 progress(params)
@@ -228,25 +225,5 @@ class Sweep:
                 for kind_values in outcome.telemetry.values():
                     for name, value in flatten(kind_values).items():
                         record[f"tm.{name}"] = value
-            result.records.append(record)
-        return result
-
-    def _run_inline(self, points: List[Dict[str, Any]],
-                    seeds: List[Optional[np.random.SeedSequence]],
-                    progress: Callable[[Dict[str, Any]], None],
-                    backend: Optional[str] = None) -> SweepResult:
-        result = SweepResult()
-        for index, (params, seed_seq) in enumerate(zip(points, seeds)):
-            if progress is not None:
-                progress(params)
-            start = time.perf_counter()
-            metrics = _run_point(self.experiment, params, seed_seq, index, backend)
-            duration = time.perf_counter() - start
-            record = dict(params)
-            record.update(metrics)
-            if self.telemetry:
-                record["duration_s"] = duration
-                for name, value in default_registry().flat_snapshot().items():
-                    record[f"tm.{name}"] = value
             result.records.append(record)
         return result

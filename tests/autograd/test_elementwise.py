@@ -121,3 +121,18 @@ class TestUnaryForwardValues:
     def test_maximum_values(self):
         out = F.maximum(Tensor([1.0, 5.0]), Tensor([3.0, 2.0]))
         assert np.allclose(out.data, [3.0, 5.0])
+
+
+class TestGradCheckOracle:
+    def test_catches_a_wrong_backward(self):
+        from repro.autograd.function import Function
+
+        class BadDouble(Function):
+            def forward(self, a):
+                return a * 2.0
+
+            def backward(self, grad):
+                return (grad * 3.0,)  # wrong on purpose
+
+        with pytest.raises(AssertionError, match="gradient mismatch"):
+            grad_check(lambda a: F.sum(BadDouble.apply(a)), [randn(2, 3)])

@@ -69,7 +69,7 @@ def return_unpicklable():
 class TestHappyPath:
     def test_map_preserves_order(self):
         pool = WorkerPool(max_workers=3)
-        outcomes = pool.map(square, [{"x": i} for i in range(10)])
+        outcomes = pool.run([Task(square, (i,)) for i in range(10)])
         assert [o.value for o in outcomes] == [i * i for i in range(10)]
         assert all(o.ok and o.index == i for i, o in enumerate(outcomes))
 
@@ -83,7 +83,7 @@ class TestHappyPath:
 
     def test_chunked_scheduling_covers_everything(self):
         pool = WorkerPool(max_workers=2, chunk_size=3)
-        outcomes = pool.map(square, [{"x": i} for i in range(8)])
+        outcomes = pool.run([Task(square, (i,)) for i in range(8)])
         assert [o.value for o in outcomes] == [i * i for i in range(8)]
 
     def test_auto_worker_detection(self):
@@ -172,15 +172,18 @@ class TestSerialFallback:
         assert outcomes[1].error_kind == "exception"
         assert "bad point 2" in outcomes[1].error
 
-    def test_unpicklable_tasks_fall_back_to_serial(self):
-        pool = WorkerPool(max_workers=2, start_method="spawn")
+    def test_unpicklable_tasks_fall_back_to_serial(self, monkeypatch):
+        # a platform that cannot fork runs the pool serially
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        pool = WorkerPool(max_workers=2)
         outcomes = pool.run([Task(lambda: os.getpid())])
         assert outcomes[0].ok and outcomes[0].value == os.getpid()
 
     def test_serial_metrics_flow_into_parent_registry(self):
         registry = default_registry()
         registry.counter("pooltest.calls").reset()
-        WorkerPool(max_workers=1).map(count_calls, [{"x": i} for i in range(3)])
+        WorkerPool(max_workers=1).run([Task(count_calls, (i,)) for i in range(3)])
         assert registry.counter("pooltest.calls").value == 3.0
 
 
@@ -190,7 +193,7 @@ class TestTelemetryShipBack:
         registry.counter("pooltest.calls").reset()
         registry.histogram("pooltest.values").reset()
         pool = WorkerPool(max_workers=2)
-        outcomes = pool.map(count_calls, [{"x": float(i)} for i in range(5)])
+        outcomes = pool.run([Task(count_calls, (float(i),)) for i in range(5)])
         assert all(o.ok for o in outcomes)
         assert registry.counter("pooltest.calls").value == 5.0
         hist = registry.histogram("pooltest.values")
@@ -200,7 +203,7 @@ class TestTelemetryShipBack:
         # those of one registry observing all 20 values in-process
         values = [1.0] * 9 + [100.0]
         registry.histogram("pooltest.latency").reset()
-        outcomes = pool.map(observe_values, [{"values": values}] * 2)
+        outcomes = pool.run([Task(observe_values, (values,))] * 2)
         assert all(o.ok for o in outcomes)
         local = MetricsRegistry()
         observe_local = local.histogram("pooltest.latency").observe
@@ -213,7 +216,7 @@ class TestTelemetryShipBack:
 
     def test_outcome_carries_typed_snapshot(self):
         pool = WorkerPool(max_workers=2)
-        outcome = pool.map(count_calls, [{"x": 1.0}])[0]
+        outcome = pool.run([Task(count_calls, (1.0,))])[0]
         assert outcome.telemetry["counters"]["pooltest.calls"] == 1.0
 
 
@@ -229,10 +232,6 @@ class TestValidation:
     def test_bad_chunk_size(self):
         with pytest.raises(ConfigError):
             WorkerPool(chunk_size=0)
-
-    def test_bad_start_method(self):
-        with pytest.raises(ConfigError):
-            WorkerPool(start_method="teleport")
 
 
 class TestProperties:
@@ -257,7 +256,7 @@ class TestProperties:
     @settings(max_examples=15, deadline=None)
     def test_chunking_never_drops_tasks(self, n, workers, chunk):
         pool = WorkerPool(max_workers=workers, chunk_size=chunk)
-        outcomes = pool.map(square, [{"x": i} for i in range(n)])
+        outcomes = pool.run([Task(square, (i,)) for i in range(n)])
         assert [o.value for o in outcomes] == [i * i for i in range(n)]
 
 
@@ -292,7 +291,7 @@ class TestKernelShipBack:
     def test_worker_kernels_ride_on_merged_spans(self):
         from repro.telemetry import recording
 
-        pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
+        pool = WorkerPool(max_workers=2, chunk_size=1)
         with recording() as recorder:
             outcomes = pool.run([Task(run_kernels, (3,)),
                                  Task(run_kernels, (2,))])
@@ -305,7 +304,7 @@ class TestKernelShipBack:
     def test_outcome_spans_carry_kernel_totals(self):
         from repro.telemetry import recording
 
-        pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
+        pool = WorkerPool(max_workers=2, chunk_size=1)
         with recording():
             outcomes = pool.run([Task(run_kernels, (4,))])
         kernels = outcomes[0].spans[0]["attrs"]["kernels"]
@@ -313,7 +312,7 @@ class TestKernelShipBack:
         assert kernels["matmul"]["bytes"] == 4 * 3 * 8 * 8 * 8
 
     def test_no_kernel_accounting_without_recorder(self):
-        pool = WorkerPool(max_workers=2, chunk_size=1, start_method="fork")
+        pool = WorkerPool(max_workers=2, chunk_size=1)
         outcomes = pool.run([Task(run_kernels, (2,)),
                              Task(report_kernel_hook)])
         assert outcomes[0].ok and outcomes[0].spans == []
@@ -336,8 +335,7 @@ class TestKernelShipBack:
         tasks = [Task(run_kernels, (n,)) for n in (1, 2, 3)]
         totals = []
         for pool in (WorkerPool(max_workers=1),
-                     WorkerPool(max_workers=2, chunk_size=1,
-                                start_method="fork")):
+                     WorkerPool(max_workers=2, chunk_size=1)):
             with recording() as recorder, span("root"):
                 assert all(o.ok for o in pool.run(tasks))
             totals.append(kernel_calls(recorder.spans))

@@ -1,7 +1,8 @@
-"""CLI sweep subcommand and the global --workers flag."""
+"""CLI sweep subcommand, multi-bit attack and the global --workers flag."""
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -37,6 +38,74 @@ class TestParser:
         assert args.bits == [4, 3, 2]
 
 
+def fake_experiment(bits, rate, *, data, **_):
+    """Deterministic stand-in for ``cli._attack_experiment``."""
+    assert data == ("train", "test")
+    return {"q_accuracy": 0.5, "q_ssim": round(bits / 10 + rate / 100, 4)}
+
+
+@pytest.fixture
+def fake_runs(monkeypatch):
+    """Replace the dataset and the attack run; returns the list of
+    datasets built."""
+    built = []
+
+    def build_dataset(name, seed):
+        built.append(name)
+        return ("train", "test")
+
+    monkeypatch.setattr(cli, "_build_dataset", build_dataset)
+    monkeypatch.setattr(cli, "_attack_experiment", fake_experiment)
+    return built
+
+
+class TestOneRunner:
+    @pytest.mark.parametrize("workers", [[], ["--workers", "2"]])
+    def test_multi_bit_attack_prints_the_sweep_records(self, fake_runs,
+                                                       capsys, workers):
+        assert main([*workers, "attack", "--bits", "4", "3",
+                     "--rate", "5"]) == 0
+        attack = capsys.readouterr().out
+        assert main([*workers, "sweep", "--bits", "4", "3",
+                     "--rates", "5"]) == 0
+        assert capsys.readouterr().out == attack
+        assert "2-point sweep" in attack
+        assert "best SSIM: bits=4 rate=5 (ssim 0.450" in attack
+
+    def test_failed_point_exits_1(self, fake_runs, monkeypatch):
+        def failing(bits, rate, **_):
+            raise RuntimeError("diverged")
+
+        monkeypatch.setattr(cli, "_attack_experiment", failing)
+        assert main(["attack", "--bits", "4", "3"]) == 1
+
+    def test_out_needs_a_single_bits(self, fake_runs, tmp_path):
+        out = tmp_path / "res.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "--bits", "4", "3", "--out", str(out)])
+        assert str(exc.value) == ("repro attack: --out takes a single "
+                                  "--bits (use repro sweep --csv)")
+        assert fake_runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--bits", "4", "0"],
+         "repro sweep: bits must be in [1, 16], got 0"),
+        (["sweep", "--rates", "5", "-1"],
+         "repro sweep: correlation rates must be non-negative"),
+        (["attack", "--bits", "4", "17"],
+         "repro attack: bits must be in [1, 16], got 17"),
+        (["sweep", "--point-timeout", "0"],
+         "repro sweep: --point-timeout must be positive, got 0"),
+    ], ids=["bits-0", "rate-negative", "attack-bits-17", "timeout-0"])
+    def test_bad_grid_value_fails_before_the_dataset(self, fake_runs, argv,
+                                                     message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value).startswith(message)
+        assert "\n" not in str(exc.value)
+        assert fake_runs == []
+
+
 @pytest.mark.slow
 class TestEndToEnd:
     def test_sweep_smoke_parallel(self, tmp_path, capsys):
@@ -57,5 +126,5 @@ class TestEndToEnd:
                      "--epochs", "1", "--batch-size", "64"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "attack arms" in out
-        assert "4-bit" in out and "3-bit" in out
+        assert "2-point sweep" in out
+        assert "best SSIM: bits=" in out

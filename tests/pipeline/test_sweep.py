@@ -141,11 +141,20 @@ class TestSweepTelemetry:
 
     def test_telemetry_adds_duration_and_snapshot(self):
         from repro.telemetry import default_registry
-        default_registry().counter("sweep.test.counter").inc(3)
-        result = Sweep({"x": [1, 2]}, lambda x: {"y": x}, telemetry=True).run()
-        for record in result.records:
+
+        def experiment(x):
+            default_registry().counter("sweep.test.counter").inc(3)
+            return {"y": x}
+
+        sweep = Sweep({"x": [1, 2]}, experiment, telemetry=True)
+        # pooled points carry their own worker's snapshot, not a total
+        for record in sweep.run(parallel=2).records:
             assert record["duration_s"] >= 0.0
-            assert record["tm.sweep.test.counter"] >= 3.0
+            assert record["tm.sweep.test.counter"] == 3.0
+        # in-process points: the metrics land in this process's registry
+        for record in sweep.run().records:
+            assert record["duration_s"] >= 0.0
+            assert not any(key.startswith("tm.") for key in record)
 
     def test_points_emit_spans(self):
         from repro.telemetry import recording

@@ -86,9 +86,12 @@ class TestFailureRecords:
         assert "diverged at 3" in record[ERROR_KEY]
         assert record["error_kind"] == "exception"
 
-    def test_legacy_inline_path_still_raises(self):
-        with pytest.raises(RuntimeError):
-            Sweep({"x": [3]}, flaky_experiment).run()
+    def test_default_run_records_a_raising_point(self):
+        result = Sweep({"x": [3, 4]}, flaky_experiment).run()
+        failed, ok = result.records
+        assert failed["x"] == 3 and failed["error_kind"] == "exception"
+        assert "diverged at 3" in failed[ERROR_KEY]
+        assert ok == {"x": 4, "y": 40}
 
     def test_best_skips_failures(self):
         result = Sweep({"x": [0, 1, 2]}, flaky_experiment).run(parallel=2)
@@ -114,10 +117,10 @@ class TestPooledTelemetry:
         for record in result.records:
             assert record["duration_s"] >= 0.0
 
-    @pytest.mark.parametrize("parallel", [None, 2])
+    @pytest.mark.parametrize("parallel", [2])
     def test_telemetry_records_hold_only_scalars(self, parallel):
         # histogram snapshots carry a bucket vector; records flatten it
-        # away on the serial and pooled paths alike
+        # away
         sweep = Sweep({"x": [1, 2]}, timed_experiment, telemetry=True)
         for record in sweep.run(parallel=parallel).records:
             tm = {k: v for k, v in record.items() if k.startswith("tm.")}

@@ -83,14 +83,16 @@ class TestMisusedAPIs:
         with pytest.raises(ConfigError):
             group_by_layer_ranges(model, ((2, 1),), (1.0,))
 
-    def test_sweep_with_failing_experiment_propagates(self):
+    def test_sweep_with_failing_experiment_records_failure(self):
         from repro.pipeline import Sweep
 
         def boom(x):
             raise RuntimeError("experiment exploded")
 
-        with pytest.raises(RuntimeError):
-            Sweep({"x": [1]}, boom).run()
+        record, = Sweep({"x": [1]}, boom).run().records
+        assert record["x"] == 1
+        assert record["error_kind"] == "exception"
+        assert "experiment exploded" in record["error"]
 
     def test_dataloader_rejects_scalar_labels(self):
         from repro.nn import DataLoader
