@@ -13,8 +13,8 @@ a real conv net that per-step numpy work dwarfs the per-step barrier
 cost; a dispatch-bound workload (tiny batches) would measure fork
 overhead instead of scaling.  Losses are not compared bit-exactly here
 (per-rank batch-norm statistics make multi-rank training a *different*
-but equally valid run -- ``tests/integration/test_ddp_golden.py`` pins
-the behavioural contract); this gate checks the loss stays finite and
+but equally valid run -- the DDP rows of
+``tests/contract/test_mode_contract.py`` pin the behavioural contract); this gate checks the loss stays finite and
 the run really was data-parallel.
 
 The timings are printed with ``-s``.  Marked ``slow`` and

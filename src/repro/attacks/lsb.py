@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.nn.module import Module, Parameter
+from repro.nn.module import Parameter
 
 
 def lsb_capacity_bits(params: Sequence[Parameter], bits_per_weight: int) -> int:
@@ -88,9 +88,3 @@ def lsb_decode(params: Sequence[Parameter], num_bits: int, bits_per_weight: int)
                 out[offset] = (values[weight_index] >> np.uint32(shift)) & np.uint32(1)
                 offset += 1
     return out
-
-
-def model_weight_params(model: Module) -> list:
-    """Convenience: the encodable weight parameters of a model."""
-    from repro.models.introspect import encodable_parameters
-    return [p for _, p in encodable_parameters(model)]

@@ -22,23 +22,11 @@ import numpy as np
 from repro import backend as _backend
 from repro.autograd.function import Function
 from repro.autograd.tensor import Tensor, is_grad_enabled
-from repro.backend import reference as _reference
 from repro.errors import ShapeError
 
 # ---------------------------------------------------------------------------
 # im2col machinery (public API; dispatches to the active backend)
 # ---------------------------------------------------------------------------
-
-
-def _conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
-    return _reference.conv_output_size(size, kernel, stride, padding)
-
-
-def _im2col_indices(
-    shape: Tuple[int, int, int, int], kh: int, kw: int, stride: int, padding: int
-):
-    """Index arrays that gather conv patches into columns (CS231n style)."""
-    return _reference.im2col_indices(shape, kh, kw, stride, padding)
 
 
 def im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Pluggable kernel-dispatch layer for the autograd/nn hot paths.
 
 Importing this package registers the two built-in backends and makes
-``reference`` the active default:
+``reference`` the process default (the ``repro`` CLI selects ``fast``
+unless given ``--backend reference``):
 
 * :mod:`repro.backend.reference` -- the original numpy kernels,
   verbatim; the correctness oracle.

@@ -21,11 +21,12 @@ Subcommands:
   trace it names.
 * ``info``         -- versions, platform, backends and registered metrics.
 
-Global flags (before the subcommand): ``--backend {reference,fast}``
+Global flags (before the subcommand): ``--backend {fast,reference}``
 selects the kernel backend every op dispatches through
-(``repro.backend``; ``fast`` gathers conv patches with tap slices and
-fuses inference and batch-norm kernels, ``reference`` is the bit-exact
-oracle); every training step and forward runs eagerly on it,
+(``repro.backend``; ``fast``, the default, gathers conv patches with
+tap slices and fuses inference and batch-norm kernels; ``reference``
+with ``--dtype float64`` is the bit-exact oracle); every training step
+and forward runs eagerly on it,
 ``--dtype {float32,float64}`` sets the compute-precision
 policy (``repro.precision``; float32 is the training default, float64
 restores the bit-exact wide path), ``--workers N`` fans the points of
@@ -44,7 +45,7 @@ on them),
 Examples::
 
     python -m repro.cli attack --bits 4 --rate 20 --epochs 15
-    python -m repro.cli --backend fast attack --bits 4 --epochs 15
+    python -m repro.cli --backend reference --dtype float64 attack --bits 4
     python -m repro.cli --workers 4 attack --bits 4 3 2 --epochs 15
     python -m repro.cli --workers 4 sweep --bits 4 3 --rates 5 20 --epochs 5
     python -m repro.cli attack --dataset faces --bits 3 --out result.json
@@ -63,7 +64,7 @@ Examples::
     python -m repro.cli analyze serve.trace.json --top 10
     python -m repro.cli --trace-out t.json attack --epochs 1 && \
         python -m repro.cli analyze t.json
-    python -m repro.cli --backend fast --dtype float64 --trace-out f64.json \
+    python -m repro.cli --dtype float64 --trace-out f64.json \
         benign --dataset digits --epochs 1 && python -m repro.cli analyze f64.json
 """
 
@@ -710,11 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="DAC'20 compressed-model data-stealing reproduction"
     )
-    parser.add_argument("--backend", default="reference",
+    parser.add_argument("--backend", default="fast",
                         choices=_backend.available_backends(),
                         help="kernel backend for all op dispatch "
-                             "(fast: tap-slice gathers + fused inference; "
-                             "reference: the bit-exact oracle)")
+                             "(fast, the default: tap-slice gathers + fused "
+                             "inference; reference: the bit-exact oracle)")
     parser.add_argument("--dtype", default="float32",
                         choices=["float32", "float64"],
                         help="compute-precision policy for tensors, "
@@ -930,9 +931,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# every flag that names a file the run writes, by argparse dest
+_OUTPUT_FLAGS = {"trace_out": "--trace-out", "log_out": "--log-out",
+                 "out": "--out", "csv": "--csv", "timeseries": "--timeseries",
+                 "save_trace": "--save-trace", "manifest_out": "--manifest-out"}
+
+
+def _check_output_dirs(args) -> None:
+    """End an output path whose directory does not exist as one line,
+    before any work whose results the failed write would lose."""
+    for dest, flag in _OUTPUT_FLAGS.items():
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise SystemExit(f"repro {args.command}: {flag} {path}: "
+                             f"no such directory")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_output_dirs(args)
 
     stream = None
     if args.log_out is None and args.log_level in ("debug", "info"):

@@ -1,4 +1,4 @@
-"""Weight initializers (Kaiming / Xavier families).
+"""Weight initializers (the Kaiming family).
 
 All initializers take an explicit ``numpy.random.Generator`` so that
 model construction is fully deterministic given a seed.
@@ -12,46 +12,22 @@ from typing import Tuple
 import numpy as np
 
 
-def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
+def _fan_in(shape: Tuple[int, ...]) -> int:
     if len(shape) == 2:  # Linear: (out, in)
-        fan_out, fan_in = shape
-    elif len(shape) == 4:  # Conv: (out, in, kh, kw)
-        receptive = shape[2] * shape[3]
-        fan_in = shape[1] * receptive
-        fan_out = shape[0] * receptive
-    else:
-        fan_in = fan_out = int(np.prod(shape))
-    return fan_in, fan_out
+        return shape[1]
+    if len(shape) == 4:  # Conv: (out, in, kh, kw)
+        return shape[1] * shape[2] * shape[3]
+    return int(np.prod(shape))
 
 
 def kaiming_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """He-normal init, appropriate before ReLU nonlinearities."""
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     std = math.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
 
 
 def kaiming_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = _fan_in_out(shape)
+    fan_in = _fan_in(shape)
     bound = math.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    std = math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def ones(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.ones(shape)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 import time
 import uuid
 from collections import deque
@@ -96,9 +95,6 @@ class EventLogger:
         self._handle: Optional[TextIO] = None
         if path is not None:
             self._handle = open(path, "a", encoding="utf-8")
-
-    def set_level(self, level: Union[str, int]) -> None:
-        self.level = _level_value(level)
 
     def is_enabled(self, level: Union[str, int]) -> bool:
         return _level_value(level) >= self.level

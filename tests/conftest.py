@@ -89,3 +89,12 @@ def trained_attack():
         quantization=None,
     )
     return {"result": result, "train": train, "test": test}
+
+
+@pytest.fixture(scope="session")
+def runs(tmp_path_factory):
+    """The golden attack flow, run once per execution mode on first use
+    (see :mod:`tests.contract.test_mode_contract`)."""
+    from tests.contract.test_mode_contract import Runs
+
+    return Runs(tmp_path_factory)

@@ -1,108 +1,32 @@
-"""Golden end-to-end regression: fixed-seed attack -> quantize -> decode.
+"""Golden end-to-end regression at the process default (``ref/f32``).
 
-Checked-in expected values (captured from the seed configuration below)
-guard the paper's headline numbers -- accuracy, PSNR, SSIM, MAPE,
-recognizability -- against silent regression anywhere in the pipeline.
-Bands are wide enough to absorb BLAS/platform float drift but far
-tighter than any behavioral change: a broken encoder, decoder,
-quantizer or trainer moves these numbers by multiples of the band.
+Each test asserts one part of the contract row ``ref/f32~golden:band``
+of :mod:`tests.contract.test_mode_contract`, which holds the golden
+configuration, the ``GOLDEN`` numbers and their bands; the run is the
+session cache ``runs``, shared with the contract.
 """
 
-import numpy as np
 import pytest
+
+from tests.contract import test_mode_contract as contract
 
 pytestmark = pytest.mark.slow
 
-from repro.datasets import SyntheticCifarConfig, make_synthetic_cifar, train_test_split
-from repro.metrics.psnr import batch_psnr
-from repro.models import resnet8_tiny
-from repro.pipeline import (
-    AttackConfig,
-    QuantizationConfig,
-    TrainingConfig,
-    run_quantized_correlation_attack,
-)
-
-# Expected values for the fixed-seed run below, with tolerance bands.
-GOLDEN = {
-    "encoded_images": 23,          # exact: pure capacity arithmetic
-    "uncompressed_accuracy": (0.9167, 0.10),
-    "quantized_accuracy": (0.9583, 0.10),
-    "quantized_ssim": (0.1944, 0.05),
-    "quantized_psnr": (14.40, 1.50),
-    "quantized_mape": (39.43, 6.0),
-    "recognized_count": (18, 5),
-}
-
-
-@pytest.fixture(scope="module")
-def golden_run():
-    data = make_synthetic_cifar(
-        SyntheticCifarConfig(num_images=120, num_classes=4, image_size=16, seed=11)
-    )
-    train, test = train_test_split(data, test_fraction=0.2, seed=0)
-    return run_quantized_correlation_attack(
-        train, test,
-        lambda: resnet8_tiny(num_classes=4, in_channels=3, width=8,
-                             rng=np.random.default_rng(7)),
-        TrainingConfig(epochs=6, batch_size=32, lr=0.08, seed=0),
-        AttackConfig(layer_ranges=((1, 3), (4, -1)), rates=(0.0, 20.0),
-                     std_window=8.0),
-        QuantizationConfig(bits=4, method="target_correlated",
-                           finetune_epochs=1),
-    )
-
-
-def within(value, expected_band):
-    expected, band = expected_band
-    return abs(value - expected) <= band
+MODE = "ref/f32"
 
 
 class TestGoldenNumbers:
-    def test_payload_capacity_exact(self, golden_run):
-        assert golden_run.encoded_images == GOLDEN["encoded_images"]
+    def test_payload_capacity_exact(self, runs):
+        contract.assert_capacity(runs[MODE])
 
-    def test_accuracy(self, golden_run):
-        assert within(golden_run.uncompressed.accuracy,
-                      GOLDEN["uncompressed_accuracy"])
-        assert within(golden_run.quantized.accuracy,
-                      GOLDEN["quantized_accuracy"])
+    def test_accuracy(self, runs):
+        contract.assert_accuracy(runs[MODE])
 
-    def test_reconstruction_quality(self, golden_run):
-        quant = golden_run.quantized
-        assert within(quant.mean_ssim, GOLDEN["quantized_ssim"])
-        assert within(quant.mean_mape, GOLDEN["quantized_mape"])
-        psnr = batch_psnr(quant.originals, quant.reconstructions)
-        assert np.isfinite(psnr).all()
-        assert within(float(psnr.mean()), GOLDEN["quantized_psnr"])
+    def test_reconstruction_quality(self, runs):
+        contract.assert_reconstruction(runs[MODE])
 
-    def test_recognizability(self, golden_run):
-        assert within(golden_run.quantized.recognized_count,
-                      GOLDEN["recognized_count"])
+    def test_recognizability(self, runs):
+        contract.assert_recognizability(runs[MODE])
 
-    def test_quantized_weights_use_16_levels(self, golden_run):
-        from repro.models import encodable_parameters
-        for _, param in encodable_parameters(golden_run.model):
-            assert len(np.unique(param.data)) <= 16
-
-    def test_rerun_is_bit_identical(self, golden_run):
-        """The flow is fully seeded: a second run reproduces the decoded
-        images exactly, so the banded asserts above never flake locally."""
-        data = make_synthetic_cifar(
-            SyntheticCifarConfig(num_images=120, num_classes=4,
-                                 image_size=16, seed=11)
-        )
-        train, test = train_test_split(data, test_fraction=0.2, seed=0)
-        again = run_quantized_correlation_attack(
-            train, test,
-            lambda: resnet8_tiny(num_classes=4, in_channels=3, width=8,
-                                 rng=np.random.default_rng(7)),
-            TrainingConfig(epochs=6, batch_size=32, lr=0.08, seed=0),
-            AttackConfig(layer_ranges=((1, 3), (4, -1)), rates=(0.0, 20.0),
-                         std_window=8.0),
-            QuantizationConfig(bits=4, method="target_correlated",
-                               finetune_epochs=1),
-        )
-        assert np.array_equal(again.quantized.reconstructions,
-                              golden_run.quantized.reconstructions)
-        assert again.quantized.accuracy == golden_run.quantized.accuracy
+    def test_quantized_weights_use_16_levels(self, runs):
+        contract.assert_levels(runs[MODE])

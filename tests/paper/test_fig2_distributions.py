@@ -12,17 +12,15 @@ Paper claims quantified here:
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import LAMBDA_SWEEP, run_once
 from repro.metrics import histogram_overlap
 from repro.models import parameter_vector
 from repro.pipeline.reporting import format_table
 from repro.preprocessing import select_by_std_range
+from tests.paper.experiments import LAMBDA_SWEEP
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2a_weight_distribution_reshaping(cache, benchmark):
+def test_fig2a_weight_distribution_reshaping(cache):
     lam_low, _, lam_high = LAMBDA_SWEEP
 
     def experiment():
@@ -40,7 +38,7 @@ def test_fig2a_weight_distribution_reshaping(cache, benchmark):
         }
         return overlaps
 
-    overlaps = run_once(benchmark, experiment)
+    overlaps = experiment()
 
     print()
     print(format_table(
@@ -55,8 +53,7 @@ def test_fig2a_weight_distribution_reshaping(cache, benchmark):
     assert overlaps[f"lambda={lam_high:g}"] >= overlaps[f"lambda={lam_low:g}"] - 0.05
 
 
-@pytest.mark.benchmark(group="fig2")
-def test_fig2b_pixel_distributions_by_std(cache, benchmark):
+def test_fig2b_pixel_distributions_by_std(cache):
     """Images in the std window around the dataset mean have the most
     *typical* pixel distribution -- the property the Sec. IV-A selection
     rule exploits (an attacked model's weights mirror the typical pixel
@@ -81,7 +78,7 @@ def test_fig2b_pixel_distributions_by_std(cache, benchmark):
             typicality[label] = histogram_overlap(pixels, full)
         return typicality
 
-    typicality = run_once(benchmark, experiment)
+    typicality = experiment()
 
     print()
     print(format_table(

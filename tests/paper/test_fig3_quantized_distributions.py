@@ -9,19 +9,16 @@ weight vector and the unquantized attacked weights, at 32 levels
 (5-bit), exactly the figure's setting.
 """
 
-import pytest
-
-from benchmarks.conftest import LAMBDA_SWEEP, run_once
 from repro.metrics import histogram_overlap, ks_distance
 from repro.pipeline.reporting import format_table
 from repro.quantization import TargetCorrelatedQuantizer, WeightedEntropyQuantizer
 from repro.quantization.target_correlated import detect_flip
+from tests.paper.experiments import LAMBDA_SWEEP
 
 LEVELS = 32  # the figure's "32 quantization levels"
 
 
-@pytest.mark.benchmark(group="fig3")
-def test_fig3_quantizer_distribution_preservation(cache, benchmark):
+def test_fig3_quantizer_distribution_preservation(cache):
     def experiment():
         attack = cache.original_attack("rgb", LAMBDA_SWEEP[1])
         group = next(g for g in attack.groups if g.payload is not None)
@@ -40,7 +37,7 @@ def test_fig3_quantizer_distribution_preservation(cache, benchmark):
             }
         return results
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     print()
     print(format_table(

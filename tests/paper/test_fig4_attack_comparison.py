@@ -11,16 +11,13 @@ rate, while Comb restores accuracy and recognizable-image counts to
 near-uncompressed levels.
 """
 
-import pytest
-
-from benchmarks.conftest import BITS_SWEEP, LAMBDA_SWEEP, run_once
 from repro.pipeline.reporting import format_table, percent
+from tests.paper.experiments import BITS_SWEEP, LAMBDA_SWEEP
 
 BITS = BITS_SWEEP[1]  # mid-sweep (paper uses its 4-bit point)
 
 
-@pytest.mark.benchmark(group="fig4")
-def test_fig4_three_arm_comparison(cache, benchmark):
+def test_fig4_three_arm_comparison(cache):
     def experiment():
         results = {}
         for lam in LAMBDA_SWEEP:
@@ -32,7 +29,7 @@ def test_fig4_three_arm_comparison(cache, benchmark):
             results[lam] = {"Cor": cor, "Cor+WQ": cor_wq, "Comb": comb}
         return results
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     rows = []
     for lam, arms in results.items():

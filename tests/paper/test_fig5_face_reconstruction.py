@@ -1,16 +1,15 @@
 """Fig. 5 -- reconstructed face images: our quantized attack vs. the
 original weighted-entropy quantization at 3 bits (eight gray levels).
 
-The paper shows the qualitative face grid; this bench quantifies the
+The paper shows the qualitative face grid; this test quantifies the
 same comparison as per-image MAPE / SSIM series over the embedded faces
 plus an ASCII rendering of the first reconstructed face from each arm.
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import FACE_BITS, run_once
 from repro.pipeline.reporting import format_table
+from tests.paper.experiments import FACE_BITS
 
 _ASCII_LEVELS = " .:-=+*#%@"
 
@@ -29,8 +28,7 @@ def ascii_face(image: np.ndarray, width: int = 24) -> str:
     return "\n".join(rows)
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_face_reconstruction_quality(face_experiment, benchmark):
+def test_fig5_face_reconstruction_quality(face_experiment):
     attack = face_experiment.attack
 
     def experiment():
@@ -38,7 +36,7 @@ def test_fig5_face_reconstruction_quality(face_experiment, benchmark):
         original = attack.quantize(FACE_BITS, "weighted_entropy")
         return proposed, original
 
-    proposed, original = run_once(benchmark, experiment)
+    proposed, original = experiment()
 
     count = min(8, proposed.encoded_images)
     rows = []

@@ -11,14 +11,11 @@ Paper numbers (ResNet-34 / CIFAR-10, 151 encoded RGB images):
     lambda=10: 4b 75 / 75.46%
 """
 
-import pytest
-
-from benchmarks.conftest import BITS_SWEEP, LAMBDA_SWEEP, PAPER_BITS, PAPER_LAMBDAS, run_once
 from repro.pipeline.reporting import format_table, percent
+from tests.paper.experiments import BITS_SWEEP, LAMBDA_SWEEP, PAPER_BITS, PAPER_LAMBDAS
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_weq_defense(cache, benchmark):
+def test_table1_weq_defense(cache):
     lam_low, lam_mid, lam_high = LAMBDA_SWEEP
     lowest_bits = BITS_SWEEP[-1]
 
@@ -36,7 +33,7 @@ def test_table1_weq_defense(cache, benchmark):
             rows.append((lam, lowest_bits, attack.quantize(lowest_bits, "weighted_entropy")))
         return baseline, rows
 
-    baseline, rows = run_once(benchmark, experiment)
+    baseline, rows = experiment()
 
     table_rows = [
         [f"{lam:g}", bits, ev.recognized_count, f"{ev.encoded_images}",

@@ -9,13 +9,10 @@ deep group much more than group 1:
     lambda=10: group1 48%,  group2 32.1%, group3 15.1% bad
 """
 
-import numpy as np
-import pytest
-
-from benchmarks.conftest import LAMBDA_SWEEP, run_once
 from repro.attacks.decoder import decode_images
 from repro.metrics import batch_mape
 from repro.pipeline.reporting import format_table
+from tests.paper.experiments import LAMBDA_SWEEP
 
 
 def per_group_bad_fraction(attack, threshold=20.0):
@@ -30,8 +27,7 @@ def per_group_bad_fraction(attack, threshold=20.0):
     return out
 
 
-@pytest.mark.benchmark(group="table2")
-def test_table2_group_encoding_quality(cache, benchmark):
+def test_table2_group_encoding_quality(cache):
     def experiment():
         results = {}
         for lam in LAMBDA_SWEEP:
@@ -39,7 +35,7 @@ def test_table2_group_encoding_quality(cache, benchmark):
             results[lam] = per_group_bad_fraction(attack)
         return results
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     group_names = sorted(next(iter(results.values())).keys())
     rows = []

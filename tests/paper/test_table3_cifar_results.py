@@ -13,14 +13,13 @@ MAPE, accuracy and recognized-image count.  Key claims:
 
 import pytest
 
-from benchmarks.conftest import BITS_SWEEP as BITS
-from benchmarks.conftest import LAMBDA_SWEEP, run_once
 from repro.pipeline.reporting import format_table, percent
+from tests.paper.experiments import BITS_SWEEP as BITS
+from tests.paper.experiments import LAMBDA_SWEEP
 
 
-@pytest.mark.benchmark(group="table3")
 @pytest.mark.parametrize("color", ["gray", "rgb"])
-def test_table3_full_comparison(cache, benchmark, color):
+def test_table3_full_comparison(cache, color):
     def experiment():
         results = {}
         for lam in LAMBDA_SWEEP:
@@ -35,7 +34,7 @@ def test_table3_full_comparison(cache, benchmark, color):
             }
         return results
 
-    results = run_once(benchmark, experiment)
+    results = experiment()
 
     rows = []
     for lam, entry in results.items():

@@ -11,14 +11,10 @@ metric and slightly beats it on accuracy; the uncompressed model upper-
 bounds both.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
 from repro.pipeline.reporting import format_table, percent
 
 
-@pytest.mark.benchmark(group="table4")
-def test_table4_face_quantization(face_experiment, benchmark):
+def test_table4_face_quantization(face_experiment):
     attack = face_experiment.attack
     uncompressed = face_experiment.uncompressed
 
@@ -27,7 +23,7 @@ def test_table4_face_quantization(face_experiment, benchmark):
         original = attack.quantize(3, "weighted_entropy")
         return proposed, original
 
-    proposed, original = run_once(benchmark, experiment)
+    proposed, original = experiment()
 
     rows = []
     for name, ev in [("uncompressed", uncompressed),

@@ -1,8 +1,8 @@
 """DDP runtime: reduction schedule, determinism, equivalence, hygiene.
 
 The heavyweight behavioural guarantee -- attack metrics inside the
-golden bands at 2 and 4 workers -- lives in
-``tests/integration/test_ddp_golden.py``; here we pin the mechanisms:
+golden bands at 1, 2 and 4 workers -- is the DDP rows of
+``tests/contract/test_mode_contract.py``; here we pin the mechanisms:
 the fixed reduction order, bit-identical repeat runs, serial
 equivalence for a batch-norm-free model, the no-pickling control plane,
 and crash/teardown behaviour.

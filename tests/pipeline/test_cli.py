@@ -204,7 +204,10 @@ class TestTelemetryCli:
         assert any(e["name"] == "trainer.epoch" for e in data["traceEvents"])
 
     def test_trace_out_unwritable_path_errors_cleanly(self, tmp_path, capsys):
-        trace = tmp_path / "no-such-dir" / "trace.json"
+        # its directory exists (a missing one ends the run before it
+        # starts, see test_cli_sweep.py), but the path is a directory
+        trace = tmp_path / "trace.json"
+        trace.mkdir()
         code = main(["--trace-out", str(trace), "info"])
         assert code == 1
         err = capsys.readouterr().err

@@ -105,6 +105,23 @@ class TestOneRunner:
         assert "\n" not in str(exc.value)
         assert fake_runs == []
 
+    @pytest.mark.parametrize("command, flag, argv", [
+        ("sweep", "--csv", ["sweep", "--bits", "4", "--csv", "PATH"]),
+        ("attack", "--out", ["attack", "--bits", "4", "--out", "PATH"]),
+        ("monitor", "--out", ["monitor", "--out", "PATH"]),
+        ("loadgen", "--out", ["loadgen", "--demo", "--out", "PATH"]),
+        ("attack", "--trace-out", ["--trace-out", "PATH", "attack"]),
+    ], ids=["sweep-csv", "attack-out", "monitor-out", "loadgen-out",
+            "trace-out"])
+    def test_missing_output_dir_fails_before_the_dataset(
+            self, fake_runs, tmp_path, command, flag, argv):
+        path = str(tmp_path / "no-such-dir" / "x.json")
+        with pytest.raises(SystemExit) as exc:
+            main([path if arg == "PATH" else arg for arg in argv])
+        assert str(exc.value) == (f"repro {command}: {flag} {path}: "
+                                  f"no such directory")
+        assert fake_runs == []
+
 
 @pytest.mark.slow
 class TestEndToEnd:

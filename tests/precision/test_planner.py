@@ -186,3 +186,35 @@ class TestTrainingWithPlanner:
                 results[name] = [p.grad.copy() for p in model.parameters()]
         for g_fast, g_ref in zip(results["fast"], results["reference"]):
             np.testing.assert_allclose(g_fast, g_ref, rtol=1e-4, atol=1e-6)
+
+
+def _resnet_epoch_stats():
+    """Tape stats of one float32 fast-backend training epoch of
+    resnet8_tiny (192 16x16 RGB images, batch 64)."""
+    from repro import precision
+    from repro.models import resnet8_tiny
+    from repro.pipeline.config import TrainingConfig
+    from repro.pipeline.trainer import Trainer
+
+    rng = np.random.default_rng(123)
+    inputs = rng.normal(size=(192, 3, 16, 16))
+    labels = rng.integers(0, 6, size=192)
+    with precision.use_dtype("float32"):
+        model = resnet8_tiny(num_classes=6, in_channels=3, width=8,
+                             rng=np.random.default_rng(124))
+    config = TrainingConfig(epochs=1, batch_size=64, lr=0.05, seed=123)
+    Trainer(model, inputs, labels, config, backend="fast",
+            dtype="float32").train_epoch()
+    return last_tape_stats()
+
+
+class TestTrainingEpochPlan:
+    def test_peak_saved_bytes_cut_by_30_percent(self):
+        stats = _resnet_epoch_stats()
+        assert stats is not None and stats.functions > 0
+        assert stats.peak_reduction >= 0.30
+
+    def test_planner_books_balance(self):
+        stats = _resnet_epoch_stats()
+        assert stats.released_bytes == stats.total_saved_bytes
+        assert stats.peak_live_bytes <= stats.unplanned_peak_bytes
