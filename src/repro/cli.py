@@ -12,7 +12,9 @@ Subcommands:
   artifacts (``repro.serve``): deadline coalescing, sharded workers,
   live latency telemetry as Prometheus text on ``GET /metrics``.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
-  against a server (in-process or ``--url``), with replayable traces.
+  against a server (in-process or ``--url``), with replayable traces;
+  latency counts from when each request was due, and the report adds
+  the generator's own lateness p99.
 * ``analyze``      -- explain a finished run: a Chrome trace's or flight
   dump's request report and per-lane self time (spans, kernels,
   unattributed); a monitor timeseries' probe table and replayed alert
@@ -93,6 +95,7 @@ from repro.datasets import (
     train_test_split,
 )
 from repro.errors import ReproError
+from repro.parallel import ddp as _ddp
 from repro.pipeline import (
     AttackConfig,
     QuantizationConfig,
@@ -359,7 +362,6 @@ def _cmd_audit(args) -> int:
 
 def _shm_info_row() -> str:
     """Shared-memory capability summary for ``repro info``."""
-    from repro.parallel import ddp as _ddp
     from repro.parallel.arena import live_segments
 
     if not _ddp.shm_available():
@@ -371,8 +373,6 @@ def _shm_info_row() -> str:
 
 def _ddp_info_row() -> str:
     """Data-parallel training configuration for ``repro info``."""
-    from repro.parallel import ddp as _ddp
-
     config = _ddp.ddp_config()
     workers = config["default_workers"]
     mode = f"{workers} worker(s)" if workers else "serial (--ddp-workers N)"
@@ -533,18 +533,19 @@ def _cmd_serve(args) -> int:
 
 def _cmd_loadgen(args) -> int:
     """Generate (or replay) synthetic traffic against a serving stack."""
-    import asyncio
+    with span("cli.imports", command="loadgen"):
+        import asyncio
 
-    from repro.serve import (
-        LoadGenConfig,
-        ModelServer,
-        ServeConfig,
-        generate_trace,
-        http_loadgen,
-        load_trace,
-        run_loadgen,
-        save_trace,
-    )
+        from repro.serve import (
+            LoadGenConfig,
+            ModelServer,
+            ServeConfig,
+            generate_trace,
+            http_loadgen,
+            load_trace,
+            run_loadgen,
+            save_trace,
+        )
 
     if args.replay:
         try:
@@ -585,12 +586,11 @@ def _cmd_loadgen(args) -> int:
             report = asyncio.run(_run(artifacts))
     print(report.to_table())
     if args.out:
-        import dataclasses
         manifest = RunManifest.create(
             seed=args.seed, config=config, trace_out=args.trace_out,
             flight_dir=args.flight_dir, slo_ms=args.slo_ms,
             requests=len(trace))
-        save_result(dataclasses.asdict(report), args.out, manifest=manifest)
+        save_result(report.to_dict(), args.out, manifest=manifest)
         print(f"report written to {args.out} (run {manifest.run_id})",
               file=sys.stderr)
     return 1 if (report.errors or not report.completed) else 0
@@ -966,7 +966,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logger.info("cli.start", command=args.command, argv=list(argv or sys.argv[1:]))
     trace_error = None
     # restored afterwards so in-process callers (tests) are unaffected
-    from repro.parallel import ddp as _ddp
     previous_backend = _backend.set_backend(args.backend)
     previous_dtype = _precision.set_default_dtype(args.dtype)
     previous_ddp = _ddp.set_default_ddp_workers(args.ddp_workers)

@@ -72,38 +72,36 @@ def _stroke_points(stroke, jitter: np.ndarray, count: int = 80) -> Tuple[np.ndar
     return xs, ys
 
 
-def _render_digit(digit: int, size: int, rng: np.random.Generator,
-                  noise_sigma: float, stroke_sigma: float) -> np.ndarray:
-    canvas = np.zeros((size, size))
-    jitter = np.array([rng.normal(0, 0.08), rng.normal(0, 0.04), rng.normal(0, 0.04)])
-    for stroke in _DIGIT_STROKES[digit]:
-        xs, ys = _stroke_points(stroke, jitter)
-        cols = np.clip((xs * (size - 1)).round().astype(int), 0, size - 1)
-        rows = np.clip((ys * (size - 1)).round().astype(int), 0, size - 1)
-        canvas[rows, cols] = 1.0
-    # Thicken and soften the strokes, then scale to ink intensity.
-    canvas = gaussian_filter(canvas, stroke_sigma)
-    peak = canvas.max()
-    if peak > 0:
-        canvas = canvas / peak
-    image = canvas * rng.uniform(180, 255)
-    image = image + rng.normal(0, noise_sigma, size=image.shape)
-    return np.clip(image, 0, 255)
-
-
 def make_synthetic_digits(
     config: SyntheticDigitsConfig = SyntheticDigitsConfig(),
 ) -> ImageDataset:
-    """Generate the stroke-rendered digits dataset (grayscale NHWC)."""
+    """Generate the stroke-rendered digits dataset (grayscale NHWC).
+
+    Each image draws its jitter, ink and noise from the generator in
+    that order; every canvas is then blurred in one call.
+    """
     config.validate()
     rng = np.random.default_rng(config.seed)
     labels = np.arange(config.num_images) % 10
     rng.shuffle(labels)
-    images = np.empty((config.num_images, config.image_size, config.image_size, 1),
-                      dtype=np.uint8)
+    size = config.image_size
+    canvases = np.zeros((config.num_images, size, size))
+    ink = np.empty(config.num_images)
+    noise = np.empty((config.num_images, size, size))
     for index, digit in enumerate(labels):
-        rendered = _render_digit(int(digit), config.image_size, rng,
-                                 config.noise_sigma, config.stroke_sigma)
-        images[index] = rendered.astype(np.uint8)[..., None]
+        jitter = np.array([rng.normal(0, 0.08), rng.normal(0, 0.04), rng.normal(0, 0.04)])
+        for stroke in _DIGIT_STROKES[int(digit)]:
+            xs, ys = _stroke_points(stroke, jitter)
+            cols = np.clip((xs * (size - 1)).round().astype(int), 0, size - 1)
+            rows = np.clip((ys * (size - 1)).round().astype(int), 0, size - 1)
+            canvases[index, rows, cols] = 1.0
+        ink[index] = rng.uniform(180, 255)
+        noise[index] = rng.normal(0, config.noise_sigma, size=(size, size))
+    # Thicken and soften the strokes, then scale to ink intensity.
+    canvases = gaussian_filter(canvases, config.stroke_sigma)
+    peak = canvases.max(axis=(1, 2), keepdims=True)
+    np.divide(canvases, peak, out=canvases, where=peak > 0)
+    images = np.clip(canvases * ink[:, None, None] + noise, 0, 255)
     class_names = [str(d) for d in range(10)]
-    return ImageDataset(images, labels.astype(np.int64), class_names)
+    return ImageDataset(images.astype(np.uint8)[..., None],
+                        labels.astype(np.int64), class_names)

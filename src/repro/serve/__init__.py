@@ -12,7 +12,8 @@ is that serving stack, end to end:
   end dispatching batches across a
   :class:`~repro.parallel.shards.ShardPool`;
 * :mod:`repro.serve.loadgen` -- seeded heavy-tailed open-loop traffic
-  with byte-replayable traces;
+  with byte-replayable traces, replayed by one loop that times each
+  request from when it was due;
 * :mod:`repro.serve.http` -- a stdlib HTTP/1.1 face for cross-process
   runs (``repro serve`` / ``repro loadgen``);
 * :mod:`repro.serve.tracing` -- the per-request record
@@ -42,6 +43,7 @@ from repro.serve.http import ServeHTTP, http_loadgen
 from repro.serve.loadgen import (
     LoadGenConfig,
     LoadReport,
+    SentRequest,
     Trace,
     TraceEntry,
     generate_trace,
@@ -62,7 +64,7 @@ __all__ = [
     "load_artifact", "save_artifact",
     "DeadlineBatcher", "QueuedRequest",
     "ModelServer", "ServeConfig", "InferenceResponse",
-    "LoadGenConfig", "LoadReport", "Trace",
+    "LoadGenConfig", "LoadReport", "SentRequest", "Trace",
     "TraceEntry", "generate_trace",
     "trace_to_jsonl", "trace_from_jsonl", "save_trace", "load_trace",
     "run_loadgen",

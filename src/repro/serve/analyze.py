@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ServeError
 from repro.serve.tracing import REQUEST_SPAN
+from repro.telemetry.slo import nearest_rank
 from repro.telemetry.tables import format_table
 
 __all__ = ["RequestRecord", "request_records", "analyze_requests",
@@ -101,15 +102,6 @@ def request_records(trace: Mapping[str, Any]) -> List[RequestRecord]:
 # Statistics
 # ---------------------------------------------------------------------------
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over the exact sample (no interpolation)."""
-    if not values:
-        return float("nan")
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q * len(ordered)))
-    return ordered[rank - 1]
-
-
 def _stat_row(values: Sequence[float]) -> Dict[str, float]:
     if not values:
         return {"count": 0, "mean": float("nan"), "p50": float("nan"),
@@ -118,9 +110,9 @@ def _stat_row(values: Sequence[float]) -> Dict[str, float]:
     return {
         "count": len(values),
         "mean": sum(values) / len(values),
-        "p50": _percentile(values, 0.50),
-        "p90": _percentile(values, 0.90),
-        "p99": _percentile(values, 0.99),
+        "p50": nearest_rank(values, 0.50),
+        "p90": nearest_rank(values, 0.90),
+        "p99": nearest_rank(values, 0.99),
         "max": max(values),
     }
 

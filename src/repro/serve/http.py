@@ -26,9 +26,9 @@ serving path across a real socket -- no framework, no dependency:
     counters, latency histograms, shard and cache gauges.
 
 :func:`http_loadgen` is the cross-process twin of
-:func:`repro.serve.loadgen.run_loadgen`: it replays the same trace
-over urllib in executor threads, so one process can drive another
-("``repro loadgen --url``" against "``repro serve``").
+:func:`repro.serve.loadgen.run_loadgen`: the same replay loop sends
+each request over urllib in executor threads, so one process can drive
+another ("``repro loadgen --url``" against "``repro serve``").
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Awaitable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serve.loadgen import LoadReport, TraceEntry, summarize_responses
+from repro.serve.loadgen import LoadReport, TraceEntry, _replay
 from repro.serve.server import InferenceResponse, ModelServer
 from repro.telemetry.events import get_logger
 from repro.telemetry.metrics import default_registry, prometheus_text
@@ -210,59 +210,36 @@ def _post_infer(url: str, body: Dict[str, Any],
             return None
     except (urllib.error.URLError, OSError, ValueError):
         return None
-    return InferenceResponse(
-        request_id=str(record.get("request_id", "")),
-        ok=bool(record.get("ok", False)),
-        model=str(record.get("model", "")),
-        error=str(record.get("error", "")),
-        error_kind=str(record.get("error_kind", "")),
-        shard=int(record.get("shard", -1)),
-        batch_size=int(record.get("batch_size", 0)),
-        queue_ms=float(record.get("queue_ms", 0.0)),
-        infer_ms=float(record.get("infer_ms", 0.0)),
-        latency_ms=float(record.get("latency_ms", 0.0)),
-        deadline_missed=bool(record.get("deadline_missed", False)),
-        # argmax is derived from outputs locally; over HTTP we only get
-        # the summary, so leave outputs None and count ok/latency.
-    )
+    try:
+        return InferenceResponse.from_dict(record)
+    except (AttributeError, TypeError, ValueError):  # not a response record
+        return None
 
 
 async def http_loadgen(url: str, trace: Sequence[TraceEntry],
                        time_scale: float = 1.0,
-                       timeout_s: float = 30.0,
-                       clock: Callable[[], float] = time.monotonic,
-                       ) -> LoadReport:
+                       timeout_s: float = 30.0) -> LoadReport:
     """Replay ``trace`` against a remote ``repro serve`` over HTTP.
 
-    Open-loop like :func:`run_loadgen`; each request runs urllib in a
-    *dedicated* executor thread (never the loop's default executor --
-    an in-process server dispatches batches there, and sharing it
-    would let the client starve the server it is waiting on) so
-    arrivals keep their schedule.  Connection failures count as lost
-    requests, never exceptions -- the generator survives a refusing
-    (or absent) server.
+    The replay loop of :func:`run_loadgen`, each request a POST run by
+    urllib in a thread of its own executor, sized to the trace (up to
+    32) so slow replies do not hold later arrivals back.  Connection
+    failures count as lost requests, never exceptions -- the generator
+    survives a refusing (or absent) server.
     """
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     executor = concurrent.futures.ThreadPoolExecutor(
         max_workers=min(32, max(4, len(trace))),
         thread_name_prefix="loadgen-http")
-    start = clock()
 
-    async def _one(entry: TraceEntry) -> Optional[InferenceResponse]:
-        delay = entry.arrival_s * time_scale - (clock() - start)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        body: Dict[str, Any] = {"input_seed": entry.input_seed,
-                                "deadline_ms": entry.deadline_ms,
-                                "request_id": f"load-{entry.index}"}
-        if entry.model is not None:
-            body["model"] = entry.model
-        return await loop.run_in_executor(
-            executor, _post_infer, url, body, timeout_s)
+    def post(**fields: Any) -> Awaitable[Optional[InferenceResponse]]:
+        body = {key: value for key, value in fields.items()
+                if value is not None}
+        return loop.run_in_executor(executor, _post_infer, url, body,
+                                    timeout_s)
 
     try:
-        tasks = [asyncio.ensure_future(_one(entry)) for entry in trace]
-        responses = await asyncio.gather(*tasks)
-        return summarize_responses(responses, clock() - start)
+        return await _replay(trace, post, time_scale, time.monotonic,
+                             asyncio.sleep)
     finally:
         executor.shutdown(wait=False)

@@ -15,11 +15,10 @@ entry carries an ``input_seed``, so the full request stream (timing
 *and* payloads) round-trips through JSONL byte-for-byte
 (:func:`trace_to_jsonl` / :func:`load_trace`).
 
-:func:`run_loadgen` replays a trace against an in-process
-:class:`~repro.serve.server.ModelServer` (or any object with an async
-``infer``), keeps the open-loop contract with one task per arrival,
-and folds the structured responses into a :class:`LoadReport`
-(p50/p99, throughput, refusals).
+:func:`run_loadgen` (in process) and :func:`repro.serve.http.http_loadgen`
+(over HTTP) replay a trace through one open-loop loop, one task per
+arrival, timing each request from when it was *due* -- so time before
+admission counts -- into a :class:`LoadReport`.
 """
 
 from __future__ import annotations
@@ -27,15 +26,19 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ServeError
+from repro.serve.server import InferenceResponse
+from repro.telemetry.slo import nearest_rank
+from repro.telemetry.trace import span
 
-__all__ = ["LoadGenConfig", "TraceEntry", "Trace", "LoadReport",
-           "generate_trace",
+__all__ = ["LoadGenConfig", "TraceEntry", "Trace", "SentRequest",
+           "LoadReport", "generate_trace",
            "trace_to_jsonl", "trace_from_jsonl", "load_trace", "save_trace",
            "run_loadgen"]
 
@@ -201,8 +204,34 @@ def load_trace(path: str) -> Trace:
 
 # ------------------------------------------------------------------- running
 @dataclass
+class SentRequest:
+    """One replayed request: its entry, its due, sent and done times on
+    the replay clock, and its response (``None`` when lost)."""
+
+    entry: TraceEntry
+    due: float
+    sent: float = 0.0
+    done: float = 0.0
+    response: Optional[InferenceResponse] = None
+
+    @property
+    def ok(self) -> bool:
+        return self.response is not None and self.response.ok
+
+    @property
+    def latency_ms(self) -> float:
+        return (self.done - self.due) * 1e3
+
+    @property
+    def lateness_ms(self) -> float:
+        return (self.sent - self.due) * 1e3
+
+
+@dataclass
 class LoadReport:
-    """What one load run did to the server."""
+    """What one load run did to the server, as the client saw it:
+    latency is due to done (exact nearest rank over the completed
+    requests), lateness sent to due; ``requests`` holds the records."""
 
     sent: int = 0
     completed: int = 0
@@ -214,9 +243,48 @@ class LoadReport:
     p90_ms: float = 0.0
     p99_ms: float = 0.0
     max_ms: float = 0.0
+    lateness_p99_ms: float = 0.0
     mean_batch: float = 0.0
     throughput_rps: float = 0.0
     error_kinds: Dict[str, int] = field(default_factory=dict)
+    requests: List[SentRequest] = field(default_factory=list, repr=False)
+
+    @classmethod
+    def from_requests(cls, requests: Sequence[SentRequest]) -> "LoadReport":
+        """Fold the records; a refused, failed or lost request counts as
+        failed, and throughput is completed requests per second from the
+        first due to the last completion (0 for a zero-length run)."""
+        done = [r for r in requests if r.ok]
+        kinds = Counter("lost" if r.response is None
+                        else r.response.error_kind or "error"
+                        for r in requests if not r.ok)
+        report = cls(
+            sent=len(requests), completed=len(done), refused=kinds["refused"],
+            errors=len(requests) - len(done) - kinds["refused"],
+            deadline_missed=sum(r.response is not None
+                                and r.response.deadline_missed
+                                for r in requests),
+            error_kinds=dict(kinds), requests=list(requests))
+        if requests:
+            first_due = min(r.due for r in requests)
+            report.duration_s = max(r.done for r in requests) - first_due
+            report.lateness_p99_ms = nearest_rank(
+                [r.lateness_ms for r in requests], 0.99)
+        if done:
+            latencies = [r.latency_ms for r in done]
+            report.p50_ms, report.p90_ms, report.p99_ms = (
+                nearest_rank(latencies, q) for q in (0.50, 0.90, 0.99))
+            report.max_ms = max(latencies)
+            report.mean_batch = sum(r.response.batch_size
+                                    for r in done) / len(done)
+            last = max(r.done for r in done) - first_due
+            report.throughput_rps = len(done) / last if last > 0 else 0.0
+        return report
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The summary fields (everything but ``requests``)."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "requests"}
 
     def to_table(self) -> str:
         rows = [
@@ -231,6 +299,7 @@ class LoadReport:
             ("latency p90", f"{self.p90_ms:.2f} ms"),
             ("latency p99", f"{self.p99_ms:.2f} ms"),
             ("latency max", f"{self.max_ms:.2f} ms"),
+            ("lateness p99", f"{self.lateness_p99_ms:.2f} ms"),
             ("mean batch", f"{self.mean_batch:.2f}"),
         ]
         if self.error_kinds:
@@ -242,49 +311,48 @@ class LoadReport:
                          for label, value in rows)
 
 
-def summarize_responses(responses: Iterable[Any],
-                        duration_s: float) -> LoadReport:
-    """Fold structured :class:`InferenceResponse`-likes into a report."""
-    report = LoadReport(duration_s=float(duration_s))
-    latencies: List[float] = []
-    batches: List[float] = []
-    for response in responses:
-        report.sent += 1
-        if response is None:
-            report.errors += 1
-            report.error_kinds["lost"] = \
-                report.error_kinds.get("lost", 0) + 1
-            continue
-        if getattr(response, "deadline_missed", False):
-            report.deadline_missed += 1
-        if getattr(response, "ok", False):
-            report.completed += 1
-            latencies.append(float(response.latency_ms))
-            batches.append(float(response.batch_size))
-        else:
-            kind = getattr(response, "error_kind", "") or "error"
-            report.error_kinds[kind] = report.error_kinds.get(kind, 0) + 1
-            if kind == "refused":
-                report.refused += 1
-            else:
-                report.errors += 1
-    if latencies:
-        array = np.asarray(latencies)
-        report.p50_ms = float(np.percentile(array, 50))
-        report.p90_ms = float(np.percentile(array, 90))
-        report.p99_ms = float(np.percentile(array, 99))
-        report.max_ms = float(array.max())
-    if batches:
-        report.mean_batch = float(np.mean(batches))
-    if duration_s > 0:
-        report.throughput_rps = report.completed / duration_s
-    return report
+Send = Callable[..., Awaitable[Optional[InferenceResponse]]]
+
+
+async def _timed(request: SentRequest, send: Send,
+                 clock: Callable[[], float]) -> None:
+    entry = request.entry
+    request.sent = clock()
+    try:
+        request.response = await send(
+            model=entry.model, input_seed=entry.input_seed,
+            deadline_ms=entry.deadline_ms, request_id=f"load-{entry.index}")
+    except ServeError:
+        request.response = None  # lost, never raised
+    request.done = clock()
+
+
+async def _replay(trace: Sequence[TraceEntry], send: Send,
+                  time_scale: float, clock: Callable[[], float],
+                  sleep: Callable[[float], Awaitable[Any]]) -> LoadReport:
+    """The replay loop, under one ``serve.loadgen`` span: each entry is
+    sent when due (``arrival_s * time_scale`` after the start) as one
+    task calling ``send(model=, input_seed=, deadline_ms=,
+    request_id=)``, whatever earlier requests are doing."""
+    requests: List[SentRequest] = []
+    tasks = []
+    with span("serve.loadgen", requests=len(trace)):
+        start = clock()
+        for entry in sorted(trace, key=lambda e: e.arrival_s):
+            request = SentRequest(entry, start + entry.arrival_s * time_scale)
+            wait = request.due - clock()
+            if wait > 0:
+                await sleep(wait)
+            requests.append(request)
+            tasks.append(asyncio.ensure_future(_timed(request, send, clock)))
+        await asyncio.gather(*tasks)
+    return LoadReport.from_requests(requests)
 
 
 async def run_loadgen(server: Any, trace: Sequence[TraceEntry],
                       time_scale: float = 1.0,
                       clock: Callable[[], float] = time.monotonic,
-                      sleep: Callable[[float], Any] = asyncio.sleep,
+                      sleep: Callable[[float], Awaitable[Any]] = asyncio.sleep,
                       ) -> LoadReport:
     """Replay ``trace`` against ``server`` open-loop; return the report.
 
@@ -293,21 +361,4 @@ async def run_loadgen(server: Any, trace: Sequence[TraceEntry],
     stretches the schedule).  Refusals and errors are counted, never
     raised -- the generator survives a server that says no.
     """
-
-    start = clock()
-
-    async def _one(entry: TraceEntry) -> Any:
-        delay = entry.arrival_s * time_scale - (clock() - start)
-        if delay > 0:
-            await sleep(delay)
-        try:
-            return await server.infer(
-                model=entry.model, input_seed=entry.input_seed,
-                deadline_ms=entry.deadline_ms,
-                request_id=f"load-{entry.index}")
-        except ServeError:
-            return None
-
-    tasks = [asyncio.ensure_future(_one(entry)) for entry in trace]
-    responses = await asyncio.gather(*tasks)
-    return summarize_responses(responses, clock() - start)
+    return await _replay(trace, server.infer, time_scale, clock, sleep)

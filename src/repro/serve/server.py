@@ -44,7 +44,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -122,6 +122,19 @@ class InferenceResponse:
             record["error"] = self.error
             record["error_kind"] = self.error_kind
         return record
+
+    @classmethod
+    def from_dict(cls, record: Mapping[str, Any]) -> "InferenceResponse":
+        """The inverse of :meth:`to_dict`, but for the ``outputs`` it
+        leaves out and the milliseconds it rounds; each optional field
+        is cast to its default's type."""
+        response = cls(request_id=str(record.get("request_id", "")),
+                       ok=bool(record.get("ok", False)))
+        for item in fields(cls):
+            if item.name in record and item.default not in (MISSING, None):
+                setattr(response, item.name,
+                        type(item.default)(record[item.name]))
+        return response
 
 
 def _make_shard_handler(cache_capacity: int, backend: str,
@@ -238,17 +251,40 @@ class ModelServer:
                 shards=self.config.shards, retries=self.config.retries,
                 start_method=self.config.start_method,
             )
-        # Dedicated executor for the blocking shard round-trips: sharing
-        # the loop's default executor with other blocking work (e.g. an
-        # HTTP client driving this very server) can starve dispatch and
-        # deadlock the whole request path.
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max(2, 2 * self.config.shards),
-            thread_name_prefix="serve-dispatch")
+            # Dedicated executor for the blocking shard round-trips:
+            # sharing the loop's default executor with other blocking
+            # work (e.g. an HTTP client driving this very server) can
+            # starve dispatch and deadlock the whole request path.
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=max(2, 2 * self.config.shards),
+                thread_name_prefix="serve-dispatch")
+            try:
+                await self._warm_up()
+            except BaseException:  # failed or cancelled: leave nothing up
+                self._executor.shutdown(wait=False)
+                self._pool.close()
+                raise
         self._wake = asyncio.Event()
         self._running = True
         self._loop_task = asyncio.ensure_future(self._dispatch_loop())
         return self
+
+    async def _warm_up(self) -> None:
+        """One round trip per forked shard, a synthesized input to the
+        default model, so shard start-up, the first forward, the first
+        pickle and the dispatch threads are not paid by the first batch
+        (replies dropped: a failing shard fails that batch the same)."""
+        if self._pool.serial \
+                or not self._meta[self.default_model].get("input_shape"):
+            return
+        payload = {"artifact": self._artifacts[self.default_model],
+                   "inputs": self.synthesize_input(0),
+                   "backend": self.config.backend}
+        loop = asyncio.get_running_loop()
+        await asyncio.gather(*[loop.run_in_executor(
+            self._executor, contextvars.copy_context().run, self._pool.request,
+            payload, shard, self.config.request_timeout_s)
+            for shard in range(self.config.shards)])
 
     async def close(self) -> None:
         if not self._running:

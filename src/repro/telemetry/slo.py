@@ -33,11 +33,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import accumulate
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["SloHistogram", "EDGES", "BUCKETS_PER_DECADE"]
+__all__ = ["SloHistogram", "EDGES", "BUCKETS_PER_DECADE", "nearest_rank"]
 
 BUCKETS_PER_DECADE = 10
 # bucket upper bounds 10**(k/10) for 1e-6..1e5, rounded to 9 significant
@@ -46,6 +46,17 @@ EDGES: Tuple[float, ...] = tuple(
     float(f"{10.0 ** (k / BUCKETS_PER_DECADE):.9g}")
     for k in range(-6 * BUCKETS_PER_DECADE, 5 * BUCKETS_PER_DECADE + 1))
 _RATIO = 10.0 ** (1.0 / BUCKETS_PER_DECADE)
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Exact nearest-rank quantile of a sample (no interpolation): the
+    ``ceil(q * n)``-th smallest value, the first for ``q = 0``; NaN for
+    an empty sample.  :class:`SloHistogram` answers the same rank from
+    its buckets."""
+    if not values:
+        return float("nan")
+    ordered = sorted(values)
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class SloHistogram:

@@ -1,5 +1,7 @@
 """Stroke-rendered synthetic digits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,21 @@ class TestSyntheticDigits:
         a = make_synthetic_digits(config)
         b = make_synthetic_digits(config)
         assert np.array_equal(a.images, b.images)
+
+    @pytest.mark.parametrize("config, images_sha, labels_sha", [
+        (SyntheticDigitsConfig(),
+         "883378f73f57911ec9112f1058c4458fec0b03183e9754e9f8d6710871d0ac95",
+         "3053ddf3d8fed299cd65acb6ccf9e5fe1a855c456b0ad76821ddaa40d738f0ab"),
+        (SyntheticDigitsConfig(num_images=37, image_size=16, seed=5,
+                               noise_sigma=12.0),
+         "b5f3f60096c3eb863ccdc077940700312e0cd37bb2d33424e52a3b479a968c81",
+         "59e7b9186de015029ce466f4be7c7ed02f10c6908247b919bfe9fa1245c2d6eb"),
+    ], ids=["default", "seed5-16px"])
+    def test_pinned_bytes(self, config, images_sha, labels_sha):
+        # digests of the per-image blur; the batched blur must keep them
+        ds = make_synthetic_digits(config)
+        assert hashlib.sha256(ds.images.tobytes()).hexdigest() == images_sha
+        assert hashlib.sha256(ds.labels.tobytes()).hexdigest() == labels_sha
 
     def test_all_ten_digits_present(self):
         ds = make_synthetic_digits(SyntheticDigitsConfig(num_images=60, seed=1))

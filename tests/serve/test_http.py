@@ -315,6 +315,13 @@ class TestHTTPLoadgenErrorPaths:
         assert report.completed == 0
         assert report.error_kinds == {"lost": 3}
 
+    def test_json_that_is_no_response_record_is_lost_not_raised(self):
+        with _stub_server(200, '[1, 2]') as url:
+            report = asyncio.run(http_loadgen(url, self._trace(),
+                                              timeout_s=5.0))
+        assert report.completed == 0
+        assert report.error_kinds == {"lost": 3}
+
 
 class TestServeCommand:
     def test_sigint_prints_the_shutdown_line_and_cleans_up(self, tmp_path):

@@ -11,8 +11,11 @@ from repro.errors import ServeError
 from repro.serve import (
     InferenceResponse,
     LoadGenConfig,
+    LoadReport,
     ModelServer,
+    SentRequest,
     ServeConfig,
+    TraceEntry,
     generate_trace,
     load_trace,
     run_loadgen,
@@ -21,7 +24,7 @@ from repro.serve import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from repro.serve.loadgen import summarize_responses
+from repro.telemetry.trace import attribute, recording
 
 
 class TestTraceGeneration:
@@ -107,35 +110,139 @@ class TestTraceIO:
             trace_from_jsonl("")
 
 
-def _response(ok=True, latency_ms=10.0, kind="", batch=2, missed=False):
-    return InferenceResponse(request_id="r", ok=ok, latency_ms=latency_ms,
-                             error_kind=kind, batch_size=batch,
-                             deadline_missed=missed)
+def _request(latency_ms, ok=True, kind="", batch=2, missed=False,
+             lost=False):
+    """A record due at 0, sent on time, done ``latency_ms`` later."""
+    response = None if lost else InferenceResponse(
+        request_id="r", ok=ok, error_kind=kind, batch_size=batch,
+        deadline_missed=missed)
+    return SentRequest(TraceEntry(0, 0.0, 0, 1000.0), due=0.0, sent=0.0,
+                       done=latency_ms / 1e3, response=response)
 
 
 class TestReport:
     def test_quantiles_and_counts(self):
-        responses = [_response(latency_ms=ms) for ms in (5, 10, 15, 20)]
-        responses.append(_response(ok=False, kind="refused"))
-        responses.append(_response(ok=False, kind="crash"))
-        responses.append(None)  # lost on the wire
-        report = summarize_responses(responses, duration_s=2.0)
+        requests = [_request(ms) for ms in (5, 10, 15, 20)]
+        requests.append(_request(1, ok=False, kind="refused"))
+        requests.append(_request(1, ok=False, kind="crash", missed=True))
+        requests.append(_request(30, lost=True))  # lost on the wire
+        report = LoadReport.from_requests(requests)
         assert report.sent == 7
         assert report.completed == 4
         assert report.refused == 1
         assert report.errors == 2  # crash + lost
+        assert report.deadline_missed == 1
         assert report.error_kinds == {"refused": 1, "crash": 1, "lost": 1}
-        assert report.p50_ms == pytest.approx(12.5)
-        assert report.max_ms == 20.0
-        assert report.throughput_rps == pytest.approx(2.0)
+        # exact nearest rank: the 2nd of 4 (interpolation would say 12.5)
+        assert report.p50_ms == pytest.approx(10.0)
+        assert report.max_ms == pytest.approx(20.0)
+        # 4 completed from the first due (0) to the last completion (20 ms)
+        assert report.throughput_rps == pytest.approx(200.0)
+        assert report.duration_s == pytest.approx(0.030)
         assert report.mean_batch == pytest.approx(2.0)
+        assert report.lateness_p99_ms == 0.0
+        assert report.requests == requests
+
+    def test_zero_length_run_reports_zero_throughput(self):
+        report = LoadReport.from_requests([_request(0), _request(0)])
+        assert report.completed == 2
+        assert report.throughput_rps == 0.0
 
     def test_table_renders(self):
-        report = summarize_responses(
-            [_response(), _response(ok=False, kind="refused")], 1.0)
+        report = LoadReport.from_requests(
+            [_request(3), _request(1, ok=False, kind="refused")])
         table = report.to_table()
         assert "throughput" in table and "refused" in table
+        assert "lateness p99" in table
         assert "error kinds" in table
+
+    def test_summary_is_the_report_without_its_records(self):
+        summary = LoadReport.from_requests([_request(3)]).to_dict()
+        assert "requests" not in summary
+        assert summary["lateness_p99_ms"] == 0.0
+        json.dumps(summary)
+
+
+class _FakeTime:
+    """A shared clock for generator and server; ``sleep`` yields first
+    (so due requests start before time moves), then advances the clock
+    by the asked time plus ``overshoot_s``."""
+
+    def __init__(self, overshoot_s=0.0):
+        self.now = 0.0
+        self.overshoot_s = overshoot_s
+
+    def clock(self):
+        return self.now
+
+    async def sleep(self, seconds):
+        await asyncio.sleep(0)
+        self.now += seconds + self.overshoot_s
+
+
+class _StallingServer:
+    """Stalls 100 ms before admission, then answers at once: its own
+    admission-to-done latency reads 0."""
+
+    def __init__(self, time):
+        self.time = time
+
+    async def infer(self, **kwargs):
+        self.time.now += 0.100
+        admitted = self.time.clock()
+        return InferenceResponse(
+            request_id=kwargs["request_id"], ok=True, batch_size=1,
+            latency_ms=(self.time.clock() - admitted) * 1e3)
+
+
+class TestDueTimeLatency:
+    def test_a_stall_before_admission_shows_in_the_report(self):
+        time = _FakeTime()
+        trace = generate_trace(LoadGenConfig(seed=4, n_requests=10))
+        report = asyncio.run(run_loadgen(_StallingServer(time), trace,
+                                         time_scale=0.0, clock=time.clock,
+                                         sleep=time.sleep))
+        assert report.completed == 10
+        assert all(r.response.latency_ms == 0.0 for r in report.requests)
+        assert report.p50_ms >= 100.0
+        assert report.p99_ms >= 100.0
+
+    def test_an_overshooting_sleep_shows_as_lateness(self):
+        time = _FakeTime(overshoot_s=0.050)
+
+        class _Instant:
+            async def infer(self, **kwargs):
+                return InferenceResponse(request_id=kwargs["request_id"],
+                                         ok=True, batch_size=1)
+
+        trace = generate_trace(LoadGenConfig(seed=4, n_requests=10,
+                                             rate_rps=100.0))
+        report = asyncio.run(run_loadgen(_Instant(), trace,
+                                         clock=time.clock, sleep=time.sleep))
+        assert report.completed == 10
+        assert report.lateness_p99_ms == pytest.approx(50.0)
+        assert report.p99_ms == pytest.approx(50.0)
+
+    def test_traced_replay_leaves_the_main_lane_attributed(self):
+        class _Slow:
+            async def infer(self, **kwargs):
+                await asyncio.sleep(0.002)
+                return InferenceResponse(request_id=kwargs["request_id"],
+                                         ok=True, batch_size=1)
+
+        trace = generate_trace(LoadGenConfig(seed=5, n_requests=40,
+                                             rate_rps=500.0))
+        loop = asyncio.new_event_loop()
+        try:
+            with recording() as recorder:
+                report = loop.run_until_complete(run_loadgen(_Slow(), trace))
+        finally:
+            loop.close()
+        assert report.completed == 40
+        [lane] = attribute(recorder.chrome_trace())
+        assert lane.unattributed_s < 0.05 * lane.total_s
+        [replay] = recorder.by_name("serve.loadgen")
+        assert replay.attrs["requests"] == 40
 
 
 class _RefusingServer:

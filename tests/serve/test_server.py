@@ -6,6 +6,8 @@ exercises real forked shard processes.
 """
 
 import asyncio
+import dataclasses
+import json
 import multiprocessing
 
 import numpy as np
@@ -16,7 +18,7 @@ from repro.autograd import Tensor, no_grad
 from repro.errors import ServeError
 from repro.models.registry import build_model
 from repro.monitor.alerts import AlertEngine, serving_rules
-from repro.serve import ModelServer, ServeConfig, save_artifact
+from repro.serve import InferenceResponse, ModelServer, ServeConfig, save_artifact
 from repro.telemetry.metrics import default_registry
 
 KW = dict(num_classes=4, in_channels=3, width=4)
@@ -109,6 +111,26 @@ class TestInference:
         for got, want in zip(batched, singles):
             np.testing.assert_allclose(got.outputs, want.outputs,
                                        rtol=1e-5, atol=1e-6)
+
+
+class TestResponseRecord:
+    @pytest.mark.parametrize("response", [
+        InferenceResponse(request_id="r1", ok=True, model="m",
+                          fingerprint="abc", outputs=np.eye(2), shard=1,
+                          batch_size=3, queue_ms=1.23456, infer_ms=2.0004,
+                          latency_ms=3.99996, deadline_missed=True),
+        InferenceResponse(request_id="r2", ok=False, model="m",
+                          error="queue full", error_kind="refused",
+                          latency_ms=0.1234567),
+    ], ids=["ok", "error"])
+    def test_from_dict_inverts_to_dict(self, response):
+        record = json.loads(json.dumps(response.to_dict()))
+        # the summary carries no outputs and milliseconds to 3 decimals
+        expected = dataclasses.replace(
+            response, outputs=None, queue_ms=round(response.queue_ms, 3),
+            infer_ms=round(response.infer_ms, 3),
+            latency_ms=round(response.latency_ms, 3))
+        assert InferenceResponse.from_dict(record) == expected
 
 
 class TestStructuredFailures:
@@ -469,3 +491,17 @@ class TestProcessBackedServing:
         for response in forked:
             np.testing.assert_allclose(response.outputs, serial.outputs,
                                        rtol=1e-5, atol=1e-6)
+
+    def test_a_failed_warm_up_leaves_no_shard_running(self, artifact,
+                                                      monkeypatch):
+        path, _ = artifact
+
+        def _boom(self, seed, model=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ModelServer, "synthesize_input", _boom)
+        server = ModelServer({"m": path}, config=ServeConfig(shards=2))
+        with pytest.raises(RuntimeError, match="boom"):
+            run(server.start())
+        workers = [shard.worker for shard in server.shard_pool._shards]
+        assert workers and not any(w.process.is_alive() for w in workers)
