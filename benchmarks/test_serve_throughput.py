@@ -1,12 +1,12 @@
 """Serving throughput acceptance gate: batching must pay for itself.
 
-The serve front end's whole reason to exist is deadline-based request
-coalescing -- amortizing the per-request dispatch/IPC overhead across a
+The serve front end's whole reason to exist is request coalescing --
+amortizing the per-request dispatch/IPC overhead across a
 batch.  This gate drives the same synthetic open-loop trace (seeded
 arrivals, heavy-tailed gaps) through two otherwise-identical servers:
 
-* **batched**: ``max_batch=16`` with a small coalescing window -- the
-  shipping configuration;
+* **batched**: ``max_batch=16`` -- the shipping configuration, where
+  requests that arrive while the shard is busy leave as one batch;
 * **batch-1**: ``max_batch=1`` -- every request is its own dispatch.
 
 Same artifact, same worker count, same trace.  The batched server must
@@ -52,9 +52,9 @@ def artifact(tmp_path_factory):
 
 
 def _trace():
-    # arrivals span ~40ms of trace time: fast enough that the batched
-    # server's coalescing window actually fills, slow enough to be an
-    # arrival *process* rather than a single burst
+    # arrivals span ~40ms of trace time: fast enough that requests queue
+    # behind the busy shard and coalesce, slow enough to be an arrival
+    # *process* rather than a single burst
     return generate_trace(LoadGenConfig(seed=SEED, n_requests=N_REQUESTS,
                                         rate_rps=5000.0, alpha=1.5,
                                         deadline_ms=60_000.0))
@@ -62,7 +62,6 @@ def _trace():
 
 def _run(path, trace, max_batch):
     config = ServeConfig(start_method="spawn", shards=1, max_batch=max_batch,
-                         max_wait_ms=5.0 if max_batch > 1 else 0.0,
                          queue_capacity=2 * N_REQUESTS)
 
     async def _go():
@@ -83,7 +82,7 @@ class TestServingThroughputGate:
         assert batched.completed == N_REQUESTS, batched.error_kinds
         assert single.completed == N_REQUESTS, single.error_kinds
         assert batched.mean_batch > 1.5, \
-            "the coalescing window never formed real batches"
+            "queued requests never formed real batches"
 
         speedup = batched.throughput_rps / single.throughput_rps
         print(f"\nserve throughput: batched {batched.throughput_rps:.0f} rps "

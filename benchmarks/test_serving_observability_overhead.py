@@ -66,8 +66,7 @@ def _trace():
 def _run(path, trace, traced, flight_dir=None):
     """One loadgen run; ``traced`` runs it under an active recorder."""
     config = ServeConfig(start_method="spawn", shards=1, max_batch=16,
-                         max_wait_ms=4.0, queue_capacity=2 * N_REQUESTS,
-                         flight_dir=flight_dir)
+                         queue_capacity=2 * N_REQUESTS, flight_dir=flight_dir)
 
     async def _go():
         async with ModelServer({"m": path}, config=config) as server:

@@ -9,7 +9,7 @@ Subcommands:
 * ``monitor``      -- attack run with the in-training probe suite
   (``repro.monitor``), writing a JSONL timeseries.
 * ``serve``        -- batched async HTTP serving of released model
-  artifacts (``repro.serve``): deadline coalescing, sharded workers,
+  artifacts (``repro.serve``): work-conserving batching, sharded workers,
   live latency telemetry as Prometheus text on ``GET /metrics``.
 * ``loadgen``      -- deterministic heavy-tailed open-loop traffic
   against a server (in-process or ``--url``), with replayable traces;
@@ -482,9 +482,9 @@ def _cmd_serve(args) -> int:
     from repro.serve import ModelServer, ServeConfig, ServeHTTP
 
     config = ServeConfig(
-        max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-        queue_capacity=args.queue_capacity, shards=args.shards,
-        backend=args.backend, default_deadline_ms=args.deadline_ms,
+        max_batch=args.max_batch, queue_capacity=args.queue_capacity,
+        shards=args.shards, backend=args.backend,
+        default_deadline_ms=args.deadline_ms,
         slo_ms=args.slo_ms, flight_dir=args.flight_dir)
     engine = None
     if args.alerts:
@@ -568,9 +568,8 @@ def _cmd_loadgen(args) -> int:
                                           time_scale=args.time_scale))
     else:
         serve_config = ServeConfig(
-            max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,
-            shards=args.shards, backend=args.backend,
-            default_deadline_ms=args.deadline_ms,
+            max_batch=args.max_batch, shards=args.shards,
+            backend=args.backend, default_deadline_ms=args.deadline_ms,
             slo_ms=args.slo_ms, flight_dir=args.flight_dir)
 
         async def _run(artifacts):
@@ -837,8 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="persistent inference worker processes")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="request coalescing cap per dispatched batch")
-    serve.add_argument("--max-wait-ms", type=float, default=4.0,
-                       help="longest a request coalesces before dispatch")
     serve.add_argument("--queue-capacity", type=int, default=512,
                        help="admission cap; beyond it requests are refused")
     serve.add_argument("--deadline-ms", type=float, default=1000.0,
@@ -897,7 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--shards", type=int, default=1,
                          help="shards for the in-process server")
     loadgen.add_argument("--max-batch", type=int, default=16)
-    loadgen.add_argument("--max-wait-ms", type=float, default=4.0)
     loadgen.add_argument("--out", metavar="PATH", default=None,
                          help="write the load report + run manifest "
                               "(recording --trace-out) as JSON")

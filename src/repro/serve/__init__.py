@@ -7,10 +7,10 @@ is that serving stack, end to end:
   (``weights.npz`` + fingerprinted ``artifact.json``) and the LRU
   :class:`ArtifactCache`;
 * :mod:`repro.serve.batcher` -- :class:`DeadlineBatcher`, the pure
-  deadline-coalescing kernel;
+  per-model admission queue;
 * :mod:`repro.serve.server` -- :class:`ModelServer`, the asyncio front
-  end dispatching batches across a
-  :class:`~repro.parallel.shards.ShardPool`;
+  end handing each free shard of a
+  :class:`~repro.parallel.shards.ShardPool` one batch of the queue;
 * :mod:`repro.serve.loadgen` -- seeded heavy-tailed open-loop traffic
   with byte-replayable traces, replayed by one loop that times each
   request from when it was due;

@@ -1,22 +1,20 @@
-"""Deadline-based request coalescing: the batching core of ``repro.serve``.
+"""The admission queue of ``repro.serve``: one FIFO per served model.
 
 Single requests against a CPU inference stack waste most of their time
 in per-call overhead (IPC, Python dispatch, cold im2col indices); the
 paper's "released model under heavy traffic" scenario only becomes
 measurable when requests *coalesce* into batches.  :class:`DeadlineBatcher`
-is the pure, clock-injected decision kernel the async server builds on:
+is the pure, clock-injected queue the async server builds on:
 
 * requests are admitted FIFO with an absolute **deadline**; a request
   whose deadline has already passed, or that would overflow
   ``capacity``, is refused at admission with :class:`ServeError`
   (structured back-pressure, never silent queue growth);
-* every admitted request becomes *due* at
-  ``min(enqueued_at + max_wait, deadline - dispatch_margin)`` -- it
-  coalesces with later arrivals for at most ``max_wait`` seconds, but
-  never so long that dispatch would land past its deadline;
-* :meth:`pop_due` emits batches of at most ``max_batch`` requests in
-  strict FIFO order whenever the queue holds a due request or a full
-  batch; draining an empty (or not-yet-due) queue is a no-op.
+* :meth:`pop_batch` hands out up to ``n`` requests in strict FIFO
+  order.  The server calls it the moment a shard is free, so a request
+  waits only while every shard is busy, and whatever arrived meanwhile
+  leaves as one batch.  A request whose deadline passes while it waits
+  is still handed out; the server answers it marked late.
 
 The batcher never sleeps and never reads the wall clock unless asked:
 callers pass ``now`` explicitly or inject ``clock`` (the async server
@@ -49,43 +47,25 @@ class QueuedRequest:
     payload: Any
     enqueued_at: float
     deadline: float
-    due_at: float
     seq: int = 0
     context: Any = field(default=None, repr=False)
 
 
 class DeadlineBatcher:
-    """FIFO queue that coalesces requests into deadline-safe batches.
+    """FIFO admission queue with a capacity and deadline refusal.
 
     Args:
-        max_batch: hard cap on requests per emitted batch.
-        max_wait_s: longest a request may wait for co-batching once
-            admitted (its *coalescing* budget, not its deadline).
         capacity: admission cap on queued requests; submits beyond it
             are refused with :class:`ServeError`.
-        dispatch_margin_s: safety margin subtracted from each deadline
-            when computing the due time, covering the dispatch hop
-            between "popped" and "running".
         clock: monotonic time source used when ``now`` is not passed
             explicitly (injectable for deterministic tests).
     """
 
-    def __init__(self, max_batch: int = 16, max_wait_s: float = 0.005,
-                 capacity: int = 512, dispatch_margin_s: float = 0.0,
+    def __init__(self, capacity: int = 512,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if max_batch < 1:
-            raise ServeError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0:
-            raise ServeError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if capacity < 1:
             raise ServeError(f"capacity must be >= 1, got {capacity}")
-        if dispatch_margin_s < 0:
-            raise ServeError(
-                f"dispatch_margin_s must be >= 0, got {dispatch_margin_s}")
-        self.max_batch = int(max_batch)
-        self.max_wait_s = float(max_wait_s)
         self.capacity = int(capacity)
-        self.dispatch_margin_s = float(dispatch_margin_s)
         self.clock = clock
         self._pending: Deque[QueuedRequest] = deque()
         self._seq = itertools.count()
@@ -101,8 +81,7 @@ class DeadlineBatcher:
         """Admit one request; refuse (raise) rather than over-commit.
 
         ``deadline`` is absolute in the batcher's clock domain; ``None``
-        means "no deadline" (the request still dispatches within
-        ``max_wait_s``).
+        means "no deadline".
         """
         now = self.clock() if now is None else float(now)
         if len(self._pending) >= self.capacity:
@@ -113,53 +92,22 @@ class DeadlineBatcher:
             raise ServeError(
                 f"deadline already passed for request {request_id!r} "
                 f"(deadline {deadline:.6f} <= now {now:.6f})")
-        due = now + self.max_wait_s
-        if deadline is not None:
-            due = min(due, deadline - self.dispatch_margin_s)
         request = QueuedRequest(
             request_id=str(request_id), payload=payload, enqueued_at=now,
             deadline=float("inf") if deadline is None else float(deadline),
-            due_at=due, seq=next(self._seq), context=context,
+            seq=next(self._seq), context=context,
         )
         self._pending.append(request)
         return request
 
     # ------------------------------------------------------------- dispatch
-    def next_due(self) -> Optional[float]:
-        """Earliest due time over pending requests (None when empty).
+    @property
+    def head(self) -> Optional[QueuedRequest]:
+        """The oldest pending request (None when empty)."""
+        return self._pending[0] if self._pending else None
 
-        Full batches are ready regardless of due times; the server
-        calls :meth:`pop_due` after every admission, so a filled batch
-        never waits on this value.
-        """
-        if not self._pending:
-            return None
-        return min(r.due_at for r in self._pending)
-
-    def _head_due(self, now: float) -> bool:
-        head = list(itertools.islice(self._pending, self.max_batch))
-        return any(r.due_at <= now for r in head)
-
-    def pop_due(self, now: Optional[float] = None) -> List[List[QueuedRequest]]:
-        """Emit every batch that is ready at ``now``.
-
-        A batch is ready when the queue holds ``max_batch`` requests
-        (coalescing cannot help the head any further) or any request in
-        the head window is due.  Requests leave in admission order and
-        a single call drains everything ready, so one wake-up never
-        leaves a due request behind.  Empty/not-due queues are a no-op.
-        """
-        now = self.clock() if now is None else float(now)
-        batches: List[List[QueuedRequest]] = []
-        while self._pending and (len(self._pending) >= self.max_batch
-                                 or self._head_due(now)):
-            batch = [self._pending.popleft()
-                     for _ in range(min(self.max_batch, len(self._pending)))]
-            batches.append(batch)
-        return batches
-
-    def drain(self) -> List[QueuedRequest]:
-        """Remove and return everything pending (server shutdown path)."""
-        drained = list(self._pending)
-        self._pending.clear()
-        return drained
+    def pop_batch(self, n: int) -> List[QueuedRequest]:
+        """Remove and return the oldest ``n`` requests (fewer when fewer
+        are pending), in admission order."""
+        return [self._pending.popleft()
+                for _ in range(min(n, len(self._pending)))]

@@ -6,8 +6,10 @@ artifact, loaded behind a front end, answering untrusted traffic.  The
 pieces, one per layer of the existing stack:
 
 * admission + coalescing: one :class:`~repro.serve.batcher
-  .DeadlineBatcher` per served model key -- requests coalesce for at
-  most ``max_wait_ms`` and never dispatch past their deadline;
+  .DeadlineBatcher` per served model key, dispatched work-conserving --
+  a free shard takes up to ``max_batch`` queued requests at once (the
+  model whose head was admitted first), and requests coalesce only
+  while every shard is busy;
 * execution: a :class:`~repro.parallel.shards.ShardPool` of persistent
   worker processes, each holding an :class:`~repro.serve.artifacts
   .ArtifactCache` and running inference through the PR-3 ``fast``
@@ -65,7 +67,6 @@ class ServeConfig:
     """Knobs of one :class:`ModelServer` instance."""
 
     max_batch: int = 16
-    max_wait_ms: float = 4.0
     queue_capacity: int = 512
     default_deadline_ms: float = 1000.0
     shards: int = 1
@@ -173,9 +174,15 @@ def _read_artifact_meta(path: str) -> Dict[str, Any]:
     meta_path = os.path.join(path, META_FILE)
     try:
         with open(meta_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            meta = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ServeError(f"cannot read artifact metadata {meta_path}: {exc}")
+    shape = meta.get("input_shape")
+    if shape is not None and not (isinstance(shape, list) and all(
+            type(d) is int and d > 0 for d in shape)):
+        raise ServeError(f"artifact metadata {meta_path}: input_shape must "
+                         f"be a list of positive ints, got {shape!r}")
+    return meta
 
 
 class ModelServer:
@@ -212,19 +219,22 @@ class ModelServer:
             for key, path in artifacts.items()
         }
         self.default_model = next(iter(self._artifacts))
+        if self.config.max_batch < 1:
+            raise ServeError(
+                f"max_batch must be >= 1, got {self.config.max_batch}")
         # Read metadata eagerly: serving must fail at startup, not on
         # the first request, when an artifact is broken.
         self._meta: Dict[str, Dict[str, Any]] = {
             key: _read_artifact_meta(path)
             for key, path in self._artifacts.items()
         }
+        self._shapes: Dict[str, Tuple[int, ...]] = {
+            key: tuple(meta.get("input_shape") or ())
+            for key, meta in self._meta.items()
+        }
         self._batchers: Dict[str, DeadlineBatcher] = {
-            key: DeadlineBatcher(
-                max_batch=self.config.max_batch,
-                max_wait_s=self.config.max_wait_ms / 1e3,
-                capacity=self.config.queue_capacity,
-                clock=clock,
-            )
+            key: DeadlineBatcher(capacity=self.config.queue_capacity,
+                                 clock=clock)
             for key in self._artifacts
         }
         self._ids = itertools.count()
@@ -235,6 +245,8 @@ class ModelServer:
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._loop_task: Optional[asyncio.Task] = None
         self._inflight: set = set()
+        # shard slots with no batch in flight
+        self._idle: List[int] = list(range(self.config.shards))
         self._wake: Optional[asyncio.Event] = None
         self._running = False
 
@@ -251,12 +263,13 @@ class ModelServer:
                 shards=self.config.shards, retries=self.config.retries,
                 start_method=self.config.start_method,
             )
-            # Dedicated executor for the blocking shard round-trips:
-            # sharing the loop's default executor with other blocking
-            # work (e.g. an HTTP client driving this very server) can
-            # starve dispatch and deadlock the whole request path.
+            # Dedicated executor for the blocking shard round-trips, one
+            # thread per shard (one batch is in flight per shard): sharing
+            # the loop's default executor with other blocking work (e.g.
+            # an HTTP client driving this very server) can starve
+            # dispatch and deadlock the whole request path.
             self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max(2, 2 * self.config.shards),
+                max_workers=self.config.shards,
                 thread_name_prefix="serve-dispatch")
             try:
                 await self._warm_up()
@@ -274,8 +287,7 @@ class ModelServer:
         default model, so shard start-up, the first forward, the first
         pickle and the dispatch threads are not paid by the first batch
         (replies dropped: a failing shard fails that batch the same)."""
-        if self._pool.serial \
-                or not self._meta[self.default_model].get("input_shape"):
+        if self._pool.serial or not self._shapes[self.default_model]:
             return
         payload = {"artifact": self._artifacts[self.default_model],
                    "inputs": self.synthesize_input(0),
@@ -294,8 +306,8 @@ class ModelServer:
         if self._loop_task is not None:
             await self._loop_task
         # refuse everything still queued, structured
-        for key, batcher in self._batchers.items():
-            for request in batcher.drain():
+        for batcher in self._batchers.values():
+            for request in batcher.pop_batch(len(batcher)):
                 self._finish(request.context, "shutdown",
                              "server shutting down")
         if self._inflight:
@@ -344,13 +356,12 @@ class ModelServer:
         }
 
     def input_shape(self, model: Optional[str] = None) -> Tuple[int, ...]:
-        meta = self._meta[model or self.default_model]
-        shape = meta.get("input_shape")
+        shape = self._shapes[model or self.default_model]
         if not shape:
             raise ServeError(
                 f"artifact for {model or self.default_model!r} records no "
                 f"input_shape; pass explicit inputs")
-        return tuple(int(d) for d in shape)
+        return shape
 
     def stats(self) -> Dict[str, Any]:
         """Queue depths + shard liveness for /healthz."""
@@ -416,8 +427,6 @@ class ModelServer:
             return self._finish(ctx, "refused", str(exc))
         ctx.t_submit = now
         ctx.future = asyncio.get_event_loop().create_future()
-        registry.gauge("serve.queue_depth").set(
-            float(sum(len(b) for b in self._batchers.values())))
         self._wake.set()
         return await ctx.future
 
@@ -430,12 +439,11 @@ class ModelServer:
         artifact saved without ``input_shape`` accepts any already
         batched array (leading axis = batch).
         """
-        shape = self._meta[key].get("input_shape")
-        if not shape:
+        expected = self._shapes[key]
+        if not expected:
             if inputs.ndim < 1:
                 raise ServeError("inputs must have a leading batch axis")
             return inputs
-        expected = tuple(int(d) for d in shape)
         if inputs.ndim == len(expected):
             inputs = inputs[None]
         if (inputs.ndim != len(expected) + 1
@@ -447,40 +455,59 @@ class ModelServer:
 
     # ------------------------------------------------------------- dispatch
     async def _dispatch_loop(self) -> None:
+        """Dispatch on every wake: admission and batch completion set
+        it; nothing else does, so there is no timer."""
         while self._running:
             self._wake.clear()
-            now = self.clock()
-            for key, batcher in self._batchers.items():
-                for batch in batcher.pop_due(now):
-                    task = asyncio.ensure_future(self._run_batch(key, batch))
-                    self._inflight.add(task)
-                    task.add_done_callback(self._inflight.discard)
-            dues = [batcher.next_due() for batcher in self._batchers.values()]
-            dues = [due for due in dues if due is not None]
-            timeout = None
-            if dues:
-                timeout = max(0.0, min(dues) - self.clock())
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=timeout)
-            except asyncio.TimeoutError:
-                pass
+            self._dispatch()
+            await self._wake.wait()
 
-    async def _run_batch(self, key: str,
-                         batch: List[QueuedRequest]) -> None:
+    def _dispatch(self) -> None:
+        """Hand each free shard slot one batch of the oldest requests.
+
+        A free slot takes up to ``max_batch`` queued requests of the
+        model whose head was admitted first, so FIFO holds across
+        models; while every slot is busy, requests coalesce in the
+        queue.  A permanently dead slot is never picked while any shard
+        is live; with none live the batch goes to a dead slot and ends
+        as the pool's structured ``crash``.
+        """
+        alive = self._pool.alive()
+        while self._idle:
+            heads = [(batcher.head.enqueued_at, key)
+                     for key, batcher in self._batchers.items() if batcher]
+            live = [slot for slot in self._idle if alive[slot]]
+            if not heads or (not live and any(alive)):
+                break
+            shard = (live or self._idle)[0]
+            self._idle.remove(shard)
+            key = min(heads)[1]
+            batch = self._batchers[key].pop_batch(self.config.max_batch)
+            task = asyncio.ensure_future(self._run_batch(key, batch, shard))
+            self._inflight.add(task)
+            task.add_done_callback(self._inflight.discard)
+        default_registry().gauge("serve.queue_depth").set(
+            float(sum(len(b) for b in self._batchers.values())))
+
+    async def _run_batch(self, key: str, batch: List[QueuedRequest],
+                         shard: int) -> None:
         # Any escape here would strand the batch's futures forever (the
         # task is ensure_future'd, infer() awaits with no timeout), so
         # the whole body runs under a guard that resolves every request
         # with a structured error instead.
         try:
-            await self._run_batch_inner(key, batch)
+            await self._run_batch_inner(key, batch, shard)
         except Exception as exc:
             for request in batch:
                 if request.context.t_done is None:
                     self._finish(request.context, "exception",
                                  f"batch dispatch failed: {exc!r}")
+        finally:
+            self._idle.append(shard)
+            self._wake.set()
 
-    async def _run_batch_inner(self, key: str,
-                               batch: List[QueuedRequest]) -> None:
+    async def _run_batch_inner(self, key: str, batch: List[QueuedRequest],
+                               shard: int) -> None:
         registry = default_registry()
         dispatched_at = self.clock()
         for request in batch:
@@ -498,7 +525,7 @@ class ModelServer:
             # round trip in a copy, so the shard span lands under this one
             result = await loop.run_in_executor(
                 self._executor, contextvars.copy_context().run,
-                self._pool.request, payload, None,
+                self._pool.request, payload, shard,
                 self.config.request_timeout_s)
         infer_s = self.clock() - dispatched_at
         registry.histogram("serve.batch_size").observe(float(len(batch)))

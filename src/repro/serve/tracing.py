@@ -4,7 +4,7 @@
 :class:`RequestContext` per request at admission and keeps every stage
 stamp on it: the admission read, the batcher's ``enqueued_at``, the
 batch's ``dispatched_at`` and the finish read.  The record rides the
-:class:`~repro.serve.batcher.DeadlineBatcher` through coalescing and
+:class:`~repro.serve.batcher.DeadlineBatcher` through queueing and
 :class:`~repro.parallel.shards.ShardPool` dispatch, and on the server's
 one finish path the :class:`RequestTracer`
 

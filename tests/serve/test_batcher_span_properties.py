@@ -1,7 +1,9 @@
-"""Property tests: request span trees under simulated batcher schedules.
+"""Property tests: request span trees under simulated dispatch schedules.
 
 Drives the real :class:`DeadlineBatcher` and :class:`RequestTracer` on
-one shared fake clock over hypothesis-generated arrival patterns, then
+one shared fake clock over hypothesis-generated arrival patterns,
+dispatched by the work-conserving rule of
+:func:`tests.serve.test_batcher_properties.simulate`, then
 checks the span-tree invariants the Chrome trace (and ``repro
 analyze``) relies on: every span is monotone (non-negative duration),
 every stage child nests inside its ``serve.request`` parent, the
@@ -16,11 +18,12 @@ from repro.serve.batcher import DeadlineBatcher
 from repro.serve.tracing import REQUEST_SPAN, RequestTracer
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import TraceRecorder
+from tests.serve.test_batcher_properties import simulate
 
 EPS = 1e-9
 
-# Workload: per-request (arrival gap, deadline slack); plus batcher
-# shape and a per-batch simulated service time.
+# Workload: per-request (arrival gap, deadline slack); plus batch cap,
+# shard count and a per-batch simulated service time.
 request_plans = st.lists(
     st.tuples(
         st.floats(min_value=0.0, max_value=0.02,
@@ -33,8 +36,7 @@ request_plans = st.lists(
 
 scenario_params = st.tuples(
     st.integers(min_value=1, max_value=8),     # max_batch
-    st.floats(min_value=0.0, max_value=0.05,   # max_wait_s
-              allow_nan=False, allow_infinity=False),
+    st.integers(min_value=1, max_value=3),     # shards
     st.floats(min_value=0.0, max_value=0.01,   # per-batch service time
               allow_nan=False, allow_infinity=False),
 )
@@ -48,51 +50,35 @@ class FakeClock:
         return self.now
 
 
-def _simulate(plan, max_batch, max_wait_s, service_s):
-    """Admission -> coalescing -> dispatch -> finish on one fake clock.
+def _simulate(plan, max_batch, shards, service_s):
+    """Admission -> queue -> dispatch -> finish on one fake clock.
 
-    Mirrors the server's dispatch loop: pop after every admission, wake
-    at ``next_due()`` between arrivals, and on dispatch advance the
-    clock by the batch's service time before finishing its requests.
+    Each request is admitted through the tracer at its arrival; a batch
+    is stamped dispatched when a free shard takes it, and its requests
+    finish when its service time has passed.
     """
     clock = FakeClock()
     recorder = TraceRecorder()
     tracer = RequestTracer(recorder=recorder, clock=clock,
                            registry=MetricsRegistry())
-    batcher = DeadlineBatcher(max_batch=max_batch, max_wait_s=max_wait_s,
-                              capacity=10_000, clock=clock)
+    batcher = DeadlineBatcher(capacity=10_000, clock=clock)
 
-    def _service(batches):
-        for batch in batches:
-            for request in batch:
-                request.context.t_dispatch = clock.now
-                request.context.batch_size = len(batch)
-            clock.now += service_s
-            for request in batch:
-                ctx = request.context
-                ctx.ok, ctx.shard, ctx.infer_s = True, 0, service_s / 2
-                tracer.finish(ctx)
-
-    def _wake_until(horizon):
-        while True:
-            due = batcher.next_due()
-            if due is None or (horizon is not None and due > horizon):
-                return
-            clock.now = max(clock.now, due)
-            _service(batcher.pop_due(clock.now))
-
-    for index, (gap, slack) in enumerate(plan):
-        arrival = clock.now + gap
-        _wake_until(arrival)
-        clock.now = arrival
+    def admit(index, now, slack):
+        clock.now = now
         ctx = tracer.admit(f"r{index}", "m")
         request = batcher.submit(f"r{index}", payload=index,
-                                 deadline=clock.now + slack, now=clock.now,
-                                 context=ctx)
+                                 deadline=now + slack, context=ctx)
         ctx.t_submit = request.enqueued_at
-        _service(batcher.pop_due(clock.now))
-    _wake_until(None)
-    assert len(batcher) == 0
+
+    def done(batch, shard, start, end):
+        clock.now = end
+        for request in batch:
+            ctx = request.context
+            ctx.t_dispatch, ctx.batch_size = start, len(batch)
+            ctx.ok, ctx.shard, ctx.infer_s = True, shard, service_s / 2
+            tracer.finish(ctx)
+
+    simulate(plan, max_batch, shards, service_s, batcher, admit, done)
     return recorder
 
 

@@ -33,7 +33,7 @@ async def _serve_trace(path, trace, backend, max_batch=16):
     """Run the trace, returning {request_id: logits} plus the report."""
     outputs = {}
     config = ServeConfig(start_method="spawn", backend=backend,
-                         max_wait_ms=2.0, max_batch=max_batch)
+                         max_batch=max_batch)
 
     class _Recorder:
         def __init__(self, server):

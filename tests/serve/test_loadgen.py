@@ -273,7 +273,7 @@ class TestRunLoadgen:
                                              rate_rps=500.0))
 
         async def _go():
-            config = ServeConfig(start_method="spawn", max_wait_ms=2.0)
+            config = ServeConfig(start_method="spawn")
             async with ModelServer({"m": path}, config=config) as server:
                 return await run_loadgen(server, trace)
 

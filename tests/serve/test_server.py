@@ -9,6 +9,7 @@ import asyncio
 import dataclasses
 import json
 import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ def serial_config(**overrides):
 
 def run(coro):
     return asyncio.run(coro)
+
+
+async def occupy_shard(server, **request):
+    """Send one request and return its future once it is dispatched.
+
+    With one shard, that shard is then busy until the request is
+    answered, so requests admitted meanwhile queue and coalesce behind
+    it.  ``request`` defaults to ``input_seed=0``.
+    """
+    request = request or {"input_seed": 0}
+    first = asyncio.ensure_future(server.infer(**request))
+    await asyncio.sleep(0)  # admitted
+    while sum(server.stats()["queued"].values()):
+        await asyncio.sleep(0)
+    return first
 
 
 class TestInference:
@@ -84,30 +100,57 @@ class TestInference:
 
     def test_concurrent_requests_coalesce_into_batches(self, artifact):
         path, _ = artifact
-        config = serial_config(max_batch=8, max_wait_ms=40.0)
+        config = serial_config(max_batch=8)
 
         async def _go():
             async with ModelServer({"m": path}, config=config) as server:
-                return await asyncio.gather(
-                    *(server.infer(input_seed=i) for i in range(8)))
+                # the only shard is busy: the next 7 queue behind it
+                first = await occupy_shard(server)
+                rest = await asyncio.gather(
+                    *(server.infer(input_seed=i) for i in range(1, 8)))
+                return [await first] + rest
 
         responses = run(_go())
         assert all(r.ok for r in responses)
-        assert max(r.batch_size for r in responses) > 1, \
-            "coalescing window never produced a multi-request batch"
+        assert [r.batch_size for r in responses] == [1] + [7] * 7, \
+            "requests queued behind a busy shard did not leave as one batch"
+
+    def test_fifo_holds_across_models(self, artifact):
+        path, _ = artifact
+        config = serial_config(max_batch=1)
+
+        async def _go():
+            async with ModelServer({"a": path, "b": path},
+                                   config=config) as server:
+                first = await occupy_shard(server)
+                await asyncio.gather(*(
+                    server.infer(model="ab"[i % 2], input_seed=i)
+                    for i in range(6)))
+                await first
+                return server.flight_records()
+
+        records = run(_go())
+        by_dispatch = sorted(records, key=lambda r: r.t_dispatch)
+        assert [r.request_id for r in by_dispatch] == \
+            [r.request_id for r in sorted(records, key=lambda r: r.t_submit)]
+        assert [r.model for r in by_dispatch[1:]] == list("ababab")
 
     def test_responses_split_correctly_within_a_batch(self, artifact):
         path, _ = artifact
-        config = serial_config(max_batch=8, max_wait_ms=40.0)
+        config = serial_config(max_batch=8)
 
         async def _go():
             async with ModelServer({"m": path}, config=config) as server:
+                # the 6 queue behind the busy shard and leave as one batch
+                first = await occupy_shard(server)
                 batched = await asyncio.gather(
                     *(server.infer(input_seed=i) for i in range(6)))
+                await first
                 singles = [await server.infer(input_seed=i) for i in range(6)]
                 return batched, singles
 
         batched, singles = run(_go())
+        assert [r.batch_size for r in batched] == [6] * 6
         for got, want in zip(batched, singles):
             np.testing.assert_allclose(got.outputs, want.outputs,
                                        rtol=1e-5, atol=1e-6)
@@ -201,14 +244,18 @@ class TestStructuredFailures:
                             **KW)
         path = str(tmp_path / "shapeless")
         save_artifact(model, path, "resnet8_tiny", model_kwargs=KW, seed=6)
-        config = serial_config(max_batch=8, max_wait_ms=40.0)
+        config = serial_config(max_batch=8)
 
         async def _go():
             async with ModelServer({"m": path}, config=config) as server:
                 a = np.zeros((1,) + SHAPE, dtype=np.float32)
                 b = np.zeros((1, 3, 4, 4), dtype=np.float32)
-                return await asyncio.gather(server.infer(inputs=a),
+                # a and b queue behind the busy shard: one batch
+                first = await occupy_shard(server, inputs=a)
+                both = await asyncio.gather(server.infer(inputs=a),
                                             server.infer(inputs=b))
+                assert (await first).ok
+                return both
 
         first, second = run(asyncio.wait_for(_go(), timeout=30))
         for response in (first, second):
@@ -218,23 +265,23 @@ class TestStructuredFailures:
 
     def test_queue_overflow_refuses_structured(self, artifact):
         path, _ = artifact
-        # long coalescing window + capacity 1: the second concurrent
-        # request must be refused while the first is still queued
-        config = serial_config(queue_capacity=1, max_wait_ms=200.0,
-                               max_batch=16)
+        # busy shard + capacity 1: the second request queues, and the
+        # third must be refused while the second is still queued
+        config = serial_config(queue_capacity=1, max_batch=16)
 
         async def _go():
             async with ModelServer({"m": path}, config=config) as server:
-                first = asyncio.ensure_future(server.infer(input_seed=0))
+                first = await occupy_shard(server)
+                second = asyncio.ensure_future(server.infer(input_seed=1))
                 await asyncio.sleep(0)  # let it enqueue
-                second = await server.infer(input_seed=1)
-                return await first, second
+                third = await server.infer(input_seed=2)
+                return await first, await second, third
 
-        first, second = run(_go())
-        assert first.ok
-        assert not second.ok
-        assert second.error_kind == "refused"
-        assert "queue full" in second.error
+        first, second, third = run(_go())
+        assert first.ok and second.ok
+        assert not third.ok
+        assert third.error_kind == "refused"
+        assert "queue full" in third.error
         assert default_registry().counter("serve.refused").value >= 1
 
     def test_infer_after_close_is_structured(self, artifact):
@@ -252,6 +299,22 @@ class TestStructuredFailures:
     def test_missing_artifact_fails_at_startup(self, tmp_path):
         with pytest.raises(ServeError, match="metadata"):
             ModelServer({"m": tmp_path / "missing"})
+
+    @pytest.mark.parametrize("shape", [["x", 8, 8], [3, 0, 8], [3.0, 8, 8],
+                                       [True, 8, 8], "3x8x8"])
+    def test_malformed_input_shape_fails_at_startup(self, tmp_path, shape):
+        from repro.serve.artifacts import META_FILE
+
+        model = build_model("resnet8_tiny", rng=np.random.default_rng(4),
+                            **KW)
+        path = tmp_path / "bad-shape"
+        save_artifact(model, path, "resnet8_tiny", model_kwargs=KW,
+                      input_shape=SHAPE, seed=4)
+        meta = json.loads((path / META_FILE).read_text())
+        meta["input_shape"] = shape
+        (path / META_FILE).write_text(json.dumps(meta))
+        with pytest.raises(ServeError, match="input_shape"):
+            ModelServer({"m": str(path)}, config=serial_config())
 
     def test_no_artifacts_rejected(self):
         with pytest.raises(ServeError, match="at least one artifact"):
@@ -347,14 +410,16 @@ class TestOneFinishPath:
         before = {name: registry.counter(name).value
                   for name in self.COUNTERS}
         count0 = latency.count
-        # capacity 1 + a long coalescing window: a second request is
-        # refused while the first waits in the queue
-        config = serial_config(queue_capacity=1, max_wait_ms=200.0)
+        # capacity 1 + a busy shard: a request queues behind the shard
+        # (and misses its 0.5 ms deadline there), and the next is refused
+        config = serial_config(queue_capacity=1)
 
         async def _go():
             server = ModelServer({"m": path}, config=config)
             await server.start()
-            queued = asyncio.ensure_future(server.infer(input_seed=0))
+            busy = await occupy_shard(server)
+            queued = asyncio.ensure_future(
+                server.infer(input_seed=2, deadline_ms=0.5))
             await asyncio.sleep(0)
             got = {"refused": [await server.infer(input_seed=1)],
                    "unknown_model": [await server.infer(model="nope",
@@ -364,8 +429,7 @@ class TestOneFinishPath:
                        await server.infer(input_seed="abc"),
                        await server.infer(input_seed=-1),
                        await server.infer(input_seed=1, deadline_ms="x")]}
-            got["ok"] = [await queued,
-                         await server.infer(input_seed=2, deadline_ms=0.5)]
+            got["ok"] = [await busy, await queued]
             drained = asyncio.ensure_future(server.infer(input_seed=3))
             await asyncio.sleep(0)
             await server.close()
@@ -418,6 +482,21 @@ class TestOneFinishPath:
 
 
 class TestTelemetryAndAlerts:
+    def test_queue_depth_gauge_reads_zero_once_answered(self, artifact):
+        path, _ = artifact
+        gauge = default_registry().gauge("serve.queue_depth")
+
+        async def _go():
+            async with ModelServer({"m": path},
+                                   config=serial_config()) as server:
+                first = await occupy_shard(server)
+                responses = await asyncio.gather(
+                    *(server.infer(input_seed=i) for i in range(1, 6)))
+                return [await first] + responses
+
+        assert all(r.ok for r in run(_go()))
+        assert gauge.value == 0.0
+
     def test_request_path_metrics_populate(self, artifact):
         path, _ = artifact
         registry = default_registry()
@@ -491,6 +570,30 @@ class TestProcessBackedServing:
         for response in forked:
             np.testing.assert_allclose(response.outputs, serial.outputs,
                                        rtol=1e-5, atol=1e-6)
+
+    def test_a_permanently_dead_shard_is_never_picked(self, artifact):
+        path, _ = artifact
+
+        async def _go():
+            async with ModelServer({"m": path},
+                                   config=ServeConfig(shards=2)) as server:
+                pool = server.shard_pool
+                pool.max_respawns = 0  # the next death is permanent
+                assert pool.kill_shard(0)
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline \
+                        and pool.alive() != [False, True]:
+                    await asyncio.sleep(0.02)
+                assert pool.alive() == [False, True]
+                one_by_one = [await server.infer(input_seed=i)
+                              for i in range(4)]
+                together = await asyncio.gather(
+                    *(server.infer(input_seed=i) for i in range(4, 8)))
+                return one_by_one + together
+
+        responses = run(_go())
+        assert all(r.ok for r in responses), [r.error for r in responses]
+        assert [r.shard for r in responses] == [1] * 8
 
     def test_a_failed_warm_up_leaves_no_shard_running(self, artifact,
                                                       monkeypatch):
