@@ -19,6 +19,7 @@ from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 from repro.nn.module import Module
+from repro.precision import cast_to_model
 
 
 def per_sample_loss(model: Module, inputs: np.ndarray, labels: np.ndarray,
@@ -27,6 +28,7 @@ def per_sample_loss(model: Module, inputs: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=np.int64)
     if len(inputs) != len(labels):
         raise ShapeError(f"inputs ({len(inputs)}) and labels ({len(labels)}) differ")
+    inputs = cast_to_model(model, inputs)
     was_training = model.training
     model.eval()
     losses = []

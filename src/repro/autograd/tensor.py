@@ -64,7 +64,9 @@ class Tensor:
             # typed for us (python scalars / lists default to float64)
             # is materialized at the policy dtype too.  Explicit float
             # ndarrays keep their dtype so float64 pipelines stay
-            # float64 end to end.
+            # float64 end to end; evaluation and serving cast their
+            # inputs to the model's parameter dtype before they get
+            # here (precision.cast_to_model).
             if arr.dtype.kind in "iub":
                 arr = arr.astype(_precision.default_dtype())
             elif arr.dtype.kind == "f" and not was_typed:

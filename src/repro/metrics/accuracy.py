@@ -7,10 +7,13 @@ import numpy as np
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
 from repro.nn.module import Module
+from repro.precision import cast_to_model
 
 
 def predict_classes(model: Module, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
-    """Argmax class predictions over an NCHW float batch."""
+    """Argmax class predictions over an NCHW float batch, computed at the
+    model's parameter dtype (a float32 model never runs float64 kernels)."""
+    inputs = cast_to_model(model, inputs)
     was_training = model.training
     model.eval()
     predictions = []

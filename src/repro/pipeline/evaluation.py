@@ -16,6 +16,7 @@ from repro.metrics.mape import batch_mape
 from repro.metrics.recognizability import recognizable_mask
 from repro.metrics.ssim import batch_ssim
 from repro.nn.module import Module
+from repro.telemetry.trace import span
 
 
 @dataclass
@@ -91,23 +92,29 @@ def _evaluate_attack(
     model, test_inputs, test_labels, groups, payload,
     weight_vector, polarity, mean, std,
 ) -> AttackEvaluation:
-    accuracy = evaluate_accuracy(model, test_inputs, test_labels)
-    if groups is not None:
-        reconstructions, originals, _ = decode_groups(groups, polarity=polarity)
-        labels: List[int] = []
-        for group in groups:
-            if group.payload is not None:
-                labels.extend(group.payload.labels.tolist())
-        labels = np.asarray(labels)
-    elif payload is not None and weight_vector is not None:
-        reconstructions = decode_images(weight_vector, payload, polarity=polarity)
-        originals = payload.images
-        labels = payload.labels
-    else:
-        raise ValueError("need either groups or (payload, weight_vector)")
-    mape = batch_mape(originals, reconstructions)
-    ssim_values = batch_ssim(originals, reconstructions)
-    recognizable = recognizable_mask(model, reconstructions, labels, mean, std)
+    # one span per stage, named after the metric row it times
+    with span("metrics.accuracy"):
+        accuracy = evaluate_accuracy(model, test_inputs, test_labels)
+    with span("attacks.decode"):
+        if groups is not None:
+            reconstructions, originals, _ = decode_groups(groups, polarity=polarity)
+            labels: List[int] = []
+            for group in groups:
+                if group.payload is not None:
+                    labels.extend(group.payload.labels.tolist())
+            labels = np.asarray(labels)
+        elif payload is not None and weight_vector is not None:
+            reconstructions = decode_images(weight_vector, payload, polarity=polarity)
+            originals = payload.images
+            labels = payload.labels
+        else:
+            raise ValueError("need either groups or (payload, weight_vector)")
+    with span("metrics.mape"):
+        mape = batch_mape(originals, reconstructions)
+    with span("metrics.ssim"):
+        ssim_values = batch_ssim(originals, reconstructions)
+    with span("metrics.recognizable"):
+        recognizable = recognizable_mask(model, reconstructions, labels, mean, std)
     return AttackEvaluation(
         accuracy=accuracy,
         reconstructions=reconstructions,

@@ -9,10 +9,13 @@ speedup -- so float32 is the default *compute* dtype.
 The policy governs where a dtype has to be invented: int/bool tensor
 promotion, python-scalar tensors, :class:`~repro.nn.module.Parameter`
 construction, module buffers and DataLoader batch materialization.
-It never downcasts an explicit float numpy array -- feeding float64
-arrays through the stack still computes in float64 end to end, which is
-what keeps the ``--dtype float64`` reference path bit-identical to the
-pre-policy code.
+``Tensor`` construction still keeps an explicit float numpy array's
+dtype -- feeding float64 arrays through a float64 model computes in
+float64 end to end, which is what keeps the ``--dtype float64``
+reference path bit-identical to the pre-policy code.  Evaluation and
+serving cast their inputs to the model's parameter dtype
+(:func:`cast_to_model`), so a float32 model evaluates in float32 even
+on a float64 batch such as ``images_to_batch`` returns.
 
 Metrics that feed paper tables (PSNR/SSIM/MAPE, the Eq. 2 Pearson
 probe, decoding) accumulate in :data:`METRICS_DTYPE` (float64)
@@ -34,7 +37,7 @@ The CLI exposes the same switch as a global ``--dtype`` flag.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 import numpy as np
 
@@ -99,3 +102,22 @@ def use_dtype(dtype: Optional[DTypeLike]) -> Iterator[np.dtype]:
 def resolve(dtype: Optional[DTypeLike] = None) -> np.dtype:
     """An explicit dtype if given, else the active policy default."""
     return _default if dtype is None else normalize_dtype(dtype)
+
+
+def cast_to_model(model: Any, inputs: np.ndarray) -> np.ndarray:
+    """``inputs`` as a float array of ``model``'s parameter dtype.
+
+    The one rule of no-grad evaluation and serving: the forward runs at
+    the model's precision, not the input's.  Non-float arrays, and
+    models that expose no ``parameters()`` (duck-typed wrappers) or
+    have none, pass through unchanged; so does an input already at the
+    parameter dtype (no copy).
+    """
+    inputs = np.asarray(inputs)
+    parameters = getattr(model, "parameters", None)
+    if inputs.dtype.kind != "f" or parameters is None:
+        return inputs
+    first = next(iter(parameters()), None)
+    if first is None:
+        return inputs
+    return inputs.astype(first.data.dtype, copy=False)

@@ -149,10 +149,12 @@ def _make_shard_handler(cache_capacity: int, backend: str,
     loaded here, before the shard takes its first batch, so no request
     waits on a load; one that fails to load is left to the first
     request naming it, which fails with the usual structured error.
-    Every batch runs the eager no-grad forward.
+    Every batch runs the eager no-grad forward at the model's parameter
+    dtype, as in-process evaluation does.
     """
     from repro import backend as _backend
     from repro.autograd import Tensor, no_grad
+    from repro.precision import cast_to_model
 
     cache = ArtifactCache(cache_capacity)
     for path in artifact_paths[:cache_capacity]:
@@ -163,7 +165,7 @@ def _make_shard_handler(cache_capacity: int, backend: str,
 
     def handle(payload: Mapping[str, Any]) -> np.ndarray:
         model, _ = cache.get(payload["artifact"])
-        inputs = np.ascontiguousarray(payload["inputs"])
+        inputs = np.ascontiguousarray(cast_to_model(model, payload["inputs"]))
         with _backend.use_backend(payload.get("backend", backend)), no_grad():
             return np.asarray(model(Tensor(inputs)).data)
 

@@ -83,6 +83,25 @@ class TestInference:
         assert response.latency_ms > 0
         assert response.argmax == list(direct.argmax(axis=1))
 
+    def test_float64_inputs_run_at_the_models_dtype(self, artifact):
+        # a float32 artifact answers a float64 request with the float32
+        # forward that in-process evaluation computes
+        path, model = artifact
+        x = np.random.default_rng(1).standard_normal((3,) + SHAPE)
+        model.eval()
+        with _backend.use_backend("fast"), no_grad():
+            direct = np.asarray(model(Tensor(x.astype(np.float32))).data)
+
+        async def _go():
+            async with ModelServer({"m": path},
+                                   config=serial_config()) as server:
+                return await server.infer(inputs=x)
+
+        response = run(_go())
+        assert response.ok, response.error
+        assert response.outputs.dtype == np.float32
+        assert response.outputs.tobytes() == direct.tobytes()
+
     def test_input_seed_requests_are_deterministic(self, artifact):
         path, _ = artifact
 
