@@ -66,17 +66,6 @@ class Div(Function):
         return grad_a, grad_b
 
 
-class Maximum(Function):
-    def forward(self, a, b):
-        self.save_for_backward(a, b)
-        return np.maximum(a, b)
-
-    def backward(self, grad):
-        a, b = self.saved
-        mask = a >= b
-        return unbroadcast(grad * mask, a.shape), unbroadcast(grad * ~mask, b.shape)
-
-
 class MatMul(Function):
     def forward(self, a, b):
         if a.ndim != 2 or b.ndim != 2:
@@ -163,28 +152,6 @@ class Abs(Function):
         return (grad * np.sign(a),)
 
 
-class Tanh(Function):
-    def forward(self, a):
-        out = np.tanh(a)
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad):
-        (out,) = self.saved
-        return (grad * (1.0 - out * out),)
-
-
-class Sigmoid(Function):
-    def forward(self, a):
-        out = 1.0 / (1.0 + np.exp(-a))
-        self.save_for_backward(out)
-        return out
-
-    def backward(self, grad):
-        (out,) = self.saved
-        return (grad * out * (1.0 - out),)
-
-
 class ReLU(Function):
     def forward(self, a):
         out, mask = _backend.active().relu(a)
@@ -194,47 +161,6 @@ class ReLU(Function):
     def backward(self, grad):
         (mask,) = self.saved
         return (_backend.active().mul(grad, mask),)
-
-
-class LeakyReLU(Function):
-    def __init__(self, slope: float = 0.01) -> None:
-        super().__init__()
-        self.slope = float(slope)
-
-    def forward(self, a):
-        mask = a > 0
-        self.save_for_backward(mask)
-        return np.where(mask, a, self.slope * a)
-
-    def backward(self, grad):
-        (mask,) = self.saved
-        return (np.where(mask, grad, self.slope * grad),)
-
-
-class Softplus(Function):
-    """log(1 + exp(x)), computed stably."""
-
-    def forward(self, a):
-        out = np.logaddexp(0.0, a)
-        self.save_for_backward(a)
-        return out
-
-    def backward(self, grad):
-        (a,) = self.saved
-        return (grad / (1.0 + np.exp(-a)),)
-
-
-class Silu(Function):
-    """x * sigmoid(x) (a.k.a. swish)."""
-
-    def forward(self, a):
-        sig = 1.0 / (1.0 + np.exp(-a))
-        self.save_for_backward(a, sig)
-        return a * sig
-
-    def backward(self, grad):
-        a, sig = self.saved
-        return (grad * (sig + a * sig * (1.0 - sig)),)
 
 
 class Clip(Function):
@@ -396,55 +322,6 @@ class Concat(Function):
         return tuple(np.split(grad, splits, axis=self.axis))
 
 
-class Where(Function):
-    """Elementwise select: condition is a constant boolean mask."""
-
-    def __init__(self, condition: np.ndarray) -> None:
-        super().__init__()
-        self.condition = np.asarray(condition, dtype=bool)
-
-    def forward(self, a, b):
-        self._shapes = (a.shape, b.shape)
-        return np.where(self.condition, a, b)
-
-    def backward(self, grad):
-        sa, sb = self._shapes
-        grad_a = unbroadcast(grad * self.condition, sa)
-        grad_b = unbroadcast(grad * ~self.condition, sb)
-        return grad_a, grad_b
-
-
-class Stack(Function):
-    """Stack tensors along a new leading-or-given axis."""
-
-    def __init__(self, axis: int = 0) -> None:
-        super().__init__()
-        self.axis = axis
-
-    def forward(self, *arrays):
-        return np.stack(arrays, axis=self.axis)
-
-    def backward(self, grad):
-        pieces = np.split(grad, grad.shape[self.axis], axis=self.axis)
-        return tuple(np.squeeze(piece, axis=self.axis) for piece in pieces)
-
-
-class Pad2D(Function):
-    """Zero-pad the two trailing spatial axes of an NCHW tensor."""
-
-    def __init__(self, padding: int) -> None:
-        super().__init__()
-        self.padding = int(padding)
-
-    def forward(self, a):
-        p = self.padding
-        return np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
-
-    def backward(self, grad):
-        p = self.padding
-        return (grad[:, :, p:-p or None, p:-p or None],)
-
-
 # ---------------------------------------------------------------------------
 # Public functional API
 # ---------------------------------------------------------------------------
@@ -454,7 +331,6 @@ def add(a, b) -> Tensor: return Add.apply(a, b)
 def sub(a, b) -> Tensor: return Sub.apply(a, b)
 def mul(a, b) -> Tensor: return Mul.apply(a, b)
 def div(a, b) -> Tensor: return Div.apply(a, b)
-def maximum(a, b) -> Tensor: return Maximum.apply(a, b)
 def matmul(a, b) -> Tensor: return MatMul.apply(a, b)
 def neg(a) -> Tensor: return Neg.apply(a)
 def pow(a, exponent: float) -> Tensor: return Pow.apply(a, exponent=exponent)  # noqa: A001
@@ -462,12 +338,7 @@ def exp(a) -> Tensor: return Exp.apply(a)
 def log(a) -> Tensor: return Log.apply(a)
 def sqrt(a) -> Tensor: return Sqrt.apply(a)
 def abs(a) -> Tensor: return Abs.apply(a)  # noqa: A001
-def tanh(a) -> Tensor: return Tanh.apply(a)
-def sigmoid(a) -> Tensor: return Sigmoid.apply(a)
 def relu(a) -> Tensor: return ReLU.apply(a)
-def leaky_relu(a, slope: float = 0.01) -> Tensor: return LeakyReLU.apply(a, slope=slope)
-def softplus(a) -> Tensor: return Softplus.apply(a)
-def silu(a) -> Tensor: return Silu.apply(a)
 def clip(a, low: float, high: float) -> Tensor: return Clip.apply(a, low=low, high=high)
 
 
@@ -522,42 +393,21 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return Concat.apply(*tensors, axis=axis)
 
 
-def where(condition, a, b) -> Tensor:
-    """Select ``a`` where ``condition`` is true, else ``b`` (condition is
-    treated as a constant -- no gradient flows through it)."""
-    if isinstance(condition, Tensor):
-        condition = condition.data
-    return Where.apply(a, b, condition=condition)
-
-
-def stack(tensors: Sequence, axis: int = 0) -> Tensor:
-    return Stack.apply(*tensors, axis=axis)
-
-
-def pad2d(a, padding: int) -> Tensor:
-    if padding == 0:
-        return a if isinstance(a, Tensor) else Tensor(a)
-    return Pad2D.apply(a, padding=padding)
-
-
 # Neural-network ops (conv / pool / losses) are defined in ops_nn and
 # re-exported here so that `functional` is the single import site.
 from repro.autograd.ops_nn import (  # noqa: E402
-    avg_pool2d,
     conv2d,
     global_avg_pool2d,
     log_softmax,
     max_pool2d,
-    softmax,
     softmax_cross_entropy,
 )
 
 __all__ = [
-    "add", "sub", "mul", "div", "maximum", "matmul", "neg", "pow", "exp",
-    "log", "sqrt", "abs", "tanh", "sigmoid", "relu", "leaky_relu", "clip",
-    "softplus", "silu",
+    "add", "sub", "mul", "div", "matmul", "neg", "pow", "exp",
+    "log", "sqrt", "abs", "relu", "clip",
     "sum", "mean", "max", "min", "var", "reshape", "transpose", "flatten",
-    "getitem", "concat", "where", "stack", "pad2d",
-    "conv2d", "max_pool2d", "avg_pool2d",
-    "global_avg_pool2d", "softmax", "log_softmax", "softmax_cross_entropy",
+    "getitem", "concat",
+    "conv2d", "max_pool2d",
+    "global_avg_pool2d", "log_softmax", "softmax_cross_entropy",
 ]

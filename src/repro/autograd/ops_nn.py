@@ -1,4 +1,4 @@
-"""Neural-network ops: convolution, pooling, softmax and the fused loss.
+"""Neural-network ops: convolution, pooling, log-softmax and the fused loss.
 
 Convolution is implemented with the standard im2col lowering: each local
 receptive field becomes a column, so the convolution is one large matrix
@@ -8,9 +8,9 @@ of pure numpy.
 The numerical kernels themselves live behind the dispatch layer in
 :mod:`repro.backend` -- ops here validate shapes, build graph nodes and
 call ``backend.active().<kernel>(...)`` for the math.  The free
-functions (``conv2d``, ``max_pool2d``, ``avg_pool2d``) additionally
-take a no-grad fast path when gradients are disabled, dispatching to
-the fused ``*_infer`` kernels and skipping all backward bookkeeping.
+functions ``conv2d`` and ``max_pool2d`` additionally take a no-grad
+fast path when gradients are disabled, dispatching to the fused
+``*_infer`` kernels and skipping all backward bookkeeping.
 """
 
 from __future__ import annotations
@@ -206,24 +206,6 @@ class MaxPool2dFn(Function):
         )
 
 
-class AvgPool2dFn(Function):
-    def __init__(self, kernel: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel = int(kernel)
-        self.stride = int(stride) if stride is not None else int(kernel)
-
-    def forward(self, x):
-        self._x_shape = x.shape
-        return _backend.active().avgpool2d_forward(x, self.kernel, self.stride)
-
-    def backward(self, grad):
-        return (
-            _backend.active().avgpool2d_backward(
-                grad, self._x_shape, self.kernel, self.stride
-            ),
-        )
-
-
 def _pool_args(x, kernel, stride):
     x_data = x.data if isinstance(x, Tensor) else np.asarray(x)
     return x_data, int(kernel), int(stride) if stride is not None else int(kernel)
@@ -234,13 +216,6 @@ def max_pool2d(x, kernel: int, stride: Optional[int] = None) -> Tensor:
         x_data, k, s = _pool_args(x, kernel, stride)
         return Tensor(_backend.active().maxpool2d_infer(x_data, k, s))
     return MaxPool2dFn.apply(x, kernel=kernel, stride=stride)
-
-
-def avg_pool2d(x, kernel: int, stride: Optional[int] = None) -> Tensor:
-    if not is_grad_enabled():
-        x_data, k, s = _pool_args(x, kernel, stride)
-        return Tensor(_backend.active().avgpool2d_forward(x_data, k, s))
-    return AvgPool2dFn.apply(x, kernel=kernel, stride=stride)
 
 
 def global_avg_pool2d(x) -> Tensor:
@@ -303,11 +278,6 @@ class SoftmaxCrossEntropy(Function):
 
 def log_softmax(logits) -> Tensor:
     return LogSoftmax.apply(logits)
-
-
-def softmax(logits) -> Tensor:
-    from repro.autograd import functional as F
-    return F.exp(log_softmax(logits))
 
 
 def softmax_cross_entropy(logits, targets) -> Tensor:

@@ -265,8 +265,6 @@ class Tensor:
     def log(self): return _ops().log(self)
     def sqrt(self): return _ops().sqrt(self)
     def abs(self): return _ops().abs(self)
-    def tanh(self): return _ops().tanh(self)
-    def sigmoid(self): return _ops().sigmoid(self)
     def relu(self): return _ops().relu(self)
     def clip(self, low, high): return _ops().clip(self, low, high)
     def var(self, axis=None, keepdims=False): return _ops().var(self, axis=axis, keepdims=keepdims)

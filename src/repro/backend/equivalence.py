@@ -165,24 +165,6 @@ def _case_maxpool2d_infer(rng):
     return (x, k, s), {}
 
 
-@case("avgpool2d_forward")
-def _case_avgpool2d_forward(rng):
-    b, c, h, w, k, s = _pool_geometry(rng)
-    x = rng.normal(size=(b, c, h, w))
-    return (x, k, s), {}
-
-
-@case("avgpool2d_backward")
-def _case_avgpool2d_backward(rng):
-    from repro.backend.reference import avgpool2d_forward
-
-    b, c, h, w, k, s = _pool_geometry(rng)
-    x = rng.normal(size=(b, c, h, w))
-    out = avgpool2d_forward(x, k, s)
-    grad = rng.normal(size=out.shape)
-    return (grad, (b, c, h, w), k, s), {}
-
-
 @case("matmul")
 def _case_matmul(rng):
     m, k, n = (int(rng.integers(1, 12)) for _ in range(3))

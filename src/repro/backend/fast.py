@@ -332,34 +332,6 @@ def maxpool2d_backward(
     return grad_reshaped.reshape(x_shape)
 
 
-@BACKEND.register()
-def avgpool2d_backward(
-    grad: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-) -> np.ndarray:
-    batch, channels, height, width = x_shape
-    reshaped_shape = (batch * channels, 1, height, width)
-    grad_flat = grad.reshape(batch * channels, -1).transpose(1, 0).reshape(-1)
-    grad_cols = np.broadcast_to(
-        grad_flat / (kernel * kernel), (kernel * kernel, grad_flat.size)
-    ).copy()
-    grad_reshaped = col2im(grad_cols, reshaped_shape, kernel, kernel, stride, 0)
-    return grad_reshaped.reshape(x_shape)
-
-
-@BACKEND.register()
-def avgpool2d_forward(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
-    batch, channels, _, _ = x.shape
-    reshaped = x.reshape(batch * channels, 1, *x.shape[2:])
-    cols, out_h, out_w = _gather(reshaped, kernel, kernel, stride, 0)
-    out = cols.mean(axis=0)
-    return np.ascontiguousarray(
-        out.reshape(out_h, out_w, batch * channels).transpose(2, 0, 1)
-    ).reshape(batch, channels, out_h, out_w)
-
-
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ from repro.datasets.transforms import (
     to_grayscale,
 )
 from repro.datasets.splits import train_test_split
-from repro.datasets.io import load_dataset, save_dataset
 
 __all__ = [
     "ImageDataset", "SyntheticCifarConfig", "make_synthetic_cifar",
     "SyntheticFacesConfig", "make_synthetic_faces",
     "SyntheticDigitsConfig", "make_synthetic_digits", "to_grayscale",
     "images_to_batch", "normalize_batch", "train_test_split",
-    "save_dataset", "load_dataset",
 ]

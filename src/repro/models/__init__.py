@@ -11,14 +11,12 @@ from repro.models.resnet import ResNet, resnet8_tiny, resnet10, resnet18_cifar, 
 from repro.models.simple_cnn import SimpleCNN
 from repro.models.mlp import MLP
 from repro.models.face_net import FaceNetMini, face_net_mini
-from repro.models.vgg import VGG, vgg_small, vgg_tiny
-from repro.models.registry import available_models, build_model, register_model
+from repro.models.registry import available_models, build_model
 from repro.models.introspect import encodable_parameters, parameter_vector, set_parameter_vector
 
 __all__ = [
     "ResNet", "resnet8_tiny", "resnet10", "resnet18_cifar", "resnet34_cifar",
     "SimpleCNN", "MLP", "FaceNetMini", "face_net_mini",
-    "VGG", "vgg_tiny", "vgg_small",
-    "available_models", "build_model", "register_model",
+    "available_models", "build_model",
     "encodable_parameters", "parameter_vector", "set_parameter_vector",
 ]

@@ -5,22 +5,18 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from repro.errors import ConfigError
+from repro.models import face_net, mlp, resnet, simple_cnn
 from repro.nn.module import Module
 
-_REGISTRY: Dict[str, Callable[..., Module]] = {}
-
-
-def register_model(name: str, builder: Callable[..., Module] = None):
-    """Register a model builder (usable as a decorator)."""
-    def _register(fn: Callable[..., Module]) -> Callable[..., Module]:
-        if name in _REGISTRY:
-            raise ConfigError(f"model {name!r} is already registered")
-        _REGISTRY[name] = fn
-        return fn
-
-    if builder is not None:
-        return _register(builder)
-    return _register
+_REGISTRY: Dict[str, Callable[..., Module]] = {
+    "resnet34_cifar": resnet.resnet34_cifar,
+    "resnet18_cifar": resnet.resnet18_cifar,
+    "resnet10": resnet.resnet10,
+    "resnet8_tiny": resnet.resnet8_tiny,
+    "simple_cnn": simple_cnn.SimpleCNN,
+    "mlp": mlp.MLP,
+    "face_net_mini": face_net.face_net_mini,
+}
 
 
 def build_model(name: str, **kwargs) -> Module:
@@ -32,25 +28,3 @@ def build_model(name: str, **kwargs) -> Module:
 
 def available_models() -> List[str]:
     return sorted(_REGISTRY)
-
-
-def _populate_defaults() -> None:
-    from repro.models import face_net, mlp, resnet, simple_cnn, vgg
-
-    defaults = {
-        "resnet34_cifar": resnet.resnet34_cifar,
-        "resnet18_cifar": resnet.resnet18_cifar,
-        "resnet10": resnet.resnet10,
-        "resnet8_tiny": resnet.resnet8_tiny,
-        "simple_cnn": simple_cnn.SimpleCNN,
-        "mlp": mlp.MLP,
-        "face_net_mini": face_net.face_net_mini,
-        "vgg_tiny": vgg.vgg_tiny,
-        "vgg_small": vgg.vgg_small,
-    }
-    for name, builder in defaults.items():
-        if name not in _REGISTRY:
-            _REGISTRY[name] = builder
-
-
-_populate_defaults()

@@ -6,33 +6,20 @@ state-dict serialization.
 """
 
 from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    Conv2d,
-    Dropout,
-    Flatten,
-    Identity,
-    LeakyReLU,
-    Linear,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.norm import BatchNorm1d, BatchNorm2d
-from repro.nn.norm_extra import GroupNorm, LayerNorm
-from repro.nn.pooling import AvgPool2d, GlobalAvgPool2d, MaxPool2d
+from repro.nn.layers import Conv2d, Flatten, Identity, Linear, ReLU
+from repro.nn.norm import BatchNorm2d
+from repro.nn.pooling import GlobalAvgPool2d, MaxPool2d
 from repro.nn.blocks import BasicBlock, ConvBnRelu
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD, Adam, CosineSchedule, RMSProp, StepSchedule
+from repro.nn.optim import SGD, CosineSchedule, StepSchedule
 from repro.nn.dataloader import DataLoader
 from repro.nn.serialize import load_state, save_state
 from repro.nn import init
 
 __all__ = [
     "Module", "Parameter", "Sequential", "Linear", "Conv2d", "Flatten",
-    "Identity", "ReLU", "LeakyReLU", "Sigmoid", "Tanh", "Dropout",
-    "BatchNorm1d", "BatchNorm2d", "LayerNorm", "GroupNorm",
-    "MaxPool2d", "AvgPool2d", "GlobalAvgPool2d",
-    "BasicBlock", "ConvBnRelu", "CrossEntropyLoss", "SGD", "Adam", "RMSProp",
+    "Identity", "ReLU", "BatchNorm2d", "MaxPool2d", "GlobalAvgPool2d",
+    "BasicBlock", "ConvBnRelu", "CrossEntropyLoss", "SGD",
     "StepSchedule", "CosineSchedule", "DataLoader", "save_state",
     "load_state", "init",
 ]

@@ -1,4 +1,4 @@
-"""Core layers: Linear, Conv2d, activations, Dropout, Flatten."""
+"""Core layers: Linear, Conv2d, Flatten, Identity, ReLU."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
-from repro.errors import ConfigError
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -97,46 +96,3 @@ class Identity(Module):
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return F.relu(x)
-
-
-class LeakyReLU(Module):
-    def __init__(self, slope: float = 0.01) -> None:
-        super().__init__()
-        self.slope = slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.slope)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.sigmoid(x)
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.tanh(x)
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode.
-
-    A module-owned Generator drives the masks, so a model built from a
-    seed trains identically run-to-run.
-    """
-
-    def __init__(self, p: float = 0.5, rng: Optional[np.random.Generator] = None) -> None:
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self._generator = _rng(rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        # match the input dtype so the mask never upcasts a float32 graph
-        mask = ((self._generator.random(x.shape) < keep) / keep).astype(
-            x.data.dtype, copy=False)
-        return F.mul(x, Tensor(mask))

@@ -1,4 +1,4 @@
-"""Batch normalization layers.
+"""Batch normalization over NCHW activations.
 
 The normalization itself is composed from differentiable primitives, so
 the backward pass comes for free from autograd; only the running-stat
@@ -23,7 +23,9 @@ from repro.autograd.tensor import Tensor, is_grad_enabled
 from repro.nn.module import Module, Parameter
 
 
-class _BatchNorm(Module):
+class BatchNorm2d(Module):
+    """BatchNorm over NCHW activations (per-channel statistics)."""
+
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
         super().__init__()
         self.num_features = int(num_features)
@@ -34,20 +36,14 @@ class _BatchNorm(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def _axes(self):
-        raise NotImplementedError
-
-    def _param_shape(self):
-        raise NotImplementedError
-
     def _update_running(self, batch_mean: np.ndarray, batch_var: np.ndarray) -> None:
         m = self.momentum
         self.update_buffer("running_mean", (1 - m) * self.running_mean + m * batch_mean)
         self.update_buffer("running_var", (1 - m) * self.running_var + m * batch_var)
 
     def forward(self, x: Tensor) -> Tensor:
-        axes = self._axes()
-        shape = self._param_shape()
+        axes = (0, 2, 3)
+        shape = (1, self.num_features, 1, 1)
         if not self.training and not is_grad_enabled():
             # inference fast path: one fused kernel, no graph nodes
             x_data = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -104,23 +100,3 @@ class _BatchNorm(Module):
         gamma = F.reshape(self.gamma, shape)
         beta = F.reshape(self.beta, shape)
         return F.add(F.mul(normalized, gamma), beta)
-
-
-class BatchNorm2d(_BatchNorm):
-    """BatchNorm over NCHW activations (per-channel statistics)."""
-
-    def _axes(self):
-        return (0, 2, 3)
-
-    def _param_shape(self):
-        return (1, self.num_features, 1, 1)
-
-
-class BatchNorm1d(_BatchNorm):
-    """BatchNorm over (batch, features) activations."""
-
-    def _axes(self):
-        return (0,)
-
-    def _param_shape(self):
-        return (1, self.num_features)

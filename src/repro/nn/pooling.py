@@ -19,16 +19,6 @@ class MaxPool2d(Module):
         return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = int(kernel_size)
-        self.stride = int(stride) if stride is not None else int(kernel_size)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
-
-
 class GlobalAvgPool2d(Module):
     """Reduce each channel's spatial map to its mean: NCHW -> NC."""
 

@@ -108,16 +108,18 @@ def cast_to_model(model: Any, inputs: np.ndarray) -> np.ndarray:
     """``inputs`` as a float array of ``model``'s parameter dtype.
 
     The one rule of no-grad evaluation and serving: the forward runs at
-    the model's precision, not the input's.  Non-float arrays, and
-    models that expose no ``parameters()`` (duck-typed wrappers) or
-    have none, pass through unchanged; so does an input already at the
-    parameter dtype (no copy).
+    the model's precision, not the input's.  The dtype is read off the
+    first of ``named_parameters()``, taken lazily: a served batch pays
+    for one step of the module walk, not the whole parameter list.
+    Non-float arrays, and models that expose no ``named_parameters()``
+    (duck-typed wrappers) or have no parameter, pass through unchanged;
+    so does an input already at the parameter dtype (no copy).
     """
     inputs = np.asarray(inputs)
-    parameters = getattr(model, "parameters", None)
-    if inputs.dtype.kind != "f" or parameters is None:
+    named_parameters = getattr(model, "named_parameters", None)
+    if inputs.dtype.kind != "f" or named_parameters is None:
         return inputs
-    first = next(iter(parameters()), None)
+    first = next(named_parameters(), None)
     if first is None:
         return inputs
-    return inputs.astype(first.data.dtype, copy=False)
+    return inputs.astype(first[1].data.dtype, copy=False)

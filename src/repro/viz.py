@@ -1,7 +1,7 @@
-"""Terminal visualization helpers (ASCII images and histograms).
+"""Terminal visualization helpers (ASCII images and sparklines).
 
-Used by the examples and the Fig. 5 benchmark to give a direct visual
-check of reconstructed images without any plotting dependency.
+They give a direct visual check of images and metric series without any
+plotting dependency; the monitor report draws its trends as sparklines.
 """
 
 from __future__ import annotations
@@ -83,34 +83,3 @@ def ascii_image(image: np.ndarray, max_width: int = 48) -> str:
         cells = (np.clip(row, 0, 255) / 256.0 * len(_LEVELS)).astype(int)
         rows.append("".join(_LEVELS[min(c, len(_LEVELS) - 1)] * 2 for c in cells))
     return "\n".join(rows)
-
-
-def side_by_side(left: str, right: str, gap: int = 4,
-                 titles: Optional[Sequence[str]] = None) -> str:
-    """Join two ASCII blocks horizontally (e.g. original vs. stolen)."""
-    left_lines = left.splitlines()
-    right_lines = right.splitlines()
-    width = max((len(line) for line in left_lines), default=0)
-    if titles is not None:
-        left_lines = [titles[0]] + left_lines
-        right_lines = [titles[1]] + right_lines
-        width = max(width, len(titles[0]))
-    height = max(len(left_lines), len(right_lines))
-    left_lines += [""] * (height - len(left_lines))
-    right_lines += [""] * (height - len(right_lines))
-    return "\n".join(
-        f"{l.ljust(width)}{' ' * gap}{r}" for l, r in zip(left_lines, right_lines)
-    )
-
-
-def ascii_histogram(values: np.ndarray, bins: int = 24, width: int = 40,
-                    title: str = "") -> str:
-    """Horizontal bar-chart of a sample's histogram."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    counts, edges = np.histogram(values, bins=bins)
-    peak = counts.max() if counts.max() else 1
-    lines = [title] if title else []
-    for count, low, high in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * count / peak))
-        lines.append(f"{low:9.3f}..{high:9.3f} | {bar}")
-    return "\n".join(lines)

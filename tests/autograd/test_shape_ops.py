@@ -88,21 +88,3 @@ class TestConcat:
         F.sum(F.mul(F.getitem(out, slice(0, 2)), Tensor(np.ones((2, 2))))).backward()
         assert np.allclose(a.grad, 1.0)
         assert np.allclose(b.grad, 0.0)
-
-
-class TestPad2d:
-    def test_shape(self):
-        out = F.pad2d(Tensor(randn(1, 2, 3, 3)), 2)
-        assert out.shape == (1, 2, 7, 7)
-
-    def test_zero_padding_is_identity(self):
-        x = Tensor(randn(1, 1, 3, 3))
-        assert F.pad2d(x, 0).shape == x.shape
-
-    def test_gradient(self):
-        grad_check(lambda a: F.sum(F.pad2d(a, 1)), [randn(1, 2, 3, 3)])
-
-    def test_values_are_zero_in_border(self):
-        out = F.pad2d(Tensor(np.ones((1, 1, 2, 2))), 1)
-        assert out.data[0, 0, 0, 0] == 0.0
-        assert out.data[0, 0, 1, 1] == 1.0

@@ -23,7 +23,6 @@ DTYPES = (np.float32, np.float64)
 MODELS = [
     ("resnet8_tiny", {}, 3, 16),
     ("simple_cnn", {"image_size": 16}, 3, 16),
-    ("vgg_tiny", {"image_size": 16}, 3, 16),
     ("face_net_mini", {"num_identities": 12}, 1, 24),
 ]
 

@@ -6,9 +6,9 @@ import pytest
 
 from repro import backend as B
 from repro.autograd import Tensor, no_grad
-from repro.autograd.ops_nn import avg_pool2d, col2im, conv2d, im2col, max_pool2d
+from repro.autograd.ops_nn import col2im, conv2d, im2col, max_pool2d
 from repro.backend import fast
-from repro.nn.norm import BatchNorm1d, BatchNorm2d
+from repro.nn.norm import BatchNorm2d
 
 RNG = np.random.default_rng(5)
 
@@ -107,20 +107,19 @@ class TestConvBackwardGradSkip:
 
 
 class TestFusedBatchNormTraining:
-    def _layer_pair(self, cls, num_features):
+    def _layer_pair(self, num_features):
         layers = []
         for _ in range(2):
-            bn = cls(num_features)
+            bn = BatchNorm2d(num_features)
             bn.gamma.data[:] = np.linspace(0.5, 1.5, num_features)
             bn.beta.data[:] = np.linspace(-0.2, 0.2, num_features)
             bn.train()
             layers.append(bn)
         return layers
 
-    @pytest.mark.parametrize("shape", [(6, 4, 5, 5), (8, 5)])
+    @pytest.mark.parametrize("shape", [(6, 4, 5, 5), (8, 5, 1, 1)])
     def test_fused_matches_composed_graph(self, shape):
-        cls = BatchNorm2d if len(shape) == 4 else BatchNorm1d
-        composed, fused = self._layer_pair(cls, shape[1])
+        composed, fused = self._layer_pair(shape[1])
         x = RNG.normal(size=shape)
         with B.use_backend("reference"):
             ref_out = composed(Tensor(x.copy(), requires_grad=True))
@@ -140,7 +139,7 @@ class TestFusedBatchNormTraining:
                                    rtol=1e-9, atol=1e-12)
 
     def test_input_gradient_matches_composed_graph(self):
-        composed, fused = self._layer_pair(BatchNorm2d, 3)
+        composed, fused = self._layer_pair(3)
         x = RNG.normal(size=(4, 3, 6, 6))
         grads = {}
         for backend, bn in (("reference", composed), ("fast", fused)):
@@ -226,12 +225,9 @@ class TestFusedInference:
         x = RNG.normal(size=(2, 3, 7, 7))
         with B.use_backend(backend):
             graph_max = max_pool2d(Tensor(x), 2, stride=2)
-            graph_avg = avg_pool2d(Tensor(x), 3, stride=2)
             with no_grad():
                 fast_max = max_pool2d(Tensor(x), 2, stride=2)
-                fast_avg = avg_pool2d(Tensor(x), 3, stride=2)
         np.testing.assert_allclose(fast_max.data, graph_max.data, rtol=1e-6)
-        np.testing.assert_allclose(fast_avg.data, graph_avg.data, rtol=1e-6)
 
     @pytest.mark.parametrize("backend", ["reference", "fast"])
     def test_batchnorm_eval_no_grad_path(self, backend):

@@ -12,7 +12,7 @@ import pytest
 
 from repro import backend as B
 from repro.autograd import Tensor, no_grad
-from repro.autograd.ops_nn import avg_pool2d, col2im, conv2d, im2col, max_pool2d
+from repro.autograd.ops_nn import col2im, conv2d, im2col, max_pool2d
 from repro.errors import ShapeError
 
 X = np.random.default_rng(0).normal(size=(2, 3, 8, 8))
@@ -25,8 +25,6 @@ CASES = {
     "conv_kernel_0": lambda x: conv2d(x, Tensor(np.ones((4, 3, 0, 3)))),
     "max_pool_kernel_0": lambda x: max_pool2d(x, 0),
     "max_pool_stride_0": lambda x: max_pool2d(x, 2, stride=0),
-    "avg_pool_kernel_0": lambda x: avg_pool2d(x, 0),
-    "avg_pool_stride_0": lambda x: avg_pool2d(x, 2, stride=0),
 }
 
 

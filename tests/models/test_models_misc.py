@@ -12,7 +12,6 @@ from repro.models import (
     available_models,
     build_model,
     face_net_mini,
-    register_model,
 )
 
 RNG = np.random.default_rng(29)
@@ -91,14 +90,6 @@ class TestRegistry:
         assert out.shape == (1, 4)
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ConfigError):
-            build_model("not_a_model")
-
-    def test_register_custom_and_duplicate(self):
-        @register_model("test_custom_model")
-        def _build(**kwargs):
-            return MLP([4, 2])
-
-        assert "test_custom_model" in available_models()
-        with pytest.raises(ConfigError):
-            register_model("test_custom_model", _build)
+        for name in ("not_a_model", "vgg_tiny"):
+            with pytest.raises(ConfigError, match=f"unknown model '{name}'"):
+                build_model(name)

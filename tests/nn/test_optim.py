@@ -5,7 +5,7 @@ import pytest
 
 from repro.autograd import Tensor, functional as F
 from repro.errors import ConfigError
-from repro.nn import SGD, Adam, CosineSchedule, StepSchedule
+from repro.nn import SGD, CosineSchedule, StepSchedule
 from repro.nn.module import Parameter
 
 
@@ -67,33 +67,6 @@ class TestSGD:
     def test_bad_lr_raises(self):
         with pytest.raises(ConfigError):
             SGD([Parameter(np.zeros(1))], lr=0.0)
-
-
-class TestAdam:
-    def test_first_step_size_is_lr(self):
-        # With bias correction, the first Adam step is ~lr * sign(grad).
-        p = Parameter(np.array([0.0]))
-        opt = Adam([p], lr=0.01)
-        p.grad = np.array([5.0])
-        opt.step()
-        assert np.allclose(p.data, [-0.01], atol=1e-6)
-
-    def test_converges_on_quadratic(self):
-        p = Parameter(np.array([-5.0, 20.0]))
-        opt = Adam([p], lr=0.3)
-        for _ in range(300):
-            loss = quadratic_loss(p)
-            p.grad = None
-            loss.backward()
-            opt.step()
-        assert np.allclose(p.data, 3.0, atol=1e-2)
-
-    def test_weight_decay_applied(self):
-        p = Parameter(np.array([100.0]))
-        p.grad = np.array([0.0])
-        opt = Adam([p], lr=0.1, weight_decay=0.5)
-        opt.step()
-        assert p.data[0] < 100.0
 
 
 class TestSchedules:

@@ -3,14 +3,15 @@
 import numpy as np
 
 from repro.autograd import Tensor
-from repro.nn import BatchNorm1d, Linear, Sequential, load_state, save_state
+from repro.nn import BatchNorm2d, Conv2d, Flatten, Linear, Sequential, load_state, save_state
 
 
 def make_model(seed=0):
     return Sequential(
-        Linear(4, 8, rng=np.random.default_rng(seed)),
-        BatchNorm1d(8),
-        Linear(8, 2, rng=np.random.default_rng(seed + 1)),
+        Conv2d(2, 4, 3, padding=1, rng=np.random.default_rng(seed)),
+        BatchNorm2d(4),
+        Flatten(),
+        Linear(4 * 3 * 3, 2, rng=np.random.default_rng(seed + 1)),
     )
 
 
@@ -26,7 +27,7 @@ class TestSerialize:
 
     def test_roundtrip_buffers(self, tmp_path):
         model = make_model()
-        model(Tensor(np.random.default_rng(0).standard_normal((16, 4))))  # move BN stats
+        model(Tensor(np.random.default_rng(0).standard_normal((16, 2, 3, 3))))  # move BN stats
         path = tmp_path / "model.npz"
         save_state(model, path)
         other = make_model()
@@ -38,7 +39,7 @@ class TestSerialize:
     def test_same_predictions_after_load(self, tmp_path):
         model = make_model(seed=3)
         model.eval()
-        x = np.random.default_rng(1).standard_normal((5, 4))
+        x = np.random.default_rng(1).standard_normal((5, 2, 3, 3))
         expected = model(Tensor(x)).data
         path = tmp_path / "model.npz"
         save_state(model, path)

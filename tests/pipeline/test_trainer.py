@@ -125,28 +125,3 @@ class TestEagerTwins:
         bn_means = [buf for name, buf in twins[0].model.named_buffers()
                     if name.endswith("running_mean")]
         assert bn_means and all(np.any(m != 0.0) for m in bn_means)
-
-    def test_dropout_masks_come_from_module_rngs(self):
-        from repro.nn import Dropout, Flatten, Linear
-        from repro.nn.module import Module
-
-        class DropNet(Module):
-            def __init__(self):
-                super().__init__()
-                rng = np.random.default_rng(21)
-                self.flatten = Flatten()
-                self.fc1 = Linear(48, 16, rng=rng)
-                self.drop = Dropout(0.5, rng=np.random.default_rng(22))
-                self.fc2 = Linear(16, 3, rng=rng)
-
-            def forward(self, x):
-                return self.fc2(self.drop(self.fc1(self.flatten(x)).relu()))
-
-        rng = np.random.default_rng(3)
-        inputs = rng.standard_normal((12, 3, 4, 4))
-        labels = rng.integers(0, 3, size=12)
-        config = TrainingConfig(epochs=2, batch_size=4, lr=0.05, seed=3)
-        twins = [Trainer(DropNet(), inputs, labels, config) for _ in range(2)]
-        for trainer in twins:
-            trainer.train()
-        assert_twins_identical(*twins)

@@ -30,7 +30,6 @@ WHITELIST = {
     "monitor/probes.py",
     "preprocessing/stats.py",
     "quantization/target_correlated.py",
-    "viz.py",
 }
 
 

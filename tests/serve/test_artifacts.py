@@ -100,6 +100,17 @@ class TestCorruption:
         with pytest.raises(ServeError, match="unknown artifact format"):
             load_artifact(tmp_path / "art")
 
+    def test_unknown_model_name(self, tmp_path):
+        # an artifact naming a model the registry lacks fails to rebuild
+        # with the registry's error
+        _make_artifact(tmp_path / "art")
+        meta_path = tmp_path / "art" / META_FILE
+        meta = json.loads(meta_path.read_text("utf-8"))
+        meta["model"] = "vgg_tiny"
+        meta_path.write_text(json.dumps(meta), "utf-8")
+        with pytest.raises(ServeError, match="unknown model 'vgg_tiny'"):
+            load_artifact(tmp_path / "art", verify=False)
+
     def test_truncated_weights(self, tmp_path):
         _make_artifact(tmp_path / "art")
         weights = tmp_path / "art" / WEIGHTS_FILE

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.viz import ascii_histogram, ascii_image, side_by_side
+from repro.viz import ascii_image
 
 
 class TestAsciiImage:
@@ -32,39 +32,6 @@ class TestAsciiImage:
     def test_wide_images_subsampled(self):
         art = ascii_image(np.zeros((4, 200)), max_width=40)
         assert max(len(line) for line in art.splitlines()) <= 2 * 40
-
-
-class TestSideBySide:
-    def test_joined_width(self):
-        joined = side_by_side("ab\ncd", "xy\nzw", gap=2)
-        lines = joined.splitlines()
-        assert lines[0] == "ab  xy"
-        assert lines[1] == "cd  zw"
-
-    def test_uneven_heights_padded(self):
-        joined = side_by_side("ab", "xy\nzw")
-        assert len(joined.splitlines()) == 2
-
-    def test_titles(self):
-        joined = side_by_side("ab", "xy", titles=["left", "right"])
-        assert joined.splitlines()[0].startswith("left")
-        assert "right" in joined.splitlines()[0]
-
-
-class TestAsciiHistogram:
-    def test_bin_count(self):
-        art = ascii_histogram(np.random.default_rng(0).standard_normal(100), bins=10)
-        assert len(art.splitlines()) == 10
-
-    def test_title(self):
-        art = ascii_histogram(np.ones(10), bins=4, title="weights")
-        assert art.splitlines()[0] == "weights"
-
-    def test_peak_bin_longest(self):
-        values = np.concatenate([np.zeros(90), np.ones(10)])
-        art = ascii_histogram(values, bins=2, width=20)
-        bars = [line.split("|")[1] for line in art.splitlines()]
-        assert len(bars[0].strip()) > len(bars[1].strip())
 
 
 class TestSparkline:
