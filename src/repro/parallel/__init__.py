@@ -7,8 +7,9 @@ Six pieces:
   :class:`~repro.parallel.worker.Envelope` each, merge the shipped
   telemetry, one liveness wait on pipes and process sentinels, and one
   reap (stop sentinel, join, terminate, join, kill).
-* :mod:`repro.parallel.pool` -- :class:`WorkerPool`: chunked
-  multi-process task scheduling with per-task timeouts, bounded retry
+* :mod:`repro.parallel.pool` -- :class:`WorkerPool`: multi-process
+  task scheduling (workers forked once per run, handed one task index
+  at a time) with per-task timeouts, bounded retry
   of crashed workers, structured :class:`TaskOutcome` failure records
   (never pool-wide aborts), per-task telemetry ship-back, and a
   transparent in-process serial fallback.

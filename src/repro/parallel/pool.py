@@ -14,8 +14,13 @@ per-task, never pool-wide:
 * a task that exceeds the per-task **timeout** gets its worker killed
   and is retried / recorded as ``error_kind="timeout"``.
 
-Workers fork (see :mod:`repro.parallel.worker`): task functions and
-arguments travel by memory inheritance, never by pickling.  When
+The pool forks ``min(max_workers, len(tasks))`` persistent workers
+(see :mod:`repro.parallel.worker`) once per :meth:`WorkerPool.run`.
+Each inherits the whole task list at fork, so task functions and
+arguments travel by memory, never by pickling; the parent sends a free
+worker the *index* of the next pending task, one task in flight per
+worker, and a crashed or timed-out worker is replaced by a fresh fork
+that inherits the same list.  When
 ``max_workers <= 1`` or the platform cannot fork, the pool runs the
 tasks in-process, serially, with identical outcome semantics (timeouts
 cannot preempt in-process and are ignored there).
@@ -35,15 +40,16 @@ trace.
 
 from __future__ import annotations
 
-import math
+import collections
+import functools
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
-from repro.parallel.worker import (Envelope, Unit, Worker, absorb, execute,
-                                   fork, reap, uses_fork, wait)
+from repro.parallel.worker import (Envelope, Handler, Unit, Worker, absorb,
+                                   execute, fork, reap, uses_fork, wait)
 from repro.telemetry.metrics import default_registry
 from repro.telemetry.trace import current_trace_context, span
 
@@ -89,14 +95,16 @@ def cpu_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _run_task(unit: Unit) -> Any:
-    task = unit.work
+def _call(task: Task) -> Any:
     return task.fn(*task.args, **dict(task.kwargs or {}))
 
 
-def _forked_task(unit: Unit) -> Any:
-    with span("pool.task", index=unit.key):
-        return _run_task(unit)
+def _task_runner(tasks: Sequence[Task]) -> Handler:
+    """A forked worker's handler: run the inherited task a unit names."""
+    def handle(unit: Unit) -> Any:
+        with span("pool.task", index=unit.key):
+            return _call(tasks[unit.key])
+    return handle
 
 
 def _outcome(envelope: Envelope, attempts: int) -> TaskOutcome:
@@ -108,28 +116,12 @@ def _outcome(envelope: Envelope, attempts: int) -> TaskOutcome:
     )
 
 
-class _Chunk:
-    """A forked worker and the tasks it inherited, run in order."""
-
-    __slots__ = ("worker", "units", "position", "since")
-
-    def __init__(self, units: List[Unit]) -> None:
-        self.worker = fork(lambda: _forked_task, units)
-        self.units = units
-        self.position = 0                 # index of the task now executing
-        self.since = time.perf_counter()  # when that task started
-
-    @property
-    def done(self) -> bool:
-        return self.position == len(self.units)
-
-    @property
-    def current(self) -> Unit:
-        return self.units[self.position]
+_FAILURE_COUNTERS = {"crash": "pool.worker_crashes",
+                     "timeout": "pool.worker_timeouts"}
 
 
 class WorkerPool:
-    """Chunked multi-process task runner with bounded retries.
+    """Multi-process task runner with bounded retries.
 
     Args:
         max_workers: concurrent worker processes; ``None`` auto-detects
@@ -141,26 +133,20 @@ class WorkerPool:
         retries: how many times a crashed or timed-out task is re-run
             before a failure outcome is recorded (exceptions are never
             retried -- they are deterministic).
-        chunk_size: tasks handed to a worker per process fork; defaults
-            to ``ceil(n / (workers * 4))`` for load balancing.
 
     Workers fork where the platform can; elsewhere the pool runs serially.
     """
 
     def __init__(self, max_workers: Optional[int] = None,
                  timeout: Optional[float] = None,
-                 retries: int = 1,
-                 chunk_size: Optional[int] = None) -> None:
+                 retries: int = 1) -> None:
         if timeout is not None and timeout <= 0:
             raise ConfigError(f"timeout must be positive, got {timeout}")
         if retries < 0:
             raise ConfigError(f"retries must be >= 0, got {retries}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
         self.max_workers = cpu_workers() if max_workers is None else int(max_workers)
         self.timeout = timeout
         self.retries = int(retries)
-        self.chunk_size = chunk_size
         self.forks = uses_fork(None, ConfigError)
 
     def run(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
@@ -169,87 +155,83 @@ class WorkerPool:
         if not tasks:
             return []
         if self.max_workers <= 1 or not self.forks:
-            return [_outcome(execute(_run_task, Unit(index, task)), 1)
+            return [_outcome(execute(lambda unit: _call(unit.work),
+                                     Unit(index, task)), 1)
                     for index, task in enumerate(tasks)]
         return self._run_pooled(tasks)
 
     # ---------------------------------------------------- pooled path
-    def _chunks(self, units: List[Unit]) -> List[List[Unit]]:
-        size = self.chunk_size
-        if size is None:
-            size = max(1, math.ceil(len(units) / (self.max_workers * 4)))
-        return [units[i:i + size] for i in range(0, len(units), size)]
-
-    def _run_pooled(self, tasks: Sequence[Task]) -> List[TaskOutcome]:
+    def _run_pooled(self, tasks: List[Task]) -> List[TaskOutcome]:
         registry = default_registry()
         # decided once at run start: workers record spans only when the
         # parent has a recorder to merge them into
         trace = current_trace_context()
-        pending = self._chunks([Unit(index, task, trace)
-                                for index, task in enumerate(tasks)])
+        init = functools.partial(_task_runner, tasks)
+        size = min(self.max_workers, len(tasks))
+        queue = collections.deque(range(len(tasks)))  # task indices to run
         outcomes: Dict[int, TaskOutcome] = {}
         failures: Dict[int, int] = {}   # crash/timeout count per task index
         attempts: Dict[int, int] = {}   # executions started per task index
-        active: Dict[Worker, _Chunk] = {}
+        workers: List[Worker] = []
+        running: Dict[Worker, Tuple[int, float]] = {}  # task index, start
 
-        def start_task(chunk: _Chunk) -> None:
-            key = chunk.current.key
+        def dispatch(worker: Worker) -> None:
+            key = queue.popleft()
             attempts[key] = attempts.get(key, 0) + 1
-            chunk.since = time.perf_counter()
+            running[worker] = (key, time.perf_counter())
+            try:
+                worker.send(Unit(key, None, trace))
+            except OSError:
+                pass  # the worker is dead: the next wait sees its sentinel
 
-        def fail(chunk: _Chunk, kind: str) -> None:
-            """Attribute a crash/timeout to the in-flight task and
-            reschedule it (bounded) plus the chunk's untouched tail."""
-            reap([chunk.worker], grace=0.0)
-            del active[chunk.worker]
-            registry.counter(f"pool.worker_{kind}s").inc()
-            key = chunk.current.key
+        def fail(worker: Worker, kind: str) -> None:
+            """Charge a crash/timeout to the worker's task, reap only
+            that worker and requeue the task first (bounded)."""
+            key, since = running.pop(worker)
+            reap([worker], grace=0.0)
+            workers.remove(worker)
+            registry.counter(_FAILURE_COUNTERS[kind]).inc()
             failures[key] = failures.get(key, 0) + 1
-            retry = failures[key] <= self.retries
-            if not retry:
-                message = (f"task exceeded {self.timeout:.3g}s timeout"
-                           if kind == "timeout" else
-                           f"worker died (exitcode "
-                           f"{chunk.worker.process.exitcode})")
-                outcomes[key] = TaskOutcome(
-                    key, False, error=message, error_kind=kind,
-                    attempts=attempts[key],
-                    duration_s=time.perf_counter() - chunk.since)
-            requeue = chunk.units[chunk.position + (0 if retry else 1):]
-            if requeue:
-                pending.append(requeue)
+            if failures[key] <= self.retries:
+                queue.appendleft(key)
+                return
+            message = (f"task exceeded {self.timeout:.3g}s timeout"
+                       if kind == "timeout" else
+                       f"worker died (exitcode {worker.process.exitcode})")
+            outcomes[key] = TaskOutcome(
+                key, False, error=message, error_kind=kind,
+                attempts=attempts[key],
+                duration_s=time.perf_counter() - since)
 
-        while pending or active:
-            while pending and len(active) < self.max_workers:
-                chunk = _Chunk(pending.pop(0))
-                active[chunk.worker] = chunk
-                start_task(chunk)
-            registry.gauge("pool.workers_alive").set(float(len(active)))
+        try:
+            while queue or running:
+                for worker in workers:
+                    if queue and worker not in running:
+                        dispatch(worker)
+                while queue and len(workers) < size:
+                    workers.append(fork(init))
+                    dispatch(workers[-1])
+                registry.gauge("pool.workers_alive").set(float(len(workers)))
 
-            timeout = None
-            if self.timeout is not None:
-                oldest = min(chunk.since for chunk in active.values())
-                timeout = max(0.0, oldest + self.timeout - time.perf_counter())
-            for worker in wait(list(active), timeout):
-                chunk = active[worker]
-                for envelope in worker.receive():
-                    absorb(envelope)
-                    outcomes[envelope.key] = _outcome(
-                        envelope, attempts[envelope.key])
-                    chunk.position += 1
-                    if not chunk.done:
-                        start_task(chunk)
-                if chunk.done:
-                    reap([worker])
-                    del active[worker]
-                elif worker.gone:
-                    fail(chunk, "crash")
+                timeout = None
+                if self.timeout is not None:
+                    oldest = min(since for _, since in running.values())
+                    timeout = max(0.0, oldest + self.timeout - time.perf_counter())
+                for worker in wait(list(running), timeout):
+                    for envelope in worker.receive():
+                        absorb(envelope)
+                        outcomes[envelope.key] = _outcome(
+                            envelope, attempts[envelope.key])
+                        del running[worker]
+                    if worker in running and worker.gone:
+                        fail(worker, "crash")
 
-            if self.timeout is not None:
-                now = time.perf_counter()
-                for chunk in list(active.values()):
-                    if now - chunk.since > self.timeout:
-                        fail(chunk, "timeout")
-
-        registry.gauge("pool.workers_alive").set(0.0)
-        return [outcomes[i] for i in sorted(outcomes)]
+                if self.timeout is not None:
+                    now = time.perf_counter()
+                    for worker, (_, since) in list(running.items()):
+                        if now - since > self.timeout:
+                            fail(worker, "timeout")
+        finally:
+            reap(workers)
+            registry.gauge("pool.workers_alive").set(0.0)
+        return [outcomes[i] for i in range(len(tasks))]

@@ -1,7 +1,7 @@
 """Persistent shard workers: the long-lived counterpart of :class:`WorkerPool`.
 
 :class:`~repro.parallel.pool.WorkerPool` is built for *finite* fan-out:
-it forks workers per chunk, runs a fixed task list, and tears down.  A
+it forks its workers per run, runs a fixed task list, and tears down.  A
 serving front end needs the opposite shape -- a small set of
 **persistent** worker processes, each holding expensive state (a loaded
 model artifact), answering a stream of requests until shut down.

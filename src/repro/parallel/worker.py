@@ -1,15 +1,14 @@
 """One fork runtime: the process core under every parallel runtime.
 
-:class:`~repro.parallel.pool.WorkerPool` (chunked tasks),
+:class:`~repro.parallel.pool.WorkerPool` (task indices),
 :class:`~repro.parallel.shards.ShardPool` (request tickets) and
 :class:`~repro.parallel.ddp.DDPContext` (lockstep ranks) differ only in
 how they schedule work.  The process mechanics live here, once:
 
-* **child side** -- :func:`fork` starts one worker that builds its
-  handler with ``init()`` and runs every :class:`Unit` through it,
-  replying with one :class:`Envelope` per unit.  The units are either
-  inherited at fork (a pool chunk) or streamed down the pipe until the
-  ``None`` stop sentinel (shards, DDP ranks: *persistent* workers).
+* **child side** -- :func:`fork` starts one persistent worker that
+  builds its handler with ``init()`` and runs every :class:`Unit` sent
+  down its pipe through it, replying with one :class:`Envelope` per
+  unit, until the ``None`` stop sentinel.
 * **the envelope** -- the only upward wire format: status, key, value
   or structured error, duration, and the unit's telemetry.  The child
   resets its registry before each unit and ships a *sparse* typed
@@ -18,13 +17,14 @@ how they schedule work.  The process mechanics live here, once:
 * **parent side** -- :func:`absorb` merges an envelope's telemetry;
   :func:`wait` blocks on the pipes *and* the process sentinels, so a
   death is seen the moment it happens, with no polling; :func:`reap`
-  tears workers down in one order: stop sentinel (persistent workers),
-  join, terminate, join, kill.
+  tears workers down in one order: stop sentinel, join, terminate, join,
+  kill.
 
-Workers fork: ``init`` and inherited units travel by memory, never by
-pickling.  Where ``fork`` is unavailable (or another start method is
-asked for) the runtimes run serially in-process through
-:func:`execute`, with the same envelope.
+Workers fork: ``init`` and whatever it closes over travel by memory,
+never by pickling; only the small units go down the pipe.  Where
+``fork`` is unavailable (or another start method is asked for) the
+runtimes run serially in-process through :func:`execute`, with the
+same envelope.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ __all__ = ["Unit", "Envelope", "Worker", "uses_fork", "fork", "execute",
 
 
 class Unit(NamedTuple):
-    """One unit of work sent to (or inherited by) a worker."""
+    """One unit of work sent to a worker."""
 
     key: Any                               # task index, ticket, or rank
     work: Any
@@ -121,9 +121,9 @@ def execute(handle: Handler, unit: Unit) -> Envelope:
                     duration_s=time.perf_counter() - start)
 
 
-def _child_main(conn, init: Callable[[], Handler],
-                units: Optional[Iterable[Unit]], telemetry: bool) -> None:
-    """Forked worker: build the handler, answer every unit, exit.
+def _child_main(conn, init: Callable[[], Handler], telemetry: bool) -> None:
+    """Forked worker: build the handler, answer every unit until the
+    stop sentinel, exit.
 
     ``telemetry=False`` ships spans only (no metrics).
     """
@@ -140,7 +140,7 @@ def _child_main(conn, init: Callable[[], Handler],
     registry = default_registry()
     recorder = None
     try:
-        for unit in units if units is not None else iter(conn.recv, None):
+        for unit in iter(conn.recv, None):
             current = recorder
             recorder = (worker_recorder(unit.trace, reuse=recorder)
                         if unit.trace is not None else None)
@@ -172,12 +172,11 @@ def _child_main(conn, init: Callable[[], Handler],
 class Worker:
     """Parent-side handle on one forked worker process and its pipe."""
 
-    __slots__ = ("process", "conn", "persistent", "eof")
+    __slots__ = ("process", "conn", "eof")
 
-    def __init__(self, process, conn, persistent: bool) -> None:
+    def __init__(self, process, conn) -> None:
         self.process = process
         self.conn = conn
-        self.persistent = persistent
         self.eof = False
 
     @property
@@ -214,22 +213,18 @@ class Worker:
         return True
 
 
-def fork(init: Callable[[], Handler],
-         units: Optional[Sequence[Unit]] = None,
-         telemetry: bool = True) -> Worker:
-    """Fork one worker running ``init()``'s handler over ``units``.
-
-    With ``units=None`` the worker is persistent: it answers units sent
-    with :meth:`Worker.send` until :func:`reap` sends the stop sentinel.
-    """
+def fork(init: Callable[[], Handler], telemetry: bool = True) -> Worker:
+    """Fork one worker running ``init()``'s handler: it answers units
+    sent with :meth:`Worker.send` until :func:`reap` sends the stop
+    sentinel."""
     ctx = multiprocessing.get_context("fork")
     parent_conn, child_conn = ctx.Pipe()
     process = ctx.Process(target=_child_main,
-                          args=(child_conn, init, units, telemetry),
+                          args=(child_conn, init, telemetry),
                           daemon=True)
     process.start()
     child_conn.close()
-    return Worker(process, parent_conn, persistent=units is None)
+    return Worker(process, parent_conn)
 
 
 def absorb(envelope: Envelope, label: Optional[str] = None) -> None:
@@ -269,11 +264,10 @@ def reap(workers: Iterable[Worker], grace: float = 1.0) -> None:
     """
     workers = list(workers)
     for worker in workers:
-        if worker.persistent:
-            try:
-                worker.send(None)
-            except OSError:
-                pass  # the pipe died with the worker
+        try:
+            worker.send(None)
+        except OSError:
+            pass  # the pipe died with the worker
     _join(workers, grace)
     for worker in workers:
         if worker.process.is_alive():

@@ -1,7 +1,7 @@
-"""Terminal visualization helpers (ASCII images and sparklines).
+"""Terminal sparklines: a metric series as one line of unicode bars.
 
-They give a direct visual check of images and metric series without any
-plotting dependency; the monitor report draws its trends as sparklines.
+They give a direct visual check of a series without any plotting
+dependency; the monitor report draws its trends with them.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-
-_LEVELS = " .:-=+*#%@"
 
 _SPARK_TICKS = "▁▂▃▄▅▆▇█"
 
@@ -49,37 +47,3 @@ def sparkline(values: Sequence[float], width: Optional[int] = None) -> str:
             step = int((value - low) / span * (len(_SPARK_TICKS) - 1))
             out.append(_SPARK_TICKS[min(step, len(_SPARK_TICKS) - 1)])
     return "".join(out)
-
-
-def trend(values: Sequence[float]) -> str:
-    """Compact ``first -> last`` label for a series (finite values only)."""
-    finite = [float(v) for v in values if np.isfinite(v)]
-    if not finite:
-        return "n/a"
-    if len(finite) == 1:
-        return f"{finite[0]:.4g}"
-    return f"{finite[0]:.4g} -> {finite[-1]:.4g}"
-
-
-def ascii_image(image: np.ndarray, max_width: int = 48) -> str:
-    """Render a grayscale or RGB image as ASCII art.
-
-    Each pixel becomes two characters (terminal cells are ~2:1), mapped
-    through a 10-step brightness ramp.  Wide images are subsampled to
-    ``max_width`` pixels.
-    """
-    image = np.asarray(image)
-    if image.ndim == 3:
-        if image.shape[2] == 3:
-            gray = image.astype(float) @ np.array([0.299, 0.587, 0.114])
-        else:
-            gray = image[..., 0].astype(float)
-    else:
-        gray = image.astype(float)
-    step = max(1, int(np.ceil(gray.shape[1] / max_width)))
-    gray = gray[::step, ::step]
-    rows = []
-    for row in gray:
-        cells = (np.clip(row, 0, 255) / 256.0 * len(_LEVELS)).astype(int)
-        rows.append("".join(_LEVELS[min(c, len(_LEVELS) - 1)] * 2 for c in cells))
-    return "\n".join(rows)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,6 +24,10 @@ from repro.monitor.alerts import (
 )
 from repro.monitor.probes import Probe
 from repro.telemetry.metrics import default_registry
+
+
+def _hard_crash():
+    os._exit(13)  # a worker dying without an exception
 
 
 def record(probe="correlation", epoch=0, **fields):
@@ -336,6 +341,18 @@ class TestDefaultRules:
         assert len(leak) == 1
         assert leak[0].severity == "critical"
         assert leak[0].epoch == 1
+
+    def test_worker_death_fires_on_a_pooled_crash(self):
+        from repro.parallel import Task, WorkerPool
+
+        default_registry().counter("pool.worker_crashes").reset()
+        engine = AlertEngine(default_rules())
+        assert engine.observe_registry() == []
+        outcome = WorkerPool(max_workers=2, retries=0).run(
+            [Task(_hard_crash)])[0]
+        assert outcome.error_kind == "crash"
+        fired = [a.rule for a in engine.observe_registry()]
+        assert fired == ["worker_death"]
 
     def test_benign_trajectory_stays_silent(self):
         engine = AlertEngine([r for r in default_rules()

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.parallel import Task, TaskOutcome, WorkerPool, cpu_workers
+from repro.parallel.worker import Unit, fork, set_message_audit
 from repro.telemetry import MetricsRegistry, default_registry
 
 
@@ -74,15 +75,15 @@ class TestHappyPath:
         assert all(o.ok and o.index == i for i, o in enumerate(outcomes))
 
     def test_runs_in_separate_processes(self):
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         outcomes = pool.run([Task(report_pid) for _ in range(4)])
         assert all(o.value != os.getpid() for o in outcomes)
 
     def test_empty_task_list(self):
         assert WorkerPool(max_workers=2).run([]) == []
 
-    def test_chunked_scheduling_covers_everything(self):
-        pool = WorkerPool(max_workers=2, chunk_size=3)
+    def test_more_tasks_than_workers_covers_everything(self):
+        pool = WorkerPool(max_workers=2)
         outcomes = pool.run([Task(square, (i,)) for i in range(8)])
         assert [o.value for o in outcomes] == [i * i for i in range(8)]
 
@@ -102,7 +103,7 @@ class TestFailureIsolation:
         assert failed.attempts == 1  # exceptions are deterministic: no retry
 
     def test_crash_does_not_kill_siblings(self):
-        pool = WorkerPool(max_workers=2, retries=1, chunk_size=2)
+        pool = WorkerPool(max_workers=2, retries=1)
         outcomes = pool.run([Task(square, (1,)), Task(hard_crash),
                              Task(square, (3,)), Task(square, (4,))])
         assert [o.ok for o in outcomes] == [True, False, True, True]
@@ -110,13 +111,34 @@ class TestFailureIsolation:
         assert "exitcode" in outcomes[1].error
 
     def test_crash_retry_is_bounded(self):
-        crashes = default_registry().counter("pool.worker_crashs")
+        crashes = default_registry().counter("pool.worker_crashes")
         before = crashes.value
         pool = WorkerPool(max_workers=2, retries=2)
         outcome = pool.run([Task(hard_crash)])[0]
         assert not outcome.ok
         assert outcome.attempts == 3  # 1 first try + 2 retries
         assert crashes.value == before + 3
+
+    def test_worker_dead_before_its_task_costs_one_attempt(self, monkeypatch):
+        from repro.parallel import pool as pool_module
+
+        forked = []
+
+        def fork_first_dead(init):
+            worker = fork(init)
+            if not forked:
+                worker.kill_process()
+                worker.process.join()
+            forked.append(worker)
+            return worker
+
+        monkeypatch.setattr(pool_module, "fork", fork_first_dead)
+        outcomes = WorkerPool(max_workers=2, retries=1).run(
+            [Task(square, (i,)) for i in range(4)])
+        assert [o.value for o in outcomes] == [0, 1, 4, 9]
+        assert sum(o.attempts for o in outcomes) == 5
+        assert len(forked) == 3
+        assert multiprocessing.active_children() == []
 
     def test_zero_retries(self):
         pool = WorkerPool(max_workers=2, retries=0)
@@ -158,6 +180,43 @@ class TestTimeouts:
         assert outcome.error_kind == "timeout"
         assert outcome.attempts == 2
         assert timeouts.value == before + 2
+
+
+class TestForkOncePerWorker:
+    """Workers fork once per run and receive task indices, not tasks."""
+
+    def test_eight_tasks_fork_two_workers(self):
+        outcomes = WorkerPool(max_workers=2).run(
+            [Task(report_pid) for _ in range(8)])
+        pids = {o.value for o in outcomes}
+        assert len(pids) <= 2 and os.getpid() not in pids
+
+    def test_pipes_carry_indices_and_stop_sentinels_only(self):
+        sent = []
+        previous = set_message_audit(
+            lambda direction, message: direction == "send"
+            and sent.append(message))
+        try:
+            outcomes = WorkerPool(max_workers=2).run(
+                [Task(square, (i,)) for i in range(8)])
+        finally:
+            set_message_audit(previous)
+        assert [o.value for o in outcomes] == [i * i for i in range(8)]
+        units = [m for m in sent if m is not None]
+        assert all(isinstance(u, Unit) and u.work is None for u in units)
+        assert sorted(u.key for u in units) == list(range(8))
+        assert sent.count(None) <= 2
+
+    def test_crash_mid_run_spares_every_other_task(self):
+        tasks = [Task(square, (i,)) for i in range(8)]
+        tasks[3] = Task(hard_crash)
+        outcomes = WorkerPool(max_workers=2, retries=1).run(tasks)
+        assert [o.ok for o in outcomes] == [i != 3 for i in range(8)]
+        assert outcomes[3].error_kind == "crash"
+        assert outcomes[3].attempts == 2
+        assert [o.value for o in outcomes if o.ok] == [
+            i * i for i in range(8) if i != 3]
+        assert multiprocessing.active_children() == []
 
 
 class TestSerialFallback:
@@ -229,10 +288,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             WorkerPool(retries=-1)
 
-    def test_bad_chunk_size(self):
-        with pytest.raises(ConfigError):
-            WorkerPool(chunk_size=0)
-
 
 class TestProperties:
     @given(st.lists(st.one_of(st.integers(-100, 100),
@@ -252,10 +307,10 @@ class TestProperties:
             else:
                 assert outcome.ok and outcome.value == s * s
 
-    @given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 5))
+    @given(st.integers(1, 6), st.integers(1, 4))
     @settings(max_examples=15, deadline=None)
-    def test_chunking_never_drops_tasks(self, n, workers, chunk):
-        pool = WorkerPool(max_workers=workers, chunk_size=chunk)
+    def test_pool_never_drops_tasks(self, n, workers):
+        pool = WorkerPool(max_workers=workers)
         outcomes = pool.run([Task(square, (i,)) for i in range(n)])
         assert [o.value for o in outcomes] == [i * i for i in range(n)]
 
@@ -291,7 +346,7 @@ class TestKernelShipBack:
     def test_worker_kernels_ride_on_merged_spans(self):
         from repro.telemetry import recording
 
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         with recording() as recorder:
             outcomes = pool.run([Task(run_kernels, (3,)),
                                  Task(run_kernels, (2,))])
@@ -304,7 +359,7 @@ class TestKernelShipBack:
     def test_outcome_spans_carry_kernel_totals(self):
         from repro.telemetry import recording
 
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         with recording():
             outcomes = pool.run([Task(run_kernels, (4,))])
         kernels = outcomes[0].spans[0]["attrs"]["kernels"]
@@ -312,7 +367,7 @@ class TestKernelShipBack:
         assert kernels["matmul"]["bytes"] == 4 * 3 * 8 * 8 * 8
 
     def test_no_kernel_accounting_without_recorder(self):
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         outcomes = pool.run([Task(run_kernels, (2,)),
                              Task(report_kernel_hook)])
         assert outcomes[0].ok and outcomes[0].spans == []
@@ -335,7 +390,7 @@ class TestKernelShipBack:
         tasks = [Task(run_kernels, (n,)) for n in (1, 2, 3)]
         totals = []
         for pool in (WorkerPool(max_workers=1),
-                     WorkerPool(max_workers=2, chunk_size=1)):
+                     WorkerPool(max_workers=2)):
             with recording() as recorder, span("root"):
                 assert all(o.ok for o in pool.run(tasks))
             totals.append(kernel_calls(recorder.spans))

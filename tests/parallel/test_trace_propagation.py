@@ -111,7 +111,7 @@ class TestContextPlumbing:
 class TestPoolShipsSpans:
     def test_outcomes_carry_worker_spans(self):
         with recording() as recorder:
-            pool = WorkerPool(max_workers=2, chunk_size=1)
+            pool = WorkerPool(max_workers=2)
             outcomes = pool.run([Task(_traced_point, (i,)) for i in range(4)])
         assert all(o.ok for o in outcomes)
         for outcome in outcomes:
@@ -125,7 +125,7 @@ class TestPoolShipsSpans:
         assert os.getpid() not in worker_pids
 
     def test_no_recorder_ships_no_spans(self):
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         outcomes = pool.run([Task(_plain_task, (i,)) for i in range(2)])
         assert all(o.ok for o in outcomes)
         assert all(o.spans == [] for o in outcomes)
@@ -150,7 +150,7 @@ class TestSweepAcceptance:
             wall = time.perf_counter() - wall_start
         assert len(result.ok()) == 4
         worker_pids = {record["pid"] for record in result.records}
-        assert len(worker_pids) == 4  # chunk_size 1: one process per point
+        assert len(worker_pids) == 4  # 4 points on 4 workers: one fork each
 
         # one root sweep span covering >= 90% of the sweep wall-clock
         roots = recorder.by_name("sweep")
@@ -181,7 +181,7 @@ class TestSweepAcceptance:
 
     def test_trace_id_is_shared_across_processes(self):
         with recording() as recorder:
-            pool = WorkerPool(max_workers=2, chunk_size=1)
+            pool = WorkerPool(max_workers=2)
             pool.run([Task(_traced_point, (i,)) for i in range(2)])
         trace = recorder.chrome_trace()
         assert trace["otherData"]["trace_id"] == recorder.trace_id

@@ -56,7 +56,7 @@ def _hold_registry_lock(seconds):
 class TestForkSafety:
     def test_pool_forked_under_a_held_registry_lock(self):
         holder = _hold_registry_lock(1.0)
-        pool = WorkerPool(max_workers=2, timeout=4, retries=0, chunk_size=1)
+        pool = WorkerPool(max_workers=2, timeout=4, retries=0)
         outcomes = pool.run([Task(square, (3,)), Task(square, (4,))])
         holder.join()
         assert [(o.ok, o.error_kind, o.value) for o in outcomes] == [

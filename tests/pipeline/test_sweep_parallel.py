@@ -5,6 +5,10 @@ grid run with ``parallel=1`` and ``parallel=4`` yields identical record
 lists, including derived per-point seeds and failure entries.
 """
 
+import json
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,35 @@ def timed_experiment(x):
 
 
 GRID = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # 16 points
+
+_PID_LOG = None  # a path set by a test; forked workers inherit it
+
+
+def train_point(lr, batch_size, rng):
+    """Train a tiny ResNet on seeded data: every draw comes from ``rng``.
+
+    Appends the running pid to ``_PID_LOG`` when set, so a test can see
+    which process ran which point.
+    """
+    from repro.models import resnet8_tiny
+    from repro.pipeline.config import TrainingConfig
+    from repro.pipeline.trainer import Trainer
+
+    if _PID_LOG is not None:
+        with open(_PID_LOG, "a") as log:
+            log.write(f"{os.getpid()}\n")
+    seed = int(rng.integers(2**31))
+    data_rng = np.random.default_rng(seed)
+    inputs = data_rng.normal(size=(32, 3, 12, 12))
+    labels = data_rng.integers(0, 4, size=32)
+    model = resnet8_tiny(num_classes=4, in_channels=3, width=8,
+                         rng=np.random.default_rng(seed + 1))
+    trainer = Trainer(
+        model, inputs, labels,
+        TrainingConfig(epochs=2, batch_size=batch_size, lr=lr, seed=seed),
+    )
+    history = trainer.train()
+    return {"final_loss": float(history.task_loss[-1])}
 
 
 class TestDeterminism:
@@ -76,6 +109,24 @@ class TestDeterminism:
         Sweep({"x": [1, 2, 3]}, lambda x: {"y": x}).run(
             progress=seen.append, parallel=1)
         assert seen == [{"x": 1}, {"x": 2}, {"x": 3}]
+
+
+class TestTrainingPoints:
+    def test_reused_worker_gives_serial_records(self, tmp_path, monkeypatch):
+        """Six trained points on two workers: each worker runs several
+        points back to back, and nothing one point leaves in its process
+        (buffer pool, RNGs, registry) changes the next point's record."""
+        sweep = Sweep({"lr": [0.02, 0.05, 0.08], "batch_size": [16, 24]},
+                      train_point)
+        serial = sweep.run(parallel=1, seed=123)
+        log = tmp_path / "pids.log"
+        monkeypatch.setattr(sys.modules[__name__], "_PID_LOG", str(log))
+        pooled = sweep.run(parallel=2, seed=123)
+        pids = log.read_text().split()
+        assert len(pids) == 6 and len(set(pids)) <= 2
+        assert str(os.getpid()) not in pids
+        assert not serial.failures().records
+        assert json.dumps(serial.records) == json.dumps(pooled.records)
 
 
 class TestFailureRecords:

@@ -17,7 +17,8 @@ floor with::
     PYTHONPATH=src python -m pytest --repro-cov -m "not slow"
 
 Known limit: lines that execute only inside worker *processes* (the
-fork core's ``_child_main`` in ``parallel/worker.py``) are invisible to
+fork core's ``_child_main`` in ``parallel/worker.py``, the pool's
+per-task handler ``_task_runner`` in ``parallel/pool.py``) are invisible to
 the parent's trace hook, so the floor is set with that in mind;
 everything else in the layer runs in-process somewhere in the suite.
 """

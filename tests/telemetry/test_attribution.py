@@ -112,7 +112,7 @@ class TestKernelsOnSpans:
     def test_foreign_hook_survives_in_forked_child(self):
         from repro.parallel import Task, WorkerPool
 
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         previous = backend.set_kernel_hook(marker_hook)
         try:
             plain = pool.run([Task(report_hooks)])[0]
@@ -360,7 +360,7 @@ class TestAttribute:
     def test_worker_lanes_carry_kernel_rows(self):
         from repro.parallel import Task, WorkerPool
 
-        pool = WorkerPool(max_workers=2, chunk_size=1)
+        pool = WorkerPool(max_workers=2)
         with recording() as recorder, span("root"):
             assert all(o.ok for o in pool.run([Task(matmul, (2,)),
                                                Task(matmul, (3,))]))
