@@ -131,8 +131,15 @@ def _case_conv2d_backward(rng):
 
 @case("conv2d_infer")
 def _case_conv2d_infer(rng):
-    b, c, h, w, k, s, p = _conv_geometry(rng)
-    out_channels = int(rng.integers(1, 5))
+    """The random small geometry, or one time in four a wide one: 8
+    images of 6-8 channels at 32x32 into 8-16 channels, a GEMM large
+    enough that fast multiplies it in blocks of output rows."""
+    if rng.integers(0, 4):
+        b, c, h, w, k, s, p = _conv_geometry(rng)
+        out_channels = int(rng.integers(1, 5))
+    else:
+        b, c, h, w, k, s, p = 8, int(rng.integers(6, 9)), 32, 32, 3, 1, 1
+        out_channels = int(rng.integers(8, 17))
     x = _activation(rng, (b, c, h, w))
     weight = rng.normal(size=(out_channels, c, k, k))
     bias = rng.normal(size=out_channels) if rng.integers(0, 2) else None

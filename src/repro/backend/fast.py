@@ -10,11 +10,27 @@ data-movement kernels (``equivalence.EXACT``) -- the equivalence suite
 What makes it fast:
 
 * **Tap-slice patch gather.**  Reference gathers conv patches with
-  int64 index arrays and then transposes the result; :func:`_gather`
-  reads the input channels-first/batch-last and copies one strided
-  slice per kernel tap straight into the final column layout.  It only
-  moves data, so its columns are ``array_equal`` to reference's and
-  every matmul sees the same operands (see :func:`_gather`).
+  int64 index arrays and then transposes the result;
+  :func:`_gather_rows` reads the input channels-first/batch-last and
+  copies one strided slice per kernel tap straight into the final
+  column layout, for any range of output rows.  It only moves data, so
+  its columns are ``array_equal`` to reference's and every matmul sees
+  the same operands (see :func:`_gather`).
+* **Row-blocked inference conv.**  ``conv2d_infer`` gathers and
+  multiplies one block of output rows at a time (about 512 KB of
+  patches, in one flat pooled buffer) instead of writing and re-reading
+  the whole patch matrix -- 19 MB at batch 64 on a 32x32 layer -- and
+  each GEMM writes straight into its columns of the output.  The result
+  is byte-equal to the one-shot GEMM: OpenBLAS's bytes depend on a
+  GEMM's size (its small-matrix kernels, its tile and thread
+  partitions), so every block has at least 2**20 multiply-adds and a
+  64-aligned column count, and outputs whose column count is not
+  64-aligned keep one GEMM (see :func:`_row_blocks`).  Where the
+  one-shot GEMM is batch-invariant -- rows ``[:N]`` of a batch-128
+  forward equal a batch-N forward, as on every conv of resnet8_tiny
+  and simple_cnn at 32x32 -- the blocked one is too, so a served
+  image's conv outputs do not depend on the batch it was coalesced
+  into.
 * **Slice-accumulation col2im.**  Reference ``col2im`` uses
   ``np.add.at``, an order of magnitude slower than one vectorized
   strided ``+=`` per kernel tap into a batch-last accumulator that
@@ -32,7 +48,8 @@ What makes it fast:
   contiguous input), and ``MatMul`` hands BLAS its left operand as
   rows, so every result equals the contiguous forward's byte for byte.
   Training kernels never see these views.
-* **Scratch-buffer pools.**  Padded inputs, matmul outputs, and the
+* **Scratch-buffer pools.**  Padded inputs (only their border is
+  zeroed), matmul outputs, the inference conv's block buffer, and the
   flattened-gradient intermediates of ``conv2d_backward`` are recycled
   through a small (shape, dtype)-keyed pool, avoiding repeated
   multi-megabyte mmap/page-fault cycles.  Pools hold *internal*
@@ -51,6 +68,7 @@ What makes it fast:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -109,38 +127,61 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
+def _batch_last(x: np.ndarray, padding: int) -> np.ndarray:
+    """``x`` read channels-first/batch-last, ``(C, Hp, Wp, N)``.
+
+    A transposed view when unpadded; else one copy into pooled scratch
+    whose border alone is zeroed (the copy covers the rest), which the
+    caller gives back to the pool.
+    """
+    source = x.transpose(1, 2, 3, 0)
+    p = padding
+    if p == 0:
+        return source
+    channels, height, width, batch = source.shape
+    padded = _pool.take((channels, height + 2 * p, width + 2 * p, batch), x.dtype)
+    padded[:, :p] = 0
+    padded[:, -p:] = 0
+    padded[:, p:-p, :p] = 0
+    padded[:, p:-p, -p:] = 0
+    padded[:, p:-p, p:-p, :] = source
+    return padded
+
+
+def _gather_rows(source: np.ndarray, cols: np.ndarray, stride: int, r0: int) -> None:
+    """Fill ``cols`` with the patches of output rows ``[r0, r0 + rows)``.
+
+    ``source`` is the batch-last input of :func:`_batch_last` and
+    ``cols`` a ``(C, kh, kw, rows, out_w, N)`` array.  Each kernel tap
+    fills its ``(C, rows, out_w, N)`` block with one strided slice copy
+    -- :func:`col2im`'s pattern in reverse -- so ``cols`` flattens for
+    free into reference's ``(C*kh*kw, rows*out_w*N)`` layout.
+    """
+    _, kh, kw, rows, out_w, _ = cols.shape
+    s = stride
+    for tap_r in range(kh):
+        row_taps = slice(tap_r + s * r0, tap_r + s * (r0 + rows), s)
+        for tap_c in range(kw):
+            cols[:, tap_r, tap_c] = source[:, row_taps, tap_c:tap_c + s * out_w:s, :]
+
+
 def _gather(
     x: np.ndarray, kh: int, kw: int, stride: int, padding: int
 ) -> Tuple[np.ndarray, int, int]:
     """Reference's patch matrix, element for element, by tap slices.
 
-    The input is read channels-first/batch-last, ``(C, Hp, Wp, N)``: a
-    transposed view when unpadded, else one copy into zeroed pooled
-    scratch.  Each kernel tap then fills its ``(C, out_h, out_w, N)``
-    block of a fresh ``(C, kh, kw, out_h, out_w, N)`` array with one
-    strided slice copy -- :func:`col2im`'s pattern in reverse -- which
-    flattens for free into reference's ``(C*kh*kw, out_h*out_w*N)``
-    layout.  The result escapes (``conv2d_forward`` returns it), so it
-    is never pooled.  Returns ``(cols, out_h, out_w)``.
+    :func:`_gather_rows` over every output row into a fresh array: the
+    result escapes (``conv2d_forward`` returns it), so it is never
+    pooled.  Returns ``(cols, out_h, out_w)``.
     """
     batch, channels, height, width = x.shape
     out_h = reference.conv_output_size(height, kh, stride, padding)
     out_w = reference.conv_output_size(width, kw, stride, padding)
-    p, s = padding, stride
-    if p == 0:
-        padded = x.transpose(1, 2, 3, 0)
-    else:
-        padded = _pool.take((channels, height + 2 * p, width + 2 * p, batch), x.dtype)
-        padded.fill(0)
-        padded[:, p:-p, p:-p, :] = x.transpose(1, 2, 3, 0)
+    source = _batch_last(x, padding)
     cols = np.empty((channels, kh, kw, out_h, out_w, batch), dtype=x.dtype)
-    for tap_r in range(kh):
-        for tap_c in range(kw):
-            cols[:, tap_r, tap_c] = (
-                padded[:, tap_r:tap_r + s * out_h:s, tap_c:tap_c + s * out_w:s, :]
-            )
-    if p:
-        _pool.give(padded)
+    _gather_rows(source, cols, stride, 0)
+    if padding:
+        _pool.give(source)
     return cols.reshape(channels * kh * kw, -1), out_h, out_w
 
 
@@ -242,6 +283,47 @@ def conv2d_backward(
     return grad_x, grad_weight
 
 
+# The block rule of the row-blocked no-grad conv (see conv2d_infer).
+# A block's patch matrix aims at _BLOCK_BYTES, so the gather's writes
+# are still in L2 when the GEMM reads them.  The GEMM's bytes must not
+# depend on the blocking, or an image's logits would depend on the
+# other images in its batch, and OpenBLAS's do depend on a GEMM's size:
+# below about 100**3 multiply-adds it may take small-matrix kernels,
+# and a column's place in the register tiles and thread partitions
+# follows from the column counts.  So every block has at least
+# _BLOCK_MIN_MACS multiply-adds and a column count that is a multiple
+# of _BLOCK_COL_ALIGN, and only outputs whose total column count is one
+# too are blocked.
+_BLOCK_BYTES = 512 * 1024
+_BLOCK_MIN_MACS = 1 << 20
+_BLOCK_COL_ALIGN = 64
+
+
+def _row_blocks(
+    out_channels: int, depth: int, out_h: int, row_cols: int, itemsize: int
+) -> Optional[List[int]]:
+    """Output-row bounds ``[0, ..., out_h]`` of the blocked GEMMs.
+
+    ``depth`` is the patch length ``C*kh*kw`` and ``row_cols`` the
+    columns one output row adds (``out_w * N``).  ``None`` when the
+    output's column count is not aligned or there would be fewer than
+    two blocks: the caller runs one GEMM.
+    """
+    row_macs = out_channels * depth * row_cols
+    if out_h * row_macs < 2 * _BLOCK_MIN_MACS or out_h * row_cols % _BLOCK_COL_ALIGN:
+        return None
+    rows = max(_BLOCK_BYTES // (depth * row_cols * itemsize),
+               -(-_BLOCK_MIN_MACS // row_macs), 1)
+    step = _BLOCK_COL_ALIGN // math.gcd(_BLOCK_COL_ALIGN, row_cols)
+    rows = -(-rows // step) * step
+    bounds = list(range(0, out_h, rows))
+    if (out_h - bounds[-1]) * row_macs < _BLOCK_MIN_MACS:
+        bounds.pop()  # a short tail joins the block before it
+    if len(bounds) < 2:
+        return None
+    return bounds + [out_h]
+
+
 @BACKEND.register()
 def conv2d_infer(
     x: np.ndarray,
@@ -258,12 +340,39 @@ def conv2d_infer(
     reads; the epilogue runs in place on it and the result is that
     array transposed to NCHW, with no copy.  It escapes, so it is
     freshly allocated, never pooled.
+
+    When :func:`_row_blocks` splits the output rows, each block's
+    patches are gathered into one flat pooled scratch buffer (its
+    length a power of two, so a server that sees every batch size
+    keeps few of them) and multiplied straight into the block's
+    columns of the output, so the patch matrix never leaves cache.
+    The bytes are the one-shot GEMM's (see ``_BLOCK_MIN_MACS``).
     """
-    out_channels, _, kh, kw = weight.shape
-    cols, out_h, out_w = _gather(x, kh, kw, stride, padding)
-    out = np.empty((out_channels, out_h, out_w, x.shape[0]), dtype=cols.dtype)
+    out_channels, channels, kh, kw = weight.shape
+    batch, _, height, width = x.shape
+    out_h = reference.conv_output_size(height, kh, stride, padding)
+    out_w = reference.conv_output_size(width, kw, stride, padding)
+    depth, row_cols = channels * kh * kw, out_w * batch
+    out = np.empty((out_channels, out_h, out_w, batch), dtype=x.dtype)
     flat = out.reshape(out_channels, -1)
-    np.matmul(weight.reshape(out_channels, -1), cols, out=flat)
+    w2d = weight.reshape(out_channels, -1)
+    bounds = _row_blocks(out_channels, depth, out_h, row_cols, x.dtype.itemsize)
+    if bounds is None:
+        cols, _, _ = _gather(x, kh, kw, stride, padding)
+        np.matmul(w2d, cols, out=flat)
+    else:
+        source = _batch_last(x, padding)
+        most = max(b - a for a, b in zip(bounds, bounds[1:])) * depth * row_cols
+        scratch = _pool.take((1 << (most - 1).bit_length(),), x.dtype)
+        for r0, r1 in zip(bounds, bounds[1:]):
+            cols = scratch[:(r1 - r0) * depth * row_cols]
+            _gather_rows(source, cols.reshape(channels, kh, kw, r1 - r0, out_w, batch),
+                         stride, r0)
+            np.matmul(w2d, cols.reshape(depth, -1),
+                      out=flat[:, r0 * row_cols:r1 * row_cols])
+        _pool.give(scratch)
+        if padding:
+            _pool.give(source)
     if bias is not None:
         flat += bias.reshape(-1, 1)
     if relu:
@@ -402,10 +511,17 @@ def batchnorm_infer(
     beta: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """Precomputed scale/shift: one multiply-add over x instead of four ops."""
+    """Precomputed scale/shift: one multiply-add over x instead of four ops.
+
+    The add runs in place on the product, which keeps ``x``'s layout,
+    so a batch-last view costs one output array, not two, and the bytes
+    are ``x * scale + shift``'s.
+    """
     scale = gamma / np.sqrt(var + eps)
     shift = beta - mean * scale
-    return x * scale + shift
+    out = x * scale
+    out += shift
+    return out
 
 
 @BACKEND.register()

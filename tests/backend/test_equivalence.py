@@ -214,3 +214,20 @@ class TestGeometryGenerators:
             (x, kernel, stride), _kw = CASES["maxpool2d_forward"](rng)
             seen.add(stride == kernel)
         assert seen == {True, False}
+
+    def test_conv2d_infer_cases_reach_fast_row_blocks(self):
+        # the small cases are one GEMM in fast; without the wide ones
+        # the harness would never compare its row-blocked path
+        from repro.backend import fast
+
+        rng = np.random.default_rng(11)
+        blocked = 0
+        for _ in range(12):
+            (x, w, _bias, stride, padding), _kw = CASES["conv2d_infer"](rng)
+            out_channels, channels, kh, kw = w.shape
+            out_h = (x.shape[2] + 2 * padding - kh) // stride + 1
+            out_w = (x.shape[3] + 2 * padding - kw) // stride + 1
+            blocked += fast._row_blocks(out_channels, channels * kh * kw, out_h,
+                                        out_w * x.shape[0], x.itemsize) is not None
+        assert blocked >= 2
+        assert check_kernel("conv2d_infer", "fast", trials=12, seed=11) == 12

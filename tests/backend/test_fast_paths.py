@@ -242,6 +242,39 @@ class TestFusedInference:
         np.testing.assert_allclose(infer_out.data, graph_out.data,
                                    rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["float32", "float64"])
+    def test_batchnorm_infer_bytes_equal_scale_shift_expression(self, dtype):
+        # one temporary instead of two: the same multiply and add, so
+        # the same bytes, on the batch-last views the trunk feeds it
+        rng = np.random.default_rng(8)
+        for c, h, w, n in [(8, 32, 32, 64), (16, 16, 16, 7), (3, 5, 4, 1)]:
+            x = np.moveaxis(rng.normal(size=(c, h, w, n)).astype(dtype), -1, 0)
+            shape = (1, c, 1, 1)
+            mean, gamma, beta = (rng.normal(size=shape).astype(dtype)
+                                 for _ in range(3))
+            var = (np.abs(rng.normal(size=shape)) + 0.1).astype(dtype)
+            scale = gamma / np.sqrt(var + 1e-5)
+            want = x * scale + (beta - mean * scale)
+            got = fast.batchnorm_infer(x, mean, var, gamma, beta, 1e-5)
+            assert got.dtype == want.dtype
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("padding", [1, 2])
+    def test_padding_border_is_zero_over_stale_scratch(self, padding):
+        # the padded input comes from the pool and only its border is
+        # zeroed: a NaN-filled buffer of that shape must not leak
+        x = RNG.normal(size=(3, 2, 6, 5))
+        padded_shape = (2, 6 + 2 * padding, 5 + 2 * padding, 3)
+        stale = np.full(padded_shape, np.nan)
+        fast._pool.give(stale)
+        got = fast.im2col(x, 3, 3, 1, padding)
+        # the gather took the stale buffer and gave it back
+        assert fast._pool._free[(padded_shape, np.dtype(np.float64))][0] is stale
+        ref = B.get_backend("reference").im2col(x, 3, 3, 1, padding)
+        assert np.array_equal(got, ref)
+
     def test_col2im_matches_reference_across_geometries(self):
         # the slice-accumulation scatter must agree with np.add.at on
         # every stride/kernel/padding combination, including stride > 1

@@ -3,6 +3,7 @@
 import asyncio
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -351,8 +352,15 @@ class TestAttribute:
                 optimizer.step()
 
             step()  # warm-up outside the traced region
-            with recording() as recorder, span("step"):
-                step()
+            # a line tracer (the coverage run's) slows the Python
+            # between kernels, not the kernels: time the step without it
+            tracer = sys.gettrace()
+            sys.settrace(None)
+            try:
+                with recording() as recorder, span("step"):
+                    step()
+            finally:
+                sys.settrace(tracer)
         (lane,) = attribute(recorder.chrome_trace())
         kernel_s = sum(row[3] for row in lane.rows if row[0] == "kernel")
         assert kernel_s >= 0.75 * recorder.by_name("step")[0].duration
